@@ -20,6 +20,10 @@ from . import mlp as mlp_mod
 from . import synth as synth_mod
 from .config import (
     ENV_CONFIG_VAR,
+    TOP_LEVEL_FIELDS,
+    DatasetConfig,
+    LogitConfig,
+    MlpConfig,
     PipelineConfig,
     _SECTIONS,
     apply_overrides,
@@ -53,7 +57,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> dict[str, str]:
     parser.add_argument(
         "--seed",
         type=int,
-        help="master seed; derives cohort and mlp seeds",
+        help="master seed; derives the mlp seed",
     )
     dotted_by_dest: dict[str, str] = {}
     for section, cls in _SECTIONS.items():
@@ -62,7 +66,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> dict[str, str]:
             dest = f"set__{section}__{fld.name}"
             parser.add_argument(f"--{dotted}", dest=dest, metavar="VALUE")
             dotted_by_dest[dest] = dotted
-    for name in ("target_mode", "tickers", "workers"):
+    for name in TOP_LEVEL_FIELDS:
         dest = f"set__{name}"
         parser.add_argument(f"--{name}", dest=dest, metavar="VALUE")
         dotted_by_dest[dest] = name
@@ -79,7 +83,6 @@ def _load_pipeline_config(args, dotted_by_dest: dict[str, str]) -> PipelineConfi
             overrides[dotted] = value
     apply_overrides(cfg, overrides)
     if args.seed is not None:
-        cfg.cohort.seed = derive_seed(args.seed, "cohort")
         cfg.mlp.seed = derive_seed(args.seed, "mlp")
     return cfg.validate()
 
@@ -124,40 +127,28 @@ def _cmd_cohort(args) -> int:
 
 def _cmd_build(args, dotted_by_dest) -> int:
     from .ingest import parse_company_panel
-    from .pipeline import build_company_dataset, discover_panels
+    from .pipeline import build_company_dataset, discover_panels, write_dataset
 
     cfg = _load_pipeline_config(args, dotted_by_dest)
     snapshots = load_membership_dir(cfg.paths.membership_dir)
     panels = discover_panels(cfg.paths.panels_dir, cfg.tickers)
     out_dir = Path(cfg.paths.output_dir) / "datasets"
-    out_dir.mkdir(parents=True, exist_ok=True)
     for ticker, path in sorted(panels.items()):
         panel = parse_company_panel(path.read_text("utf-8"), ticker, source=str(path))
         dataset, info = build_company_dataset(panel, snapshots, cfg)
-        (out_dir / f"{ticker}.csv").write_text(
-            ds_mod.dataset_csv_text(dataset), "utf-8"
-        )
-        meta = {
-            "ticker": ticker,
-            "dropped_columns": info["dropped_columns"],
-            "timespan": info["timespan"],
-            "n_rows": info["n_rows"],
-            "columns": {
-                name: {
-                    "raw_min": m.raw_min,
-                    "raw_max": m.raw_max,
-                    "mean_used": m.observed_mean_normalized,
-                    "imputed_count": m.imputed_count,
-                    "degenerate": m.degenerate,
-                }
-                for name, m in dataset.column_meta.items()
-            },
-        }
-        (out_dir / f"{ticker}.meta.json").write_text(
-            json.dumps(meta, indent=2) + "\n", "utf-8"
-        )
+        write_dataset(out_dir, dataset, info)
         sys.stdout.write(f"built {ticker}: {dataset.n_rows} rows\n")
     return 0
+
+
+def _read_json(path: str, what: str):
+    file = Path(path)
+    if not file.is_file():
+        raise DataError(f"{what} file not found: {file}")
+    try:
+        return json.loads(file.read_text("utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{what} file {file} is not valid JSON: {exc}") from exc
 
 
 def _read_dataset(path: str) -> ds_mod.LabeledDataset:
@@ -183,16 +174,16 @@ def _cmd_logit(args) -> int:
     return 0
 
 
-def _split_for_args(dataset, train_fraction):
-    return ds_mod.chronological_split(dataset, train_fraction)
-
-
 def _cmd_train(args) -> int:
     dataset = _read_dataset(args.dataset)
     if args.features:
         dataset = dataset.select_columns([f.strip() for f in args.features.split(",")])
-    train_ds, _ = _split_for_args(dataset, args.train_fraction)
-    hidden = [int(h) for h in args.hidden_sizes.split(",")] if args.hidden_sizes else [8]
+    train_ds, _ = ds_mod.chronological_split(dataset, args.train_fraction)
+    hidden = (
+        [int(h) for h in args.hidden_sizes.split(",")]
+        if args.hidden_sizes
+        else MlpConfig().hidden_sizes
+    )
     sizes = [len(dataset.feature_names)] + hidden + [1]
     model = mlp_mod.init_network(sizes, derive_seed(args.seed, dataset.ticker, "init"))
     model, losses = mlp_mod.train(
@@ -221,17 +212,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .pipeline import eval_result_dict
-
     dataset = _read_dataset(args.dataset)
-    model_doc = json.loads(Path(args.model).read_text("utf-8"))
+    model_doc = _read_json(args.model, "model")
     model = mlp_mod.model_from_dict(model_doc)
     features = model_doc.get("metadata", {}).get("features")
     if features:
         dataset = dataset.select_columns(features)
-    _, test_ds = _split_for_args(dataset, args.train_fraction)
+    _, test_ds = ds_mod.chronological_split(dataset, args.train_fraction)
     report = mlp_mod.evaluate(model, test_ds, args.threshold)
-    _emit(eval_result_dict(report), args.out)
+    _emit(dataclasses.asdict(report), args.out)
     sys.stdout.write(f"{dataset.ticker} | {report.accuracy * 100:.2f}%\n")
     return 0
 
@@ -244,10 +233,7 @@ def _cmd_pipeline(args, dotted_by_dest) -> int:
 
 
 def _cmd_report(args) -> int:
-    file = Path(args.input)
-    if not file.is_file():
-        raise DataError(f"report file not found: {file}")
-    report = json.loads(file.read_text("utf-8"))
+    report = _read_json(args.input, "report")
     sys.stdout.write(render_report(report, args.format))
     return 0
 
@@ -290,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("logit", help="fit the logistic model on a built dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--alpha", type=float, default=LogitConfig.alpha)
+    p.add_argument("--tol", type=float, default=LogitConfig.tol)
+    p.add_argument("--max-iter", type=int, default=LogitConfig.max_iter)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_logit)
 
@@ -301,18 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--features", help="comma-separated feature subset")
     p.add_argument("--hidden-sizes", help="comma-separated hidden layer sizes")
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=8451)
-    p.add_argument("--train-fraction", type=float, default=0.8)
+    p.add_argument("--epochs", type=int, default=MlpConfig.epochs)
+    p.add_argument("--learning-rate", type=float, default=MlpConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=MlpConfig.batch_size)
+    p.add_argument("--seed", type=int, default=MlpConfig.seed)
+    p.add_argument("--train-fraction", type=float, default=DatasetConfig.train_fraction)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a trained model on the test part")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--train-fraction", type=float, default=0.8)
+    p.add_argument("--threshold", type=float, default=MlpConfig.threshold)
+    p.add_argument("--train-fraction", type=float, default=DatasetConfig.train_fraction)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -333,21 +319,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PricedirError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, (ConfigError, ValidationError)):
+            return 1
+        return 3 if isinstance(exc, PipelineError) else 2
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Pipeline configuration: JSON file, dotted-flag overrides, validation.
 
-A config file is a JSON object with ``paths``, ``cohort``, ``dataset``,
-``logit``, and ``mlp`` sections plus the top-level ``target_mode``; any
-field can be overridden on the command line with its dotted name,
+A config file is a JSON object with ``paths``, ``dataset``, ``logit``,
+and ``mlp`` sections plus the top-level ``target_mode`` and ``tickers``;
+any field can be overridden on the command line with its dotted name,
 e.g. ``--mlp.epochs 250``.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -27,12 +28,6 @@ class PathsConfig:
     membership_dir: str = "data/membership"
     panels_dir: str = "data/panels"
     output_dir: str = "out"
-
-
-@dataclass
-class CohortConfig:
-    per_group: int = 10
-    seed: int = 20020104
 
 
 @dataclass
@@ -63,13 +58,11 @@ class MlpConfig:
 @dataclass
 class PipelineConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
-    cohort: CohortConfig = field(default_factory=CohortConfig)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     logit: LogitConfig = field(default_factory=LogitConfig)
     mlp: MlpConfig = field(default_factory=MlpConfig)
     target_mode: str = TARGET_DIRECTION
     tickers: Optional[list[str]] = None
-    workers: int = 1
 
     def validate(self) -> "PipelineConfig":
         ds = self.dataset
@@ -79,23 +72,21 @@ class PipelineConfig:
             raise ConfigError("dataset.max_missing_fraction must be in [0, 1]")
         if not 0.0 < self.logit.alpha <= 1.0:
             raise ConfigError("logit.alpha must be in (0, 1]")
-        if self.logit.max_iter < 1 or self.logit.tol <= 0:
-            raise ConfigError("logit.max_iter must be >= 1 and logit.tol > 0")
+        if self.logit.max_iter < 1 or not 0.0 < self.logit.tol < math.inf:
+            raise ConfigError("logit.max_iter must be >= 1 and logit.tol finite and > 0")
         mlp = self.mlp
         if not 0.0 < mlp.threshold < 1.0:
             raise ConfigError("mlp.threshold must be in (0, 1)")
-        if mlp.epochs < 1 or mlp.batch_size < 1 or mlp.learning_rate < 0:
-            raise ConfigError("mlp.epochs/batch_size must be >= 1, learning_rate >= 0")
+        if mlp.epochs < 1 or mlp.batch_size < 1 or not 0.0 <= mlp.learning_rate < math.inf:
+            raise ConfigError(
+                "mlp.epochs/batch_size must be >= 1, learning_rate finite and >= 0"
+            )
         if any(h < 1 for h in mlp.hidden_sizes):
             raise ConfigError("mlp.hidden_sizes must all be >= 1")
-        if self.cohort.per_group < 1:
-            raise ConfigError("cohort.per_group must be >= 1")
         if self.target_mode not in (TARGET_DIRECTION, TARGET_MEMBERSHIP):
             raise ConfigError(
                 f"target_mode must be '{TARGET_DIRECTION}' or '{TARGET_MEMBERSHIP}'"
             )
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         paths = [self.paths.membership_dir, self.paths.panels_dir, self.paths.output_dir]
         if len({str(Path(p)) for p in paths}) != len(paths):
             raise ConfigError("membership_dir, panels_dir, output_dir must be distinct")
@@ -107,11 +98,12 @@ class PipelineConfig:
 
 _SECTIONS = {
     "paths": PathsConfig,
-    "cohort": CohortConfig,
     "dataset": DatasetConfig,
     "logit": LogitConfig,
     "mlp": MlpConfig,
 }
+# Fields of PipelineConfig itself rather than of a section.
+TOP_LEVEL_FIELDS = ("target_mode", "tickers")
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -129,7 +121,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
             if unknown:
                 raise ConfigError(f"unknown keys in {key!r}: {sorted(unknown)}")
             kwargs[key] = cls(**value)
-        elif key in ("target_mode", "tickers", "workers"):
+        elif key in TOP_LEVEL_FIELDS:
             kwargs[key] = value
         else:
             raise ConfigError(f"unknown config key {key!r}")
@@ -149,12 +141,6 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def _coerce(current, text: str):
-    if isinstance(current, bool):
-        if text.lower() in ("1", "true", "yes"):
-            return True
-        if text.lower() in ("0", "false", "no"):
-            return False
-        raise ConfigError(f"cannot parse boolean from {text!r}")
     if isinstance(current, int):
         return int(text)
     if isinstance(current, float):
@@ -176,12 +162,10 @@ def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> Pipeli
                 section = getattr(config, parts[0])
                 current = getattr(section, parts[1])
                 setattr(section, parts[1], _coerce(current, text))
-            elif len(parts) == 1 and hasattr(config, parts[0]):
-                current = getattr(config, parts[0])
-                if parts[0] == "tickers":
-                    setattr(config, "tickers", [t.strip() for t in text.split(",")])
-                else:
-                    setattr(config, parts[0], _coerce(current, text))
+            elif dotted == "tickers":
+                config.tickers = [t.strip() for t in text.split(",")]
+            elif dotted == "target_mode":
+                config.target_mode = text
             else:
                 raise ConfigError(f"unknown config field {dotted!r}")
         except (ValueError, AttributeError) as exc:

@@ -14,14 +14,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import LogitConfig
 from .errors import (
     InferenceUnavailableError,
     SingularDesignError,
     ValidationError,
 )
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100
 RIDGE = 1e-8
 # Any coefficient this large means the likelihood is running off to a
 # separating hyperplane rather than an interior maximum.
@@ -45,6 +44,11 @@ def normal_cdf(z: float) -> float:
     math.erfc is correctly rounded, comfortably inside 1e-10 everywhere.
     """
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _two_sided_pvalues(z: np.ndarray) -> np.ndarray:
+    """Two-sided normal p-values 2*(1 - Phi(|z|)), elementwise."""
+    return np.array([2.0 * (1.0 - normal_cdf(abs(zj))) for zj in z])
 
 
 @dataclass
@@ -99,8 +103,8 @@ def _covariance(H: np.ndarray) -> np.ndarray:
 def fit_logit(
     X,
     y,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
+    max_iter: int = LogitConfig.max_iter,
+    tol: float = LogitConfig.tol,
     feature_names: Optional[Sequence[str]] = None,
 ) -> LogitFit:
     """Maximum-likelihood logistic fit with an intercept prepended internally.
@@ -197,8 +201,7 @@ def fit_logit(
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std_err > 0, beta / std_err, np.inf * np.sign(beta))
         z = np.where((std_err > 0) | (beta != 0), z, 0.0)
-    pvals = np.array([2.0 * (1.0 - normal_cdf(abs(zj))) for zj in z])
-    pvals = np.clip(pvals, 0.0, 1.0)
+    pvals = np.clip(_two_sided_pvalues(z), 0.0, 1.0)
 
     return LogitFit(
         feature_names=names,
@@ -232,8 +235,7 @@ def wald_pvalues(fit: LogitFit) -> np.ndarray:
         raise InferenceUnavailableError("fit did not converge; no Wald inference")
     if not np.all(np.isfinite(fit.std_err)) or np.any(fit.std_err <= 0):
         raise InferenceUnavailableError("standard errors are not all positive")
-    z = fit.beta / fit.std_err
-    return np.array([2.0 * (1.0 - normal_cdf(abs(zj))) for zj in z])
+    return _two_sided_pvalues(fit.beta / fit.std_err)
 
 
 def select_features(fit: LogitFit, alpha: float) -> list[str]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MlpConfig
 from .dataset import LabeledDataset
 from .errors import TrainingDivergedError, ValidationError
 from .logit import sigmoid
@@ -189,7 +190,9 @@ class EvalReport:
     threshold: float
 
 
-def evaluate(model: NetworkModel, test_ds: LabeledDataset, threshold: float = 0.5) -> EvalReport:
+def evaluate(
+    model: NetworkModel, test_ds: LabeledDataset, threshold: float = MlpConfig.threshold
+) -> EvalReport:
     """Classify with ``output >= threshold`` (ties predict 1) and tally counts."""
     if test_ds.n_rows == 0:
         raise ValidationError("test set is empty")
@@ -224,12 +227,21 @@ def model_to_dict(model: NetworkModel, metadata: dict | None = None) -> dict:
     }
 
 
+def _model_entries(data: dict, key: str, convert) -> list:
+    if key not in data:
+        raise ValidationError(f"model document has no {key!r} key")
+    try:
+        return [convert(v) for v in data[key]]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"model document key {key!r} is malformed: {exc}") from exc
+
+
 def model_from_dict(data: dict) -> NetworkModel:
-    sizes = [int(s) for s in data["layer_sizes"]]
-    weights = [np.asarray(w, dtype=float) for w in data["weights"]]
-    biases = [np.asarray(b, dtype=float) for b in data["biases"]]
-    model = NetworkModel(sizes, weights, biases)
-    for (fan_in, fan_out), w, b in zip(zip(sizes, sizes[1:]), weights, biases):
-        if w.shape != (fan_out, fan_in) or b.shape != (fan_out,):
-            raise ValidationError("model file shapes do not chain with layer_sizes")
-    return model
+    """Inverse of ``model_to_dict``; NetworkModel checks that the shapes chain."""
+    if not isinstance(data, dict):
+        raise ValidationError("model document must be a JSON object")
+    return NetworkModel(
+        _model_entries(data, "layer_sizes", int),
+        _model_entries(data, "weights", lambda w: np.asarray(w, dtype=float)),
+        _model_entries(data, "biases", lambda b: np.asarray(b, dtype=float)),
+    )

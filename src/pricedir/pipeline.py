@@ -10,10 +10,10 @@ by ticker, seeds are derived per company, no timestamps).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from .ingest import (
     parse_company_panel,
     parse_membership_file,
 )
-from .synth import GENERATOR_NAME, derive_seed
+from .synth import derive_seed
 
 MEMBERSHIP_FILE_RE = re.compile(r"^constituents_(\d{4}-\d{2}-\d{2})\.csv$")
 
@@ -43,7 +43,7 @@ MEMBERSHIP_FILE_RE = re.compile(r"^constituents_(\d{4}-\d{2}-\d{2})\.csv$")
 # empty; a network with zero inputs is meaningless.
 CANONICAL_FALLBACK_FEATURES = [
     ds_mod.MEMBERSHIP_COLUMN,
-    "total_return_lag1w",
+    "total_return" + ds_mod.LAG_SUFFIX,
     "sentiment",
     "trades",
 ]
@@ -167,16 +167,30 @@ def logit_result_dict(ticker: str, fit: logit_mod.LogitFit, selected: list[str])
     }
 
 
-def eval_result_dict(report: mlp_mod.EvalReport) -> dict:
-    return {
-        "n_test": report.n_test,
-        "accuracy": report.accuracy,
-        "true_pos": report.true_pos,
-        "true_neg": report.true_neg,
-        "false_pos": report.false_pos,
-        "false_neg": report.false_neg,
-        "threshold": report.threshold,
+def write_dataset(datasets_dir: Path, dataset: ds_mod.LabeledDataset, info: dict) -> None:
+    """Write ``<ticker>.csv`` and ``<ticker>.meta.json`` for one built dataset."""
+    datasets_dir.mkdir(parents=True, exist_ok=True)
+    ticker = dataset.ticker
+    (datasets_dir / f"{ticker}.csv").write_text(ds_mod.dataset_csv_text(dataset), "utf-8")
+    meta = {
+        "ticker": ticker,
+        "dropped_columns": info["dropped_columns"],
+        "timespan": info["timespan"],
+        "n_rows": info["n_rows"],
+        "columns": {
+            name: {
+                "raw_min": m.raw_min,
+                "raw_max": m.raw_max,
+                "mean_used": m.observed_mean_normalized,
+                "imputed_count": m.imputed_count,
+                "degenerate": m.degenerate,
+            }
+            for name, m in dataset.column_meta.items()
+        },
     }
+    (datasets_dir / f"{ticker}.meta.json").write_text(
+        json.dumps(meta, indent=2) + "\n", "utf-8"
+    )
 
 
 def run_company(
@@ -228,33 +242,11 @@ def run_company(
     report = mlp_mod.evaluate(model, test_ds, cfg.mlp.threshold)
 
     if out_dir is not None:
-        datasets_dir = out_dir / "datasets"
+        write_dataset(out_dir / "datasets", dataset, build_info)
         logit_dir = out_dir / "logit"
         models_dir = out_dir / "models"
-        for d in (datasets_dir, logit_dir, models_dir):
+        for d in (logit_dir, models_dir):
             d.mkdir(parents=True, exist_ok=True)
-        (datasets_dir / f"{ticker}.csv").write_text(
-            ds_mod.dataset_csv_text(dataset), "utf-8"
-        )
-        meta = {
-            "ticker": ticker,
-            "dropped_columns": build_info["dropped_columns"],
-            "timespan": build_info["timespan"],
-            "n_rows": build_info["n_rows"],
-            "columns": {
-                name: {
-                    "raw_min": m.raw_min,
-                    "raw_max": m.raw_max,
-                    "mean_used": m.observed_mean_normalized,
-                    "imputed_count": m.imputed_count,
-                    "degenerate": m.degenerate,
-                }
-                for name, m in dataset.column_meta.items()
-            },
-        }
-        (datasets_dir / f"{ticker}.meta.json").write_text(
-            json.dumps(meta, indent=2) + "\n", "utf-8"
-        )
         (logit_dir / f"{ticker}.json").write_text(
             json.dumps(logit_result_dict(ticker, fit, selected), indent=2) + "\n",
             "utf-8",
@@ -297,7 +289,7 @@ def run_company(
             "threshold": cfg.mlp.threshold,
         },
         "final_train_loss": loss_history[-1],
-        "eval": eval_result_dict(report),
+        "eval": dataclasses.asdict(report),
         "error": None,
     }
 
@@ -323,13 +315,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         except PricedirError as exc:
             return {"ticker": ticker, "status": "failed", "error": str(exc)}
 
-    items = sorted(panels.items())
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(process, items))
-    else:
-        results = [process(item) for item in items]
-    results.sort(key=lambda r: r["ticker"])
+    results = [process(item) for item in sorted(panels.items())]
 
     ok = [r for r in results if r["status"] == "ok"]
     if not ok:
@@ -343,7 +329,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "n_ok": len(ok),
         "n_failed": len(results) - len(ok),
         "mean_accuracy": mean_accuracy,
-        "generator": GENERATOR_NAME,
+        "generator": cohort_mod.GENERATOR_NAME,
         "config": cfg.to_dict(),
     }
     (out_dir / "report.json").write_text(render_report(report, "json"), "utf-8")

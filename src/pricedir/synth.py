@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .cohort import GENERATOR_NAME
+from .dataset import LAG_SUFFIX, MEMBERSHIP_COLUMN
 from .errors import ValidationError
 from .ingest import (
     CompanyPanel,
@@ -31,12 +33,7 @@ from .ingest import (
 )
 from .logit import sigmoid
 
-GENERATOR_NAME = "numpy-pcg64"
-
 FIRST_FRIDAY = date(2002, 1, 4)
-
-MEMBERSHIP_FEATURE = "in_index"
-LAG_SUFFIX = "_lag1w"
 
 PRICE_COLUMN = "price"
 INITIAL_PRICE = 100.0
@@ -154,7 +151,7 @@ def _base_columns(planted: PlantedModel) -> list[str]:
     """Raw panel columns implied by the planted feature names, in order."""
     bases: list[str] = []
     for name in planted.feature_names:
-        if name == MEMBERSHIP_FEATURE:
+        if name == MEMBERSHIP_COLUMN:
             continue
         base = name[: -len(LAG_SUFFIX)] if name.endswith(LAG_SUFFIX) else name
         if base not in bases:
@@ -194,7 +191,7 @@ def generate_company_panel(
 
     design: dict[str, np.ndarray] = {}
     for name in planted.feature_names:
-        if name == MEMBERSHIP_FEATURE:
+        if name == MEMBERSHIP_COLUMN:
             design[name] = membership[1:]
         elif name.endswith(LAG_SUFFIX):
             design[name] = raw[name[: -len(LAG_SUFFIX)]][:-1]
@@ -295,7 +292,7 @@ def default_planted() -> PlantedModel:
     return PlantedModel(
         intercept_true=0.0,
         beta_true={
-            MEMBERSHIP_FEATURE: 2.0,
+            MEMBERSHIP_COLUMN: 2.0,
             "total_return" + LAG_SUFFIX: 1.5,
             "sentiment": 1.5,
             "trades": -1.5,

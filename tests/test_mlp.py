@@ -293,3 +293,6 @@ class TestModelSerialization:
         doc["layer_sizes"] = [2, 4, 1]
         with pytest.raises(ValidationError):
             model_from_dict(doc)
+        del doc["layer_sizes"]
+        with pytest.raises(ValidationError, match="layer_sizes"):
+            model_from_dict(doc)
