@@ -26,6 +26,7 @@ from .config import (
     MlpConfig,
     PipelineConfig,
     _SECTIONS,
+    _coerce,
     apply_overrides,
     load_config,
 )
@@ -134,7 +135,7 @@ def _cmd_build(args, dotted_by_dest) -> int:
     panels = discover_panels(cfg.paths.panels_dir, cfg.tickers)
     out_dir = Path(cfg.paths.output_dir) / "datasets"
     for ticker, path in sorted(panels.items()):
-        panel = parse_company_panel(path.read_text("utf-8"), ticker, source=str(path))
+        panel = parse_company_panel(path.read_bytes(), ticker, source=str(path))
         dataset, info = build_company_dataset(panel, snapshots, cfg)
         write_dataset(out_dir, dataset, info)
         sys.stdout.write(f"built {ticker}: {dataset.n_rows} rows\n")
@@ -155,7 +156,7 @@ def _read_dataset(path: str) -> ds_mod.LabeledDataset:
     file = Path(path)
     if not file.is_file():
         raise DataError(f"dataset file not found: {file}")
-    return ds_mod.read_dataset_csv(file.read_text("utf-8"), file.stem, source=str(file))
+    return ds_mod.read_dataset_csv(file.read_bytes(), file.stem, source=str(file))
 
 
 def _cmd_logit(args) -> int:
@@ -179,11 +180,14 @@ def _cmd_train(args) -> int:
     if args.features:
         dataset = dataset.select_columns([f.strip() for f in args.features.split(",")])
     train_ds, _ = ds_mod.chronological_split(dataset, args.train_fraction)
-    hidden = (
-        [int(h) for h in args.hidden_sizes.split(",")]
-        if args.hidden_sizes
-        else MlpConfig().hidden_sizes
-    )
+    hidden = MlpConfig().hidden_sizes
+    if args.hidden_sizes:
+        try:
+            hidden = _coerce(hidden, args.hidden_sizes)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(
+                f"--hidden-sizes: bad value {args.hidden_sizes!r} ({exc})"
+            ) from exc
     sizes = [len(dataset.feature_names)] + hidden + [1]
     model = mlp_mod.init_network(sizes, derive_seed(args.seed, dataset.ticker, "init"))
     model, losses = mlp_mod.train(
@@ -234,7 +238,11 @@ def _cmd_pipeline(args, dotted_by_dest) -> int:
 
 def _cmd_report(args) -> int:
     report = _read_json(args.input, "report")
-    sys.stdout.write(render_report(report, args.format))
+    try:
+        text = render_report(report, args.format)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{args.input}: not a pipeline report ({exc!r})") from exc
+    sys.stdout.write(text)
     return 0
 
 

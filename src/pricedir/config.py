@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -106,25 +107,44 @@ _SECTIONS = {
 TOP_LEVEL_FIELDS = ("target_mode", "tickers")
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation; an int fits a float field."""
+    if dataclasses.is_dataclass(hint):
+        return isinstance(value, dict)
+    if typing.get_origin(hint) is typing.Union:
+        return any(_has_type(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_fields(cls, values: dict, prefix: str = "") -> None:
+    """Reject keys that are not fields of ``cls`` and values of the wrong type."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(values) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown config keys {[prefix + k for k in unknown]}")
+    for name, value in values.items():
+        if not _has_type(value, hints[name]):
+            declared = cls.__annotations__[name]
+            raise ConfigError(
+                f"config field {prefix + name!r} must be {declared}, got {value!r}"
+            )
+
+
 def config_from_dict(data: dict) -> PipelineConfig:
-    """Build a config from a JSON-style dict, rejecting unknown keys."""
+    """Build a config from a JSON-style dict, rejecting unknown keys and wrong types."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            cls = _SECTIONS[key]
-            known = {f.name for f in dataclasses.fields(cls)}
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            unknown = set(value) - known
-            if unknown:
-                raise ConfigError(f"unknown keys in {key!r}: {sorted(unknown)}")
-            kwargs[key] = cls(**value)
-        elif key in TOP_LEVEL_FIELDS:
-            kwargs[key] = value
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
+    _check_fields(PipelineConfig, data)
+    kwargs = dict(data)
+    for key, cls in _SECTIONS.items():
+        if key in kwargs:
+            _check_fields(cls, kwargs[key], f"{key}.")
+            kwargs[key] = cls(**kwargs[key])
     return PipelineConfig(**kwargs)
 
 
@@ -135,7 +155,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data).validate()
 
@@ -168,6 +188,6 @@ def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> Pipeli
                 config.target_mode = text
             else:
                 raise ConfigError(f"unknown config field {dotted!r}")
-        except (ValueError, AttributeError) as exc:
+        except (ValueError, TypeError, AttributeError) as exc:
             raise ConfigError(f"bad value for {dotted!r}: {text!r} ({exc})") from exc
     return config

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     UncoveredDateError,
     ValidationError,
 )
-from .ingest import CompanyPanel, MembershipSnapshot
+from .ingest import CompanyPanel, MembershipSnapshot, parse_company_panel
 
 MEMBERSHIP_COLUMN = "in_index"
 LAG_SUFFIX = "_lag1w"
@@ -106,15 +106,14 @@ def attach_membership_indicator(
     ordered = sorted(snapshots, key=lambda s: s.requested_date)
     requested = [s.requested_date for s in ordered]
 
-    indicator: list[Optional[float]] = []
+    indicator = np.zeros(panel.n_rows)
     uncovered: list[date] = []
-    for day in panel.dates:
+    for t, day in enumerate(panel.dates):
         i = bisect_left(requested, day)
         if i == len(ordered) or not ordered[i].covers(day):
             uncovered.append(day)
-            indicator.append(None)
-            continue
-        indicator.append(1.0 if panel.ticker in ordered[i].constituents else 0.0)
+        elif panel.ticker in ordered[i].constituents:
+            indicator[t] = 1.0
     if uncovered:
         raise UncoveredDateError(
             f"panel {panel.ticker}: no snapshot week covers "
@@ -123,22 +122,18 @@ def attach_membership_indicator(
     return panel.with_columns({MEMBERSHIP_COLUMN: indicator})
 
 
-def attach_direction_label(
-    panel: CompanyPanel, price_column: str
-) -> list[Optional[int]]:
+def attach_direction_label(panel: CompanyPanel, price_column: str) -> np.ndarray:
     """Week-over-week price direction labels aligned to the panel rows.
 
-    label[t] is 1 when price rose from t-1 to t and 0 otherwise (a flat
-    price counts as non-increase).  The first row and any row whose own
-    or prior price is missing get None.
+    label[t] is 1.0 when price rose from t-1 to t and 0.0 otherwise (a
+    flat price counts as non-increase).  The first row and any row whose
+    own or prior price is missing get NaN.
     """
     prices = panel.column(price_column)
-    labels: list[Optional[int]] = [None] * panel.n_rows
-    for t in range(1, panel.n_rows):
-        if prices[t] is None or prices[t - 1] is None:
-            continue
-        labels[t] = 1 if prices[t] > prices[t - 1] else 0
-    if not any(lbl is not None for lbl in labels):
+    labels = np.full(panel.n_rows, np.nan)
+    now, before = prices[1:], prices[:-1]
+    labels[1:] = np.where(np.isnan(now) | np.isnan(before), np.nan, now > before)
+    if np.isnan(labels).all():
         raise InsufficientHistoryError(
             f"panel {panel.ticker}: fewer than 2 consecutive usable prices "
             f"in {price_column!r}"
@@ -150,11 +145,9 @@ def attach_lagged_features(
     panel: CompanyPanel, features: Sequence[str]
 ) -> CompanyPanel:
     """Add ``<f>_lag1w`` columns holding each feature's prior-week value."""
-    new: dict[str, list[Optional[float]]] = {}
-    for name in features:
-        source = panel.column(name)
-        new[name + LAG_SUFFIX] = [None] + source[:-1]
-    return panel.with_columns(new)
+    return panel.with_columns(
+        {name + LAG_SUFFIX: np.r_[np.nan, panel.column(name)[:-1]] for name in features}
+    )
 
 
 def drop_sparse_columns(
@@ -165,11 +158,8 @@ def drop_sparse_columns(
         raise ValidationError("max_missing_fraction must be in [0, 1]")
     if panel.n_rows == 0:
         return panel, []
-    dropped = []
-    for name in panel.feature_names:
-        missing = sum(1 for v in panel.columns[name] if v is None)
-        if missing / panel.n_rows > max_missing_fraction:
-            dropped.append(name)
+    missing = {name: np.isnan(col).mean() for name, col in panel.columns.items()}
+    dropped = [name for name, share in missing.items() if share > max_missing_fraction]
     return panel.without_columns(dropped), dropped
 
 
@@ -184,88 +174,81 @@ def trim_timespan(panel: CompanyPanel, required: Sequence[str]) -> CompanyPanel:
     """
     if not required:
         raise ValidationError("trim_timespan needs at least one required column")
-    cols = [panel.column(name) for name in required]
-
-    def anchor(t: int) -> bool:
-        return all(col[t] is not None for col in cols)
-
-    def void(t: int) -> bool:
-        return all(col[t] is None for col in cols)
-
-    best: Optional[tuple[int, int]] = None  # (start, stop) half-open
-    t = 0
-    n = panel.n_rows
-    while t < n:
-        if void(t):
-            t += 1
-            continue
-        run_start = t
-        while t < n and not void(t):
-            t += 1
-        anchors = [i for i in range(run_start, t) if anchor(i)]
-        if not anchors:
-            continue
-        start, stop = anchors[0], anchors[-1] + 1
-        # ">=" keeps the later run on equal length
-        if best is None or stop - start >= best[1] - best[0]:
-            best = (start, stop)
-    if best is None:
+    missing = np.isnan(np.column_stack([panel.column(name) for name in required]))
+    anchors = np.flatnonzero(~missing.any(axis=1))
+    if not anchors.size:
         raise EmptyTimespanError(
             f"panel {panel.ticker}: no row has all of {list(required)} present"
         )
-    return panel.slice_rows(*best)
+    # Anchors with the same count of void rows before them share a run.
+    run = np.cumsum(missing.all(axis=1))[anchors]
+    new_run = np.r_[True, run[1:] != run[:-1]]
+    starts = anchors[new_run]
+    stops = anchors[np.r_[new_run[1:], True]] + 1
+    # the last of the longest runs, so ties go to the more recent one
+    best = len(starts) - 1 - int(np.argmax((stops - starts)[::-1]))
+    return panel.slice_rows(int(starts[best]), int(stops[best]))
 
 
-def normalize_column(
-    values: Sequence[Optional[float]],
-) -> tuple[list[Optional[float]], float, float]:
-    """Min-max scale observed values into [0, 1]; missing stays missing.
+def normalize_column(values: Sequence[float]) -> tuple[np.ndarray, float, float]:
+    """Min-max scale observed values into [0, 1]; NaN (missing) stays NaN.
 
-    A constant column maps every observed value to 0.0 (degenerate range,
-    recorded via raw_min == raw_max in the column metadata).
+    ``None`` entries count as missing.  A constant column maps every
+    observed value to 0.0 (degenerate range, recorded via raw_min ==
+    raw_max in the column metadata).
     """
-    observed = [v for v in values if v is not None]
-    if not observed:
+    values = np.asarray(values, dtype=float)
+    observed = values[~np.isnan(values)]
+    if not observed.size:
         raise EmptyColumnError("cannot normalize a column with no observed values")
-    if not all(math.isfinite(v) for v in observed):
+    if not np.isfinite(observed).all():
         raise ValidationError("cannot normalize non-finite values")
-    raw_min = min(observed)
-    raw_max = max(observed)
-    if raw_max == raw_min:
-        return [None if v is None else 0.0 for v in values], raw_min, raw_max
+    raw_min = float(observed.min())
+    raw_max = float(observed.max())
     span = raw_max - raw_min
     if not math.isfinite(span):
         raise ValidationError("column range overflows floating point")
-    return (
-        [None if v is None else (v - raw_min) / span for v in values],
-        raw_min,
-        raw_max,
-    )
+    # a degenerate range scales by 1 so every observed value maps to 0.0
+    return (values - raw_min) / (span or 1.0), raw_min, raw_max
 
 
-def impute_missing(
-    values: Sequence[Optional[float]],
-) -> tuple[list[float], float, int]:
-    """Fill missing entries with the mean of the observed entries."""
-    observed = [v for v in values if v is not None]
-    if not observed:
+def impute_missing(values: Sequence[float]) -> tuple[np.ndarray, float, int]:
+    """Fill missing (NaN or ``None``) entries with the mean of the observed ones.
+
+    The mean is summed left to right, one addition at a time, so it does
+    not depend on the Python or numpy version (``np.sum`` sums pairwise
+    and Python 3.12's ``sum`` compensates).
+    """
+    values = np.asarray(values, dtype=float)
+    missing = np.isnan(values)
+    observed = values[~missing]
+    if not observed.size:
         raise EmptyColumnError("cannot impute a column with no observed values")
-    mean_used = sum(observed) / len(observed)
-    imputed_count = len(values) - len(observed)
-    return [mean_used if v is None else v for v in values], mean_used, imputed_count
+    mean_used = float(np.cumsum(observed)[-1] / observed.size)
+    return np.where(missing, mean_used, values), mean_used, int(missing.sum())
+
+
+def _matrix(columns: list[np.ndarray], n_rows: int) -> np.ndarray:
+    """Columns side by side as an (n_rows, len(columns)) matrix, even with none."""
+    return np.column_stack([np.empty((n_rows, 0)), *columns])
 
 
 def assemble_dataset(
     panel: CompanyPanel,
-    labels: Sequence[Optional[int]],
+    labels: Sequence[float],
     feature_names: Sequence[str],
 ) -> LabeledDataset:
-    """Normalize and impute the named features, keep labeled rows, build (X, y)."""
-    if len(labels) != panel.n_rows:
+    """Normalize and impute the named features, keep labeled rows, build (X, y).
+
+    ``labels`` holds 0/1 per panel row; NaN (or ``None``) marks a row
+    without a label, which is left out.
+    """
+    labels = np.asarray(labels, dtype=float)
+    if labels.shape != (panel.n_rows,):
         raise ValidationError(
             f"panel {panel.ticker}: {len(labels)} labels for {panel.n_rows} rows"
         )
-    filled: dict[str, list[float]] = {}
+    filled: dict[str, np.ndarray] = {}
     meta: dict[str, ColumnMeta] = {}
     for name in feature_names:
         normalized, raw_min, raw_max = normalize_column(panel.column(name))
@@ -278,13 +261,11 @@ def assemble_dataset(
             imputed_count=imputed_count,
             degenerate=raw_min == raw_max,
         )
-    keep = [t for t, lbl in enumerate(labels) if lbl is not None]
-    X = np.array(
-        [[filled[name][t] for name in feature_names] for t in keep], dtype=float
-    ).reshape(len(keep), len(feature_names))
-    y = np.array([labels[t] for t in keep], dtype=int)
+    keep = ~np.isnan(labels)
+    X = _matrix([filled[name] for name in feature_names], panel.n_rows)[keep]
+    dates = [day for day, kept in zip(panel.dates, keep) if kept]
     return LabeledDataset(
-        panel.ticker, [panel.dates[t] for t in keep], list(feature_names), X, y, meta
+        panel.ticker, dates, list(feature_names), X, labels[keep].astype(int), meta
     )
 
 
@@ -334,16 +315,12 @@ def dataset_csv_text(ds: LabeledDataset) -> str:
 
 def read_dataset_csv(content, ticker: str, source: str = "<dataset>") -> LabeledDataset:
     """Read back a ``date,y,<feature...>`` CSV written by dataset_csv_text."""
-    from .ingest import parse_company_panel
-
     panel = parse_company_panel(content, ticker, source=source)
     if "y" not in panel.columns:
         raise ValidationError(f"{source}: missing 'y' column")
     labels = panel.column("y")
-    if any(v not in (0.0, 1.0) for v in labels):
+    if not np.isin(labels, (0.0, 1.0)).all():
         raise ValidationError(f"{source}: 'y' must contain only 0 and 1")
     names = [n for n in panel.feature_names if n != "y"]
-    X = np.array([[panel.columns[n][t] for n in names] for t in range(panel.n_rows)],
-                 dtype=float).reshape(panel.n_rows, len(names))
-    y = np.array([int(v) for v in labels], dtype=int)
-    return LabeledDataset(ticker, list(panel.dates), names, X, y, {})
+    X = _matrix([panel.columns[n] for n in names], panel.n_rows)
+    return LabeledDataset(ticker, panel.dates, names, X, labels.astype(int), {})

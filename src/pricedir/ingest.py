@@ -14,7 +14,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Optional, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     DataValidationError,
@@ -75,19 +77,21 @@ class MembershipSnapshot:
         return self.week_start <= day <= self.requested_date
 
 
-@dataclass
+@dataclass(eq=False)
 class CompanyPanel:
     """Per-company, date-ordered rows of named numeric features.
 
     Stored column-major: ``columns[name][t]`` is the value of ``name`` at
-    ``dates[t]``, with ``None`` marking a missing cell.  Rows are strictly
-    increasing in date.  Treat instances as immutable; every operation on
-    a panel returns a new one.
+    ``dates[t]``.  Each column is a float64 array with NaN marking a
+    missing cell; any float sequence is accepted and converted, ``None``
+    becoming NaN.  Rows are strictly increasing in date.  Treat instances
+    and their arrays as immutable; every operation on a panel returns a
+    new one.  ``==`` is identity: compare columns with ``np.array_equal``.
     """
 
     ticker: str
     dates: list[date]
-    columns: dict[str, list[Optional[float]]] = field(default_factory=dict)
+    columns: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         for prev, nxt in zip(self.dates, self.dates[1:]):
@@ -96,11 +100,12 @@ class CompanyPanel:
                     f"panel {self.ticker}: dates not strictly increasing "
                     f"({prev} then {nxt})"
                 )
+        self.columns = {n: np.asarray(v, dtype=float) for n, v in self.columns.items()}
         for name, values in self.columns.items():
-            if len(values) != len(self.dates):
+            if values.shape != (len(self.dates),):
                 raise ValidationError(
-                    f"panel {self.ticker}: column {name!r} has {len(values)} "
-                    f"values for {len(self.dates)} rows"
+                    f"panel {self.ticker}: column {name!r} has shape {values.shape} "
+                    f"for {len(self.dates)} rows"
                 )
 
     @property
@@ -111,26 +116,24 @@ class CompanyPanel:
     def feature_names(self) -> list[str]:
         return list(self.columns)
 
-    def column(self, name: str) -> list[Optional[float]]:
+    def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
             raise ValidationError(f"panel {self.ticker}: unknown column {name!r}")
         return self.columns[name]
 
-    def with_columns(self, new: dict[str, list[Optional[float]]]) -> "CompanyPanel":
+    def with_columns(self, new: dict[str, np.ndarray]) -> "CompanyPanel":
         """Return a panel with ``new`` columns appended (names must be fresh)."""
         for name in new:
             if name in self.columns:
                 raise ValidationError(
                     f"panel {self.ticker}: column {name!r} already exists"
                 )
-        merged = {name: list(vals) for name, vals in self.columns.items()}
-        merged.update({name: list(vals) for name, vals in new.items()})
-        return CompanyPanel(self.ticker, list(self.dates), merged)
+        return CompanyPanel(self.ticker, self.dates, {**self.columns, **new})
 
     def without_columns(self, names: Sequence[str]) -> "CompanyPanel":
         drop = set(names)
-        kept = {n: list(v) for n, v in self.columns.items() if n not in drop}
-        return CompanyPanel(self.ticker, list(self.dates), kept)
+        kept = {n: v for n, v in self.columns.items() if n not in drop}
+        return CompanyPanel(self.ticker, self.dates, kept)
 
     def slice_rows(self, start: int, stop: int) -> "CompanyPanel":
         return CompanyPanel(
@@ -140,15 +143,15 @@ class CompanyPanel:
         )
 
 
-def _as_text(content) -> str:
-    if isinstance(content, bytes):
-        return content.decode("utf-8")
-    if isinstance(content, str):
-        return content
-    data = content.read()
-    if isinstance(data, bytes):
+def _as_text(content, source: str) -> str:
+    """Return the text of bytes, a str, or a readable stream, decoded as UTF-8."""
+    data = content if isinstance(content, (bytes, str)) else content.read()
+    if isinstance(data, str):
+        return data
+    try:
         return data.decode("utf-8")
-    return data
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text (byte {exc.start})", source=source) from None
 
 
 def parse_membership_file(
@@ -162,11 +165,12 @@ def parse_membership_file(
         source: file name used in error messages.
 
     Raises:
-        ParseError: malformed header or ticker row.
+        ParseError: content that is not UTF-8, or a malformed header or
+            ticker row.
         DataValidationError: empty file, duplicate ticker, or an
             effective date outside the weekly window.
     """
-    lines = _as_text(content).splitlines()
+    lines = _as_text(content, source).splitlines()
     if not lines:
         raise DataValidationError(f"{source}: empty membership file")
     header = lines[0]
@@ -232,11 +236,11 @@ def resolve_weekly_date(requested: date, available: Sequence[date]) -> date:
 def parse_company_panel(content, ticker: str, source: str = "<panel>") -> CompanyPanel:
     """Parse a company history CSV into a CompanyPanel.
 
-    Rows are re-sorted ascending by date.  Empty cells become missing
-    values.  Raises ParseError with row/column context on malformed
-    cells and DataValidationError on duplicate dates.
+    Rows are re-sorted ascending by date.  Empty cells become NaN.
+    Raises ParseError on content that is not UTF-8 and, with row/column
+    context, on malformed cells; DataValidationError on duplicate dates.
     """
-    reader = csv.reader(io.StringIO(_as_text(content)))
+    reader = csv.reader(io.StringIO(_as_text(content, source)))
     rows = list(reader)
     if not rows:
         raise DataValidationError(f"{source}: empty panel file")
@@ -251,7 +255,8 @@ def parse_company_panel(content, ticker: str, source: str = "<panel>") -> Compan
     if any(not n for n in names):
         raise ParseError("empty column name in header", source=source, line=1)
 
-    parsed: list[tuple[date, list[Optional[float]]]] = []
+    dates: list[date] = []
+    cells: list[float] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ParseError(
@@ -260,15 +265,14 @@ def parse_company_panel(content, ticker: str, source: str = "<panel>") -> Compan
                 line=lineno,
             )
         try:
-            row_date = date.fromisoformat(row[0])
+            dates.append(date.fromisoformat(row[0]))
         except ValueError:
             raise ParseError(
                 f"invalid date {row[0]!r}", source=source, line=lineno, column="date"
             ) from None
-        values: list[Optional[float]] = []
         for name, cell in zip(names, row[1:]):
             if cell == "":
-                values.append(None)
+                cells.append(math.nan)
                 continue
             try:
                 value = float(cell)
@@ -282,22 +286,16 @@ def parse_company_panel(content, ticker: str, source: str = "<panel>") -> Compan
                     line=lineno,
                     column=name,
                 )
-            values.append(value)
-        parsed.append((row_date, values))
+            cells.append(value)
 
-    dates_seen = [d for d, _ in parsed]
-    if len(set(dates_seen)) != len(dates_seen):
-        dupes = sorted({d for d in dates_seen if dates_seen.count(d) > 1})
+    if len(set(dates)) != len(dates):
+        dupes = sorted({d for d in dates if dates.count(d) > 1})
         raise DataValidationError(
             f"{source}: duplicate dates {[d.isoformat() for d in dupes]}"
         )
-    parsed.sort(key=lambda item: item[0])
-
-    columns: dict[str, list[Optional[float]]] = {n: [] for n in names}
-    for _, values in parsed:
-        for name, value in zip(names, values):
-            columns[name].append(value)
-    return CompanyPanel(ticker, [d for d, _ in parsed], columns)
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    table = np.array(cells, dtype=float).reshape(len(dates), len(names))[order].T.copy()
+    return CompanyPanel(ticker, [dates[t] for t in order], dict(zip(names, table)))
 
 
 def panel_file_text(panel: CompanyPanel) -> str:
@@ -305,10 +303,10 @@ def panel_file_text(panel: CompanyPanel) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["date"] + panel.feature_names)
+    cells = [
+        ["" if math.isnan(v) else repr(v) for v in panel.columns[name].tolist()]
+        for name in panel.feature_names
+    ]
     for t, day in enumerate(panel.dates):
-        row = [day.isoformat()]
-        for name in panel.feature_names:
-            value = panel.columns[name][t]
-            row.append("" if value is None else repr(value))
-        writer.writerow(row)
+        writer.writerow([day.isoformat()] + [column[t] for column in cells])
     return out.getvalue()

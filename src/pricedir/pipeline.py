@@ -63,7 +63,7 @@ def load_membership_dir(path: str | Path) -> list[MembershipSnapshot]:
             )
         requested = date.fromisoformat(match.group(1))
         snapshots.append(
-            parse_membership_file(file.read_text("utf-8"), requested, source=str(file))
+            parse_membership_file(file.read_bytes(), requested, source=str(file))
         )
     if not snapshots:
         raise DataError(f"no membership files in {path}")
@@ -107,7 +107,7 @@ def build_company_dataset(
         labels = ds_mod.attach_direction_label(panel, dcfg.price_column)
         exclude = {dcfg.price_column}
     else:
-        labels = [int(v) for v in panel.column(ds_mod.MEMBERSHIP_COLUMN)]
+        labels = panel.column(ds_mod.MEMBERSHIP_COLUMN)
         exclude = {dcfg.price_column, ds_mod.MEMBERSHIP_COLUMN}
 
     feature_panel = panel.without_columns(
@@ -310,7 +310,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     def process(item: tuple[str, Path]) -> dict:
         ticker, path = item
         try:
-            panel = parse_company_panel(path.read_text("utf-8"), ticker, source=str(path))
+            panel = parse_company_panel(path.read_bytes(), ticker, source=str(path))
             return run_company(ticker, panel, snapshots, cfg, out_dir)
         except PricedirError as exc:
             return {"ticker": ticker, "status": "failed", "error": str(exc)}

@@ -205,14 +205,10 @@ def generate_company_panel(
     labels = (rng.random(n - 1) < prob).astype(int)
     bayes_pred = (prob >= 0.5).astype(int)
 
-    prices = [INITIAL_PRICE]
-    for lbl in labels:
-        prices.append(prices[-1] * (UP_STEP if lbl == 1 else DOWN_STEP))
-
-    columns: dict[str, list] = {PRICE_COLUMN: [float(p) for p in prices]}
+    steps = np.where(labels == 1, UP_STEP, DOWN_STEP)
+    columns = {PRICE_COLUMN: np.cumprod(np.r_[INITIAL_PRICE, steps])}
     for name in bases:
-        mask = rng.random(n) < missing_prob
-        columns[name] = [None if m else float(v) for v, m in zip(raw[name], mask)]
+        columns[name] = np.where(rng.random(n) < missing_prob, np.nan, raw[name])
 
     panel = CompanyPanel(ticker, list(dates), columns)
     return SyntheticCompany(

@@ -217,7 +217,7 @@ class TestAcceptance:
         mismatches = sum(
             1 for got, want in zip(labels[1:], company.true_labels) if got != want
         )
-        ok = labels[0] is None and mismatches == 0
+        ok = np.isnan(labels[0]) and mismatches == 0
         report_line("label-inversion", ok, f"({mismatches} mismatches over 799 rows)")
         assert mismatches == 0
 
@@ -241,7 +241,7 @@ class TestAcceptance:
             if not observed:
                 continue
             normalized, lo, hi = normalize_column(values)
-            present = [v for v in normalized if v is not None]
+            present = [v for v in normalized if not np.isnan(v)]
             assert all(0.0 <= v <= 1.0 for v in present)
             if hi > lo:
                 assert normalized[values.index(lo)] == 0.0
@@ -251,7 +251,7 @@ class TestAcceptance:
             worst_mean_drift = max(worst_mean_drift, drift)
 
         constant, lo, hi = normalize_column([4.2, 4.2, None, 4.2])
-        assert constant == [0.0, 0.0, None, 0.0]
+        np.testing.assert_array_equal(constant, [0.0, 0.0, np.nan, 0.0])
         assert lo == hi == 4.2
         ok = worst_mean_drift < 1e-12
         report_line(

@@ -33,20 +33,20 @@ class TestMembershipIndicator:
         panel = make_panel(ticker="A", price=[10.0, 11.0])
         snaps = make_snapshots([{"A"}, {"B"}])
         out = attach_membership_indicator(panel, snaps)
-        assert out.column("in_index") == [1.0, 0.0]
+        np.testing.assert_array_equal(out.column("in_index"), [1.0, 0.0])
 
     def test_first_six_weeks_in(self):
         panel = make_panel(ticker="A", price=[float(i) for i in range(10)])
         snaps = make_snapshots([{"A"}] * 6 + [set()] * 4)
         out = attach_membership_indicator(panel, snaps)
-        assert out.column("in_index") == [1.0] * 6 + [0.0] * 4
+        np.testing.assert_array_equal(out.column("in_index"), [1.0] * 6 + [0.0] * 4)
 
     def test_row_inside_week_window_covered(self):
         # Tuesday before the Friday snapshot still belongs to that week
         panel = make_panel(ticker="A", n=1, start=date(2002, 1, 1), price=[10.0])
         snaps = make_snapshots([{"A"}])  # requested Friday 2002-01-04
         out = attach_membership_indicator(panel, snaps)
-        assert out.column("in_index") == [1.0]
+        np.testing.assert_array_equal(out.column("in_index"), [1.0])
 
     def test_uncovered_date_error_lists_dates(self):
         panel = make_panel(ticker="A", n=2, start=date(2010, 1, 1), price=[1.0, 2.0])
@@ -58,21 +58,21 @@ class TestMembershipIndicator:
 class TestDirectionLabel:
     def test_rise_is_one(self):
         labels = attach_direction_label(make_panel(price=[10.0, 10.5]), "price")
-        assert labels == [None, 1]
+        np.testing.assert_array_equal(labels, [np.nan, 1])
 
     def test_fall_is_zero(self):
         labels = attach_direction_label(make_panel(price=[10.0, 9.9]), "price")
-        assert labels == [None, 0]
+        np.testing.assert_array_equal(labels, [np.nan, 0])
 
     def test_flat_counts_as_non_increase(self):
         labels = attach_direction_label(make_panel(price=[10.0, 10.0]), "price")
-        assert labels == [None, 0]
+        np.testing.assert_array_equal(labels, [np.nan, 0])
 
     def test_hand_built_five_rows(self):
         labels = attach_direction_label(
             make_panel(price=[10.0, 10.5, 10.5, 9.0, 12.0]), "price"
         )
-        assert labels == [None, 1, 0, 0, 1]
+        np.testing.assert_array_equal(labels, [np.nan, 1, 0, 0, 1])
         assert sum(l == 1 for l in labels) == 2
         assert sum(l == 0 for l in labels) == 2
 
@@ -80,7 +80,7 @@ class TestDirectionLabel:
         labels = attach_direction_label(
             make_panel(price=[10.0, None, 11.0, 12.0]), "price"
         )
-        assert labels == [None, None, None, 1]
+        np.testing.assert_array_equal(labels, [np.nan, np.nan, np.nan, 1])
 
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistoryError):
@@ -95,19 +95,19 @@ class TestLaggedFeatures:
     def test_shift_by_one(self):
         panel = make_panel(ret=[1.0, 2.0, 3.0])
         out = attach_lagged_features(panel, ["ret"])
-        assert out.column("ret_lag1w") == [None, 1.0, 2.0]
+        np.testing.assert_array_equal(out.column("ret_lag1w"), [np.nan, 1.0, 2.0])
 
     def test_missing_propagates(self):
         panel = make_panel(ret=[1.0, None, 3.0])
         out = attach_lagged_features(panel, ["ret"])
-        assert out.column("ret_lag1w") == [None, 1.0, None]
+        np.testing.assert_array_equal(out.column("ret_lag1w"), [np.nan, 1.0, np.nan])
 
     def test_missing_count_is_one_plus_source_missing(self):
         source = [1.0, None, None, 4.0, None, 6.0]
         out = attach_lagged_features(make_panel(ret=source), ["ret"])
         lag = out.column("ret_lag1w")
         expected = 1 + sum(v is None for v in source[:-1])
-        assert sum(v is None for v in lag) == expected
+        assert np.isnan(lag).sum() == expected
 
     def test_unknown_feature(self):
         with pytest.raises(ValidationError):
@@ -140,7 +140,7 @@ class TestTrimTimespan:
         panel = make_panel(a=[1.0, 2.0, 3.0])
         out = trim_timespan(panel, ["a"])
         assert out.dates == panel.dates
-        assert out.column("a") == panel.column("a")
+        np.testing.assert_array_equal(out.column("a"), panel.column("a"))
 
     def test_single_run(self):
         values = [None] * 5 + [1.0] * 16 + [None] * 9
@@ -166,7 +166,7 @@ class TestTrimTimespan:
         )
         out = trim_timespan(panel, ["a", "b"])
         assert out.n_rows == 4
-        assert out.column("a") == [1.0, None, 3.0, 4.0]
+        np.testing.assert_array_equal(out.column("a"), [1.0, np.nan, 3.0, 4.0])
 
     def test_edges_trimmed_to_fully_present_rows(self):
         panel = make_panel(
@@ -175,7 +175,7 @@ class TestTrimTimespan:
         )
         out = trim_timespan(panel, ["a", "b"])
         assert out.n_rows == 2
-        assert out.column("a") == [2.0, 3.0]
+        np.testing.assert_array_equal(out.column("a"), [2.0, 3.0])
 
     def test_no_usable_row(self):
         with pytest.raises(EmptyTimespanError):
@@ -199,11 +199,11 @@ class TestNormalizeColumn:
 
     def test_missing_stays_missing(self):
         normalized, _, _ = normalize_column([2.0, None, 8.0])
-        assert normalized[1] is None
+        assert np.isnan(normalized[1])
 
     def test_constant_column_maps_to_zero(self):
         normalized, lo, hi = normalize_column([3.0, 3.0, None])
-        assert normalized == [0.0, 0.0, None]
+        np.testing.assert_array_equal(normalized, [0.0, 0.0, np.nan])
         assert lo == hi == 3.0
 
     def test_all_missing_rejected(self):
@@ -238,13 +238,13 @@ class TestNormalizeColumn:
 class TestImputeMissing:
     def test_symmetric_mean(self):
         filled, mean_used, count = impute_missing([0.0, None, 1.0])
-        assert filled == [0.0, 0.5, 1.0]
+        np.testing.assert_array_equal(filled, [0.0, 0.5, 1.0])
         assert mean_used == 0.5
         assert count == 1
 
     def test_no_missing_identity(self):
         filled, mean_used, count = impute_missing([0.2, 0.4])
-        assert filled == [0.2, 0.4]
+        np.testing.assert_array_equal(filled, [0.2, 0.4])
         assert count == 0
 
     def test_two_missing(self):
@@ -256,6 +256,15 @@ class TestImputeMissing:
     def test_all_missing_rejected(self):
         with pytest.raises(EmptyColumnError):
             impute_missing([None])
+
+    def test_mean_summed_left_to_right(self):
+        # one addition at a time, ten 0.1s sum to 0.9999999999999999;
+        # pairwise (np.sum) and compensated (math.fsum, Python 3.12's sum)
+        # summation give 1.0
+        assert np.sum([0.1] * 10) == math.fsum([0.1] * 10) == 1.0
+        filled, mean_used, count = impute_missing([0.1] * 10 + [None])
+        assert mean_used == 0.9999999999999999 / 10
+        assert filled[-1] == mean_used
 
     @given(
         values=st.lists(
@@ -301,7 +310,7 @@ class TestAssembleDataset:
         )
         panel = attach_lagged_features(panel, ["vol"])
         labels = attach_direction_label(panel, "price")
-        assert labels == [None, 1, 0, 0, None, None]
+        np.testing.assert_array_equal(labels, [np.nan, 1, 0, 0, np.nan, np.nan])
         ds = assemble_dataset(panel, labels, ["in_index", "vol", "vol_lag1w"])
 
         # vol scaled over {2,4,8,5,6}: [0, 1/3, imputed 0.5, 1, 0.5, 2/3]

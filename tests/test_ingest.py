@@ -1,5 +1,6 @@
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +19,8 @@ from pricedir.ingest import (
     parse_membership_file,
     resolve_weekly_date,
 )
+
+from conftest import assert_panels_equal
 
 
 def membership_text(effective, tickers):
@@ -158,8 +161,8 @@ class TestParseCompanyPanel:
     def test_empty_cell_is_missing(self):
         panel = parse_company_panel(PANEL_TEXT, "TST")
         assert panel.n_rows == 3
-        assert panel.column("trades") == [100.0, None, 120.0]
-        assert panel.column("price") == [10.0, 10.5, 9.9]
+        np.testing.assert_array_equal(panel.column("trades"), [100.0, np.nan, 120.0])
+        np.testing.assert_array_equal(panel.column("price"), [10.0, 10.5, 9.9])
 
     def test_rows_resorted_ascending(self):
         shuffled = (
@@ -170,7 +173,7 @@ class TestParseCompanyPanel:
         )
         panel = parse_company_panel(shuffled, "TST")
         assert panel.dates == [date(2002, 1, 4), date(2002, 1, 11), date(2002, 1, 18)]
-        assert panel.column("price") == [10.0, 10.5, 9.9]
+        np.testing.assert_array_equal(panel.column("price"), [10.0, 10.5, 9.9])
 
     def test_duplicate_date_rejected(self):
         text = "date,price\n2002-01-04,10.0\n2002-01-04,10.5\n"
@@ -223,7 +226,7 @@ class TestParseCompanyPanel:
             },
         )
         again = parse_company_panel(panel_file_text(panel), "TST")
-        assert again == panel
+        assert_panels_equal(again, panel)
 
 
 class TestCompanyPanel:

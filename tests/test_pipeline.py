@@ -72,6 +72,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             apply_overrides(PipelineConfig(), {"mlp.epochz": "3"})
 
+    def test_wrong_value_types_rejected(self):
+        for doc, field in (
+            ({"mlp": {"epochs": "500"}}, "mlp.epochs"),
+            ({"mlp": {"hidden_sizes": "8"}}, "mlp.hidden_sizes"),
+            ({"tickers": "C000"}, "tickers"),
+        ):
+            with pytest.raises(ConfigError, match=field):
+                config_from_dict(doc).validate()
+        # an int is a valid float
+        assert config_from_dict({"mlp": {"learning_rate": 1}}).mlp.learning_rate == 1
+
     def test_range_validation(self):
         cfg = PipelineConfig()
         cfg.dataset.train_fraction = 1.5
@@ -95,6 +106,10 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"mlp": {}}\xff')
+        with pytest.raises(ConfigError):
+            load_config(not_utf8)
 
 
 class TestBuildCompanyDataset:
@@ -199,12 +214,14 @@ class TestRunPipeline:
         good = (root / "panels" / "C000.csv").read_text()
         panels.joinpath("C000.csv").write_text(good)
         panels.joinpath("BAD.csv").write_text("date,foo\n2002-01-04,1.0\n2002-01-11,2.0\n")
+        panels.joinpath("LATIN1.csv").write_bytes(good.encode("utf-8") + b"\xff\xfe\n")
         cfg = small_config(root, "out_failsoft")
         cfg.paths.panels_dir = str(panels)
         report = run_pipeline(cfg)
         status = {c["ticker"]: c["status"] for c in report["companies"]}
-        assert status == {"BAD": "failed", "C000": "ok"}
-        assert report["n_failed"] == 1
+        assert status == {"BAD": "failed", "C000": "ok", "LATIN1": "failed"}
+        assert report["n_failed"] == 2
+        assert "LATIN1.csv: not UTF-8" in report["companies"][2]["error"]
 
     def test_all_failures_raise_pipeline_error(self, fixture, tmp_path):
         root, _ = fixture
@@ -357,6 +374,15 @@ class TestCli:
         bad_report.write_text('{"companies": [')
         assert main(["report", "--input", str(bad_report)]) == 2
         assert str(bad_report) in capsys.readouterr().err
+        # well-formed JSON that is not a report
+        for text in ('[]', '{"companies": [{"ticker": "A"}]}'):
+            bad_report.write_text(text)
+            assert main(["report", "--input", str(bad_report)]) == 2
+            assert str(bad_report) in capsys.readouterr().err
+        not_utf8 = tmp_path / "latin1.csv"
+        not_utf8.write_bytes(b"date,y,a\n2002-01-04,1,0.5\xff\n")
+        assert main(["logit", "--dataset", str(not_utf8)]) == 2
+        assert str(not_utf8) in capsys.readouterr().err
 
     def test_pipeline_error_exits_3(self, fixture, tmp_path, capsys):
         root, _ = fixture
@@ -394,6 +420,9 @@ class TestCli:
                      "--epochs", "30", "--features", "in_index,sentiment,trades"]) == 0
         model_doc = json.loads(model_path.read_text())
         assert model_doc["layer_sizes"][0] == 3
+        assert main(["train", "--dataset", str(dataset), "--out", str(model_path),
+                     "--hidden-sizes", "a"]) == 1
+        assert "--hidden-sizes" in capsys.readouterr().err
 
         assert main(["evaluate", "--dataset", str(dataset),
                      "--model", str(model_path)]) == 0

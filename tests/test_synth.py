@@ -21,6 +21,8 @@ from pricedir.synth import (
     write_fixture,
 )
 
+from conftest import assert_panels_equal
+
 
 def flat_model(intercept=0.0, **betas):
     return PlantedModel(intercept_true=intercept, beta_true=betas,
@@ -98,7 +100,7 @@ class TestGenerateCompanyPanel:
         a = generate_company_panel(default_planted(), "C000", dates, vector, 0.2, seed=13)
         b = generate_company_panel(default_planted(), "C000", dates, vector, 0.2, seed=13)
         assert a.true_labels == b.true_labels
-        assert a.panel == b.panel
+        assert_panels_equal(a.panel, b.panel)
 
     def test_price_path_encodes_labels_exactly(self):
         _, dates, vector = series_inputs(n_weeks=500)
@@ -106,20 +108,19 @@ class TestGenerateCompanyPanel:
             default_planted(), "C000", dates, vector, 0.0, seed=14
         )
         labels = attach_direction_label(company.panel, "price")
-        assert labels[0] is None
-        assert labels[1:] == company.true_labels
+        assert np.isnan(labels[0])
+        np.testing.assert_array_equal(labels[1:], company.true_labels)
 
     def test_missingness_only_outside_price(self):
         _, dates, vector = series_inputs(n_weeks=300)
         company = generate_company_panel(
             default_planted(), "C000", dates, vector, 0.3, seed=15
         )
-        assert all(v is not None for v in company.panel.column("price"))
+        assert not np.isnan(company.panel.column("price")).any()
         missing = sum(
-            v is None
+            np.isnan(company.panel.column(name)).sum()
             for name in company.panel.feature_names
             if name != "price"
-            for v in company.panel.column(name)
         )
         assert missing > 0
 
@@ -228,7 +229,7 @@ class TestWriteFixture:
                 0.1,
                 entry["seed"],
             )
-            assert panel == company.panel
+            assert_panels_equal(panel, company.panel)
 
     def test_truth_document_contents(self, tmp_path):
         truth = write_fixture(
