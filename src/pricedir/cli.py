@@ -26,9 +26,9 @@ from .config import (
     MlpConfig,
     PipelineConfig,
     _SECTIONS,
-    _coerce,
     apply_overrides,
     load_config,
+    parse_flag_value,
 )
 from .errors import (
     ConfigError,
@@ -183,8 +183,8 @@ def _cmd_train(args) -> int:
     hidden = MlpConfig().hidden_sizes
     if args.hidden_sizes:
         try:
-            hidden = _coerce(hidden, args.hidden_sizes)
-        except (ValueError, TypeError) as exc:
+            hidden = parse_flag_value(MlpConfig, "hidden_sizes", args.hidden_sizes)
+        except ValueError as exc:
             raise ConfigError(
                 f"--hidden-sizes: bad value {args.hidden_sizes!r} ({exc})"
             ) from exc
@@ -240,8 +240,8 @@ def _cmd_report(args) -> int:
     report = _read_json(args.input, "report")
     try:
         text = render_report(report, args.format)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{args.input}: not a pipeline report ({exc!r})") from exc
+    except DataError as exc:
+        raise DataError(f"{args.input}: {exc}") from exc
     sys.stdout.write(text)
     return 0
 

@@ -160,34 +160,42 @@ def load_config(path: str | Path) -> PipelineConfig:
     return config_from_dict(data).validate()
 
 
-def _coerce(current, text: str):
-    if isinstance(current, int):
-        return int(text)
-    if isinstance(current, float):
-        return float(text)
-    if isinstance(current, list):
-        parsed = json.loads(text) if text.startswith("[") else text.split(",")
-        if current and isinstance(current[0], int):
-            return [int(v) for v in parsed]
-        return [str(v).strip() for v in parsed]
-    return text
+def parse_flag_value(cls, name: str, text: str):
+    """Parse flag text for field ``name`` of config class ``cls``.
+
+    A list is a JSON array or comma-separated items.  The value then gets
+    the annotation check that config files get; ValueError if it fails.
+    """
+    hint = typing.get_type_hints(cls)[name]
+    if typing.get_origin(hint) is list:
+        if text.startswith("["):
+            value = json.loads(text)
+        else:
+            (item,) = typing.get_args(hint)
+            value = [item(v.strip()) for v in text.split(",")]
+    elif hint in (int, float):
+        value = hint(text)
+    else:
+        value = text
+    if not _has_type(value, hint):
+        raise ValueError(f"must be {cls.__annotations__[name]}")
+    return value
 
 
 def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> PipelineConfig:
     """Apply ``{"mlp.epochs": "250", ...}`` style dotted overrides in place."""
     for dotted, text in overrides.items():
-        parts = dotted.split(".")
+        section, _, name = dotted.partition(".")
         try:
-            if len(parts) == 2 and parts[0] in _SECTIONS:
-                section = getattr(config, parts[0])
-                current = getattr(section, parts[1])
-                setattr(section, parts[1], _coerce(current, text))
+            if section in _SECTIONS and name in typing.get_type_hints(_SECTIONS[section]):
+                value = parse_flag_value(_SECTIONS[section], name, text)
+                setattr(getattr(config, section), name, value)
             elif dotted == "tickers":
                 config.tickers = [t.strip() for t in text.split(",")]
             elif dotted == "target_mode":
                 config.target_mode = text
             else:
                 raise ConfigError(f"unknown config field {dotted!r}")
-        except (ValueError, TypeError, AttributeError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad value for {dotted!r}: {text!r} ({exc})") from exc
     return config

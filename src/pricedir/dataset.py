@@ -304,12 +304,10 @@ def chronological_split(
 def dataset_csv_text(ds: LabeledDataset) -> str:
     """Serialize a labeled dataset as ``date,y,<feature...>`` CSV."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["date", "y"] + ds.feature_names)
-    for t, day in enumerate(ds.dates):
-        row = [day.isoformat(), str(int(ds.y[t]))]
-        row.extend(repr(float(v)) for v in ds.X[t])
-        writer.writerow(row)
+    # Feature names may need quoting; dates and float reprs never do.
+    csv.writer(out, lineterminator="\n").writerow(["date", "y"] + ds.feature_names)
+    for day, label, row in zip(ds.dates, ds.y.tolist(), ds.X.tolist()):
+        out.write(",".join([day.isoformat(), str(int(label)), *map(repr, row)]) + "\n")
     return out.getvalue()
 
 

@@ -28,13 +28,16 @@ SEPARATION_BOUND = 30.0
 
 
 def sigmoid(eta):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise.
+
+    ``1 / (1 + exp(-eta))`` for ``eta >= 0`` and ``exp(eta) / (1 + exp(eta))``
+    below, both written through ``e = exp(-|eta|)`` so that no element is
+    gathered or scattered by a mask.  ``e`` lies in [0, 1], so the
+    numerator ``max(e, eta >= 0)`` is exactly 1 or ``e`` (NaN stays NaN).
+    """
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    expeta = np.exp(eta[~pos])
-    out[~pos] = expeta / (1.0 + expeta)
+    e = np.exp(-np.abs(eta))
+    out = np.maximum(e, eta >= 0) / (1.0 + e)
     return out if out.ndim else float(out)
 
 

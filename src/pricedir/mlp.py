@@ -39,13 +39,6 @@ class NetworkModel:
                     f"shapes {w.shape}/{b.shape} do not chain with sizes {self.layer_sizes}"
                 )
 
-    def copy(self) -> "NetworkModel":
-        return NetworkModel(
-            list(self.layer_sizes),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
-
 
 def init_network(layer_sizes, seed: int) -> NetworkModel:
     """Seeded uniform init: weights in [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases 0."""
@@ -66,12 +59,31 @@ def init_network(layer_sizes, seed: int) -> NetworkModel:
     return NetworkModel(sizes, weights, biases)
 
 
-def _forward_batch(model: NetworkModel, X: np.ndarray) -> list[np.ndarray]:
+def _layers(model: NetworkModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    return list(zip(model.weights, model.biases))
+
+
+def _layer_views(layer_sizes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weight (next, prev), bias (next,)) views into one flat vector."""
+    views = []
+    start = 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        stop = start + fan_out * fan_in
+        views.append((flat[start:stop].reshape(fan_out, fan_in), flat[stop:stop + fan_out]))
+        start = stop + fan_out
+    return views
+
+
+def _forward_batch(layers, X: np.ndarray) -> list[np.ndarray]:
     """Activations per layer for a (n, d_in) batch; final output clamped open."""
     acts = [X]
-    for w, b in zip(model.weights, model.biases):
-        acts.append(sigmoid(acts[-1] @ w.T + b))
-    acts[-1] = np.clip(acts[-1], OUTPUT_EPS, 1.0 - OUTPUT_EPS)
+    for w, b in layers:
+        z = acts[-1] @ w.T
+        z += b
+        acts.append(sigmoid(z))
+    # np.clip in place, without its Python-level argument handling
+    np.maximum(acts[-1], OUTPUT_EPS, out=acts[-1])
+    np.minimum(acts[-1], 1.0 - OUTPUT_EPS, out=acts[-1])
     return acts
 
 
@@ -84,7 +96,7 @@ def forward(model: NetworkModel, x) -> tuple[float, list[np.ndarray]]:
         )
     if not np.all(np.isfinite(x)):
         raise ValidationError("input contains non-finite values")
-    acts = _forward_batch(model, x.reshape(1, -1))
+    acts = _forward_batch(_layers(model), x.reshape(1, -1))
     return float(acts[-1][0, 0]), [a[0] for a in acts]
 
 
@@ -94,28 +106,28 @@ def bce_loss(y: float, yhat: float) -> float:
     return -(y * math.log(yhat) + (1.0 - y) * math.log(1.0 - yhat))
 
 
-def _mean_loss(model: NetworkModel, X: np.ndarray, y: np.ndarray) -> float:
-    yhat = _forward_batch(model, X)[-1][:, 0]
+def _mean_loss(layers, X: np.ndarray, y: np.ndarray) -> float:
+    yhat = _forward_batch(layers, X)[-1][:, 0]
     return float(-np.mean(y * np.log(yhat) + (1.0 - y) * np.log(1.0 - yhat)))
 
 
-def _backprop_batch(
-    model: NetworkModel, X: np.ndarray, y: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Cross-entropy gradients averaged over the batch, shaped like the params."""
-    n = X.shape[0]
-    acts = _forward_batch(model, X)
+def _summed_gradients(layers, grads, X: np.ndarray, Y: np.ndarray) -> None:
+    """Write the batch's cross-entropy gradients, summed over its rows, into ``grads``.
+
+    ``Y`` holds the targets as an (n, 1) column.  ``grads`` holds one
+    (weight, bias) pair of arrays per layer, shaped like ``layers``;
+    dividing by the row count gives the batch mean.
+    """
+    acts = _forward_batch(layers, X)
     # sigmoid output + cross-entropy: output delta is yhat - y
-    delta = acts[-1] - y.reshape(-1, 1)
-    grads_w: list[np.ndarray] = [None] * len(model.weights)
-    grads_b: list[np.ndarray] = [None] * len(model.biases)
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = delta.T @ acts[layer] / n
-        grads_b[layer] = delta.mean(axis=0)
+    delta = acts[-1] - Y
+    for layer in range(len(layers) - 1, -1, -1):
+        grad_w, grad_b = grads[layer]
+        np.matmul(delta.T, acts[layer], out=grad_w)
+        np.add.reduce(delta, axis=0, out=grad_b)
         if layer > 0:
             a = acts[layer]
-            delta = (delta @ model.weights[layer]) * a * (1.0 - a)
-    return grads_w, grads_b
+            delta = (delta @ layers[layer][0]) * a * (1.0 - a)
 
 
 def backprop_gradients(model: NetworkModel, x, y: float):
@@ -127,7 +139,9 @@ def backprop_gradients(model: NetworkModel, x, y: float):
         )
     if not 0.0 <= y <= 1.0:
         raise ValidationError("target must lie in [0, 1]")
-    return _backprop_batch(model, x.reshape(1, -1), np.asarray([float(y)]))
+    grads = [(np.empty_like(w), np.empty_like(b)) for w, b in _layers(model)]
+    _summed_gradients(_layers(model), grads, x.reshape(1, -1), np.asarray([[float(y)]]))
+    return [w for w, _ in grads], [b for _, b in grads]
 
 
 def train(
@@ -144,6 +158,11 @@ def train(
     batches of ``batch_size`` (last one may be short), and steps against
     the batch-averaged gradient.  ``loss_history`` holds the mean
     full-training-set loss after each epoch.  Deterministic per seed.
+
+    The step runs on one flat parameter vector and one flat gradient
+    vector, with per-layer views into both, so the update is three numpy
+    calls for the whole network.  Each element sees the same IEEE
+    operations as ``w -= learning_rate * mean_gradient`` layer by layer.
     """
     if train_ds.n_rows == 0:
         raise ValidationError("training set is empty")
@@ -158,22 +177,35 @@ def train(
         )
     X = np.asarray(train_ds.X, dtype=float)
     y = np.asarray(train_ds.y, dtype=float)
+    Y = y.reshape(-1, 1)
     n = len(y)
     rng = np.random.default_rng(seed)
 
+    params = np.concatenate([p.ravel() for layer in _layers(model) for p in layer])
+    grads = np.empty_like(params)
+    layers = _layer_views(model.layer_sizes, params)
+    grad_layers = _layer_views(model.layer_sizes, grads)
     loss_history: list[float] = []
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            grads_w, grads_b = _backprop_batch(model, X[idx], y[idx])
-            for layer in range(len(model.weights)):
-                model.weights[layer] -= learning_rate * grads_w[layer]
-                model.biases[layer] -= learning_rate * grads_b[layer]
-        loss = _mean_loss(model, X, y)
-        if not math.isfinite(loss):
-            raise TrainingDivergedError(f"non-finite loss at epoch {epoch + 1}")
-        loss_history.append(loss)
+    try:
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            X_epoch, Y_epoch = X[order], Y[order]
+            for start in range(0, n, batch_size):
+                stop = min(start + batch_size, n)
+                _summed_gradients(
+                    layers, grad_layers, X_epoch[start:stop], Y_epoch[start:stop]
+                )
+                grads /= stop - start
+                grads *= learning_rate
+                params -= grads
+            loss = _mean_loss(layers, X, y)
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch + 1}")
+            loss_history.append(loss)
+    finally:
+        for (w, b), (w_new, b_new) in zip(_layers(model), layers):
+            w[...] = w_new
+            b[...] = b_new
     return model, loss_history
 
 
@@ -198,7 +230,7 @@ def evaluate(
         raise ValidationError("test set is empty")
     if not 0.0 < threshold < 1.0:
         raise ValidationError("threshold must be in (0, 1)")
-    outputs = _forward_batch(model, np.asarray(test_ds.X, dtype=float))[-1][:, 0]
+    outputs = _forward_batch(_layers(model), np.asarray(test_ds.X, dtype=float))[-1][:, 0]
     pred = outputs >= threshold
     actual = np.asarray(test_ds.y, dtype=bool)
     tp = int(np.sum(pred & actual))

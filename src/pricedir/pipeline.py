@@ -338,14 +338,23 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 
 def render_report(report: dict, fmt: str) -> str:
-    """Render a pipeline report as canonical JSON or a two-column text table."""
-    if not report.get("companies"):
-        raise ValidationError("report has no companies")
-    if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
-    if fmt != "text":
-        raise ValidationError(f"unknown report format {fmt!r}")
+    """Render a pipeline report as canonical JSON or a two-column text table.
 
+    Both formats first build the table, so a document that lacks a field
+    the table reads raises DataError whichever format is asked for.
+    """
+    if fmt not in ("json", "text"):
+        raise ValidationError(f"unknown report format {fmt!r}")
+    try:
+        if not report.get("companies"):
+            raise ValidationError("report has no companies")
+        table = _report_table(report)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"not a pipeline report ({exc!r})") from exc
+    return json.dumps(report, indent=2) + "\n" if fmt == "json" else table
+
+
+def _report_table(report: dict) -> str:
     rows = []
     for company in report["companies"]:
         if company["status"] == "ok":

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pricedir.dataset import (
+    LabeledDataset,
     assemble_dataset,
     attach_direction_label,
     attach_lagged_features,
     attach_membership_indicator,
     chronological_split,
+    dataset_csv_text,
     drop_sparse_columns,
     impute_missing,
     normalize_column,
+    read_dataset_csv,
     trim_timespan,
 )
 from pricedir.errors import (
@@ -335,6 +338,25 @@ class TestAssembleDataset:
         panel = make_panel(a=[1.0, 2.0])
         with pytest.raises(ValidationError):
             assemble_dataset(panel, [1], ["a"])
+
+
+class TestDatasetCsv:
+    def test_header_quoted_rows_roundtrip(self):
+        X = np.array([[0.1, 1.0 / 3.0], [1.0, 5e-324]])
+        ds = LabeledDataset("A", weekly_dates(2), ["plain", "a,b"], X, np.array([1, 0]))
+        text = dataset_csv_text(ds)
+        assert text.splitlines() == [
+            'date,y,plain,"a,b"',
+            "2002-01-04,1,0.1,0.3333333333333333",
+            "2002-01-11,0,1.0,5e-324",
+        ]
+        again = read_dataset_csv(text, "A")
+        assert again.feature_names == ["plain", "a,b"]
+        assert np.array_equal(again.X, X) and np.array_equal(again.y, ds.y)
+
+    def test_no_feature_columns(self):
+        ds = LabeledDataset("A", weekly_dates(2), [], np.empty((2, 0)), np.array([0, 1]))
+        assert dataset_csv_text(ds) == "date,y\n2002-01-04,0\n2002-01-11,1\n"
 
 
 class TestChronologicalSplit:

@@ -161,6 +161,23 @@ class TestPredictProba:
             0.7310585786300049
         )
 
+    def test_branch_free_sigmoid_matches_masked_form(self):
+        def masked(eta):
+            out = np.empty_like(eta)
+            pos = eta >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+            e = np.exp(eta[~pos])
+            out[~pos] = e / (1.0 + e)
+            return out
+
+        special = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300,
+                            np.inf, -np.inf, np.nan])
+        rng = np.random.default_rng(0)
+        for eta in (special, rng.normal(scale=20.0, size=(257, 7))):
+            # assert_array_equal matches NaN with NaN whatever its sign bit
+            np.testing.assert_array_equal(sigmoid(eta), masked(eta))
+        assert sigmoid(-0.0) == 0.5 and isinstance(sigmoid(-0.0), float)
+
     def test_unit_slope_fit_values(self):
         fit = fit_logit(X20.reshape(-1, 1), Y20)
         fit.beta = np.array([0.0, 1.0])

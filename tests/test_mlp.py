@@ -6,6 +6,7 @@ import pytest
 from pricedir.dataset import LabeledDataset
 from pricedir.errors import TrainingDivergedError, ValidationError
 from pricedir.mlp import (
+    OUTPUT_EPS,
     EvalReport,
     NetworkModel,
     backprop_gradients,
@@ -57,6 +58,49 @@ def numeric_gradients(model, x, y, h=1e-5):
             b[idx] = orig
             grads_b[layer][idx] = (up - down) / (2 * h)
     return grads_w, grads_b
+
+
+def reference_train(model, X, y, epochs, learning_rate, batch_size, seed):
+    """The training loop as first written, layer by layer: masked sigmoid,
+    fancy-indexed batches, ``delta.mean`` and ``w -= lr * g``."""
+
+    def sig(eta):
+        out = np.empty_like(eta)
+        pos = eta >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+        e = np.exp(eta[~pos])
+        out[~pos] = e / (1.0 + e)
+        return out
+
+    def activations(batch):
+        acts = [batch]
+        for w, b in zip(weights, biases):
+            acts.append(sig(acts[-1] @ w.T + b))
+        acts[-1] = np.clip(acts[-1], OUTPUT_EPS, 1.0 - OUTPUT_EPS)
+        return acts
+
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    rng = np.random.default_rng(seed)
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), batch_size):
+            idx = order[start:start + batch_size]
+            acts = activations(X[idx])
+            delta = acts[-1] - y[idx].reshape(-1, 1)
+            grads = [None] * len(weights)
+            for layer in range(len(weights) - 1, -1, -1):
+                grads[layer] = (delta.T @ acts[layer] / len(idx), delta.mean(axis=0))
+                if layer > 0:
+                    a = acts[layer]
+                    delta = (delta @ weights[layer]) * a * (1.0 - a)
+            for layer, (grad_w, grad_b) in enumerate(grads):
+                weights[layer] -= learning_rate * grad_w
+                biases[layer] -= learning_rate * grad_b
+        yhat = activations(X)[-1][:, 0]
+        losses.append(float(-np.mean(y * np.log(yhat) + (1.0 - y) * np.log(1.0 - yhat))))
+    return weights, biases, losses
 
 
 def relative_error(a, b):
@@ -179,6 +223,29 @@ class TestTrain:
         eta = 3.0 * X[:, 0] - 3.0 * X[:, 1] + 1.0 * X[:, 2] - 0.5
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(int)
         return make_ds(X, y)
+
+    @pytest.mark.parametrize("sizes,n,batch_size", [
+        ([3, 4, 1], 240, 32),   # short last batch
+        ([3, 4, 1], 250, 24),   # short last batch of 10 rows
+        ([1, 8, 1], 97, 10),
+        ([5, 4, 3, 1], 130, 32),
+        ([3, 4, 1], 240, 240),  # one batch of every row
+        ([2, 3, 1], 45, 64),    # batch larger than the training set
+    ])
+    def test_matches_reference_loop(self, sizes, n, batch_size):
+        rng = np.random.default_rng(n + sizes[0])
+        X = rng.random((n, sizes[0]))
+        y = (rng.random(n) < X.mean(axis=1)).astype(int)
+        model = init_network(sizes, seed=n)
+        ref_w, ref_b, ref_losses = reference_train(
+            model, X, y.astype(float), epochs=6, learning_rate=0.7,
+            batch_size=batch_size, seed=n + 1,
+        )
+        model, losses = train(model, make_ds(X, y), epochs=6, learning_rate=0.7,
+                              batch_size=batch_size, seed=n + 1)
+        assert losses == ref_losses
+        for got, want in zip(model.weights + model.biases, ref_w + ref_b):
+            assert np.array_equal(got, want)
 
     def test_zero_learning_rate_changes_nothing(self):
         ds = self.planted_ds()

@@ -82,6 +82,17 @@ class TestConfig:
                 config_from_dict(doc).validate()
         # an int is a valid float
         assert config_from_dict({"mlp": {"learning_rate": 1}}).mlp.learning_rate == 1
+        # flag values get the same element checks as config files
+        for dotted, text in (
+            ("mlp.hidden_sizes", "[1.5, 2.9]"),
+            ("dataset.lag_features", "[1, null]"),
+        ):
+            with pytest.raises(ConfigError, match=dotted):
+                apply_overrides(PipelineConfig(), {dotted: text})
+        cfg = apply_overrides(PipelineConfig(), {"mlp.hidden_sizes": "[4, 2]",
+                                                 "dataset.lag_features": "a, b"})
+        assert cfg.mlp.hidden_sizes == [4, 2]
+        assert cfg.dataset.lag_features == ["a", "b"]
 
     def test_range_validation(self):
         cfg = PipelineConfig()
@@ -377,8 +388,9 @@ class TestCli:
         # well-formed JSON that is not a report
         for text in ('[]', '{"companies": [{"ticker": "A"}]}'):
             bad_report.write_text(text)
-            assert main(["report", "--input", str(bad_report)]) == 2
-            assert str(bad_report) in capsys.readouterr().err
+            for fmt in ("text", "json"):
+                assert main(["report", "--format", fmt, "--input", str(bad_report)]) == 2
+                assert str(bad_report) in capsys.readouterr().err
         not_utf8 = tmp_path / "latin1.csv"
         not_utf8.write_bytes(b"date,y,a\n2002-01-04,1,0.5\xff\n")
         assert main(["logit", "--dataset", str(not_utf8)]) == 2
@@ -420,9 +432,10 @@ class TestCli:
                      "--epochs", "30", "--features", "in_index,sentiment,trades"]) == 0
         model_doc = json.loads(model_path.read_text())
         assert model_doc["layer_sizes"][0] == 3
-        assert main(["train", "--dataset", str(dataset), "--out", str(model_path),
-                     "--hidden-sizes", "a"]) == 1
-        assert "--hidden-sizes" in capsys.readouterr().err
+        for hidden in ("a", "[1.5, 2.9]"):
+            assert main(["train", "--dataset", str(dataset), "--out", str(model_path),
+                         "--hidden-sizes", hidden]) == 1
+            assert "--hidden-sizes" in capsys.readouterr().err
 
         assert main(["evaluate", "--dataset", str(dataset),
                      "--model", str(model_path)]) == 0
