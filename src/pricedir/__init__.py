@@ -27,7 +27,7 @@ from .ingest import (
     parse_membership_file,
     resolve_weekly_date,
 )
-from .logit import LogitFit, fit_logit, predict_proba, select_features, wald_pvalues
+from .logit import LogitFit, fit_logit, predict_proba, select_features
 from .mlp import (
     EvalReport,
     NetworkModel,
@@ -36,6 +36,7 @@ from .mlp import (
     forward,
     init_network,
     train,
+    train_stack,
 )
 from .pipeline import render_report, run_pipeline
 from .synth import (

@@ -134,12 +134,19 @@ def _cmd_build(args, dotted_by_dest) -> int:
     snapshots = load_membership_dir(cfg.paths.membership_dir)
     panels = discover_panels(cfg.paths.panels_dir, cfg.tickers)
     out_dir = Path(cfg.paths.output_dir) / "datasets"
+    failed = False
     for ticker, path in sorted(panels.items()):
-        panel = parse_company_panel(path.read_bytes(), ticker, source=str(path))
-        dataset, info = build_company_dataset(panel, snapshots, cfg)
+        try:
+            panel = parse_company_panel(path.read_bytes(), ticker, source=str(path))
+            dataset, info = build_company_dataset(panel, snapshots, cfg)
+        except PricedirError as exc:
+            # fail soft, as the pipeline does: report it and build the rest
+            print(f"error: {ticker}: {exc}", file=sys.stderr)
+            failed = True
+            continue
         write_dataset(out_dir, dataset, info)
         sys.stdout.write(f"built {ticker}: {dataset.n_rows} rows\n")
-    return 0
+    return 2 if failed else 0
 
 
 def _read_json(path: str, what: str):

@@ -73,10 +73,6 @@ class SingularDesignError(PricedirError):
     """Information matrix stayed singular even after the ridge retry."""
 
 
-class InferenceUnavailableError(PricedirError):
-    """Wald inference requested on a fit that did not converge."""
-
-
 class TrainingDivergedError(PricedirError):
     """Network training produced a non-finite loss."""
 

@@ -15,11 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import LogitConfig
-from .errors import (
-    InferenceUnavailableError,
-    SingularDesignError,
-    ValidationError,
-)
+from .errors import SingularDesignError, ValidationError
 
 RIDGE = 1e-8
 # Any coefficient this large means the likelihood is running off to a
@@ -230,15 +226,6 @@ def predict_proba(fit: LogitFit, x) -> float:
     eta = fit.beta[0] + float(fit.beta[1:] @ x)
     p = float(sigmoid(eta))
     return min(max(p, 1e-15), 1.0 - 1e-15)
-
-
-def wald_pvalues(fit: LogitFit) -> np.ndarray:
-    """Two-sided Wald p-values 2*(1 - Phi(|z|)) for a converged fit."""
-    if not fit.converged:
-        raise InferenceUnavailableError("fit did not converge; no Wald inference")
-    if not np.all(np.isfinite(fit.std_err)) or np.any(fit.std_err <= 0):
-        raise InferenceUnavailableError("standard errors are not all positive")
-    return _two_sided_pvalues(fit.beta / fit.std_err)
 
 
 def select_features(fit: LogitFit, alpha: float) -> list[str]:

@@ -2,7 +2,9 @@
 
 Every layer (hidden and output) uses the logistic sigmoid; the loss is
 binary cross-entropy; training is plain mini-batch gradient descent with
-a seeded shuffle so runs are reproducible bit for bit.
+a seeded shuffle so runs are reproducible bit for bit.  Companies with
+the same training-row count train together, one numpy step for the
+whole stack, with the bits each would get alone.
 """
 
 from __future__ import annotations
@@ -59,26 +61,66 @@ def init_network(layer_sizes, seed: int) -> NetworkModel:
     return NetworkModel(sizes, weights, biases)
 
 
-def _layers(model: NetworkModel) -> list[tuple[np.ndarray, np.ndarray]]:
-    return list(zip(model.weights, model.biases))
+def _stack_views(flat: np.ndarray, widths, sizes) -> tuple[list, list[np.ndarray]]:
+    """(weights, biases) views for C companies' parameters in one flat vector.
 
-
-def _layer_views(layer_sizes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (weight (next, prev), bias (next,)) views into one flat vector."""
-    views = []
+    ``widths`` are the companies' input widths and ``sizes`` the layer
+    sizes they share after the input.  ``weights[0]`` is a list of one
+    (sizes[0], width) matrix per company, so input widths may differ;
+    every deeper ``weights[l]`` is one (C, out, in) array and every
+    ``biases[l]`` one (C, 1, out) array.
+    """
+    n_companies = len(widths)
+    weights: list = [[]]
+    biases = []
     start = 0
-    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-        stop = start + fan_out * fan_in
-        views.append((flat[start:stop].reshape(fan_out, fan_in), flat[stop:stop + fan_out]))
-        start = stop + fan_out
-    return views
+    for width in widths:
+        stop = start + sizes[0] * width
+        weights[0].append(flat[start:stop].reshape(sizes[0], width))
+        start = stop
+    for layer, fan_out in enumerate(sizes):
+        if layer:
+            stop = start + n_companies * fan_out * sizes[layer - 1]
+            weights.append(flat[start:stop].reshape(n_companies, fan_out, sizes[layer - 1]))
+            start = stop
+        stop = start + n_companies * fan_out
+        biases.append(flat[start:stop].reshape(n_companies, 1, fan_out))
+        start = stop
+    return weights, biases
 
 
-def _forward_batch(layers, X: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer for a (n, d_in) batch; final output clamped open."""
-    acts = [X]
-    for w, b in layers:
-        z = acts[-1] @ w.T
+def _stack_of_one(weights, biases) -> tuple[list, list[np.ndarray]]:
+    """One network's (weights, biases) as a stack of one: views, no copy."""
+    return [[weights[0]]] + [w[None] for w in weights[1:]], [b[None, None] for b in biases]
+
+
+def _company(net, c: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Company ``c``'s weights (out, in) and biases (out,) in a stack: views."""
+    weights, biases = net
+    return [weights[0][c]] + [w[c] for w in weights[1:]], [b[c, 0] for b in biases]
+
+
+def _stack_pairs(models, net):
+    """(model array, stack view) for every weight and bias of every model."""
+    for c, model in enumerate(models):
+        weights, biases = _company(net, c)
+        yield from zip(model.weights + model.biases, weights + biases)
+
+
+def _forward(net, Xs) -> list:
+    """Activations per layer for one (m, width_c) batch per company.
+
+    ``acts[0]`` is ``Xs`` itself, each later entry a (C, m, size) array;
+    the final output is clamped open.
+    """
+    weights, biases = net
+    z = np.empty((len(Xs), len(Xs[0]), biases[0].shape[2]))
+    for X, w, out in zip(Xs, weights[0], z):
+        np.matmul(X, w.T, out=out)
+    acts = [Xs]
+    for layer, b in enumerate(biases):
+        if layer:
+            z = acts[-1] @ weights[layer].transpose(0, 2, 1)
         z += b
         acts.append(sigmoid(z))
     # np.clip in place, without its Python-level argument handling
@@ -96,8 +138,8 @@ def forward(model: NetworkModel, x) -> tuple[float, list[np.ndarray]]:
         )
     if not np.all(np.isfinite(x)):
         raise ValidationError("input contains non-finite values")
-    acts = _forward_batch(_layers(model), x.reshape(1, -1))
-    return float(acts[-1][0, 0]), [a[0] for a in acts]
+    acts = _forward(_stack_of_one(model.weights, model.biases), [x.reshape(1, -1)])
+    return float(acts[-1][0, 0, 0]), [x] + [a[0, 0] for a in acts[1:]]
 
 
 def bce_loss(y: float, yhat: float) -> float:
@@ -106,28 +148,34 @@ def bce_loss(y: float, yhat: float) -> float:
     return -(y * math.log(yhat) + (1.0 - y) * math.log(1.0 - yhat))
 
 
-def _mean_loss(layers, X: np.ndarray, y: np.ndarray) -> float:
-    yhat = _forward_batch(layers, X)[-1][:, 0]
+def _mean_loss(net, X: np.ndarray, y: np.ndarray) -> float:
+    """One company's mean cross-entropy over all its rows (a stack of one, so
+    the loss pass never holds more than one company's activations)."""
+    yhat = _forward(net, [X])[-1][0, :, 0]
     return float(-np.mean(y * np.log(yhat) + (1.0 - y) * np.log(1.0 - yhat)))
 
 
-def _summed_gradients(layers, grads, X: np.ndarray, Y: np.ndarray) -> None:
-    """Write the batch's cross-entropy gradients, summed over its rows, into ``grads``.
+def _summed_gradients(net, grads, Xs, Y: np.ndarray) -> None:
+    """Write each company's cross-entropy gradients, summed over its batch rows, into ``grads``.
 
-    ``Y`` holds the targets as an (n, 1) column.  ``grads`` holds one
-    (weight, bias) pair of arrays per layer, shaped like ``layers``;
-    dividing by the row count gives the batch mean.
+    ``Y`` holds the targets as a (C, m, 1) array.  ``grads`` is a
+    (weights, biases) pair of views shaped like ``net``; dividing by the
+    row count gives the batch mean.
     """
-    acts = _forward_batch(layers, X)
+    weights, biases = net
+    grad_weights, grad_biases = grads
+    acts = _forward(net, Xs)
     # sigmoid output + cross-entropy: output delta is yhat - y
     delta = acts[-1] - Y
-    for layer in range(len(layers) - 1, -1, -1):
-        grad_w, grad_b = grads[layer]
-        np.matmul(delta.T, acts[layer], out=grad_w)
-        np.add.reduce(delta, axis=0, out=grad_b)
-        if layer > 0:
+    for layer in range(len(biases) - 1, -1, -1):
+        np.add.reduce(delta, axis=1, keepdims=True, out=grad_biases[layer])
+        if layer == 0:
+            for X, d, grad_w in zip(Xs, delta, grad_weights[0]):
+                np.matmul(d.T, X, out=grad_w)
+        else:
+            np.matmul(delta.transpose(0, 2, 1), acts[layer], out=grad_weights[layer])
             a = acts[layer]
-            delta = (delta @ layers[layer][0]) * a * (1.0 - a)
+            delta = (delta @ weights[layer]) * a * (1.0 - a)
 
 
 def backprop_gradients(model: NetworkModel, x, y: float):
@@ -139,9 +187,28 @@ def backprop_gradients(model: NetworkModel, x, y: float):
         )
     if not 0.0 <= y <= 1.0:
         raise ValidationError("target must lie in [0, 1]")
-    grads = [(np.empty_like(w), np.empty_like(b)) for w, b in _layers(model)]
-    _summed_gradients(_layers(model), grads, x.reshape(1, -1), np.asarray([[float(y)]]))
-    return [w for w, _ in grads], [b for _, b in grads]
+    grad_w = [np.empty_like(w) for w in model.weights]
+    grad_b = [np.empty_like(b) for b in model.biases]
+    _summed_gradients(
+        _stack_of_one(model.weights, model.biases),
+        _stack_of_one(grad_w, grad_b),
+        [x.reshape(1, -1)],
+        np.asarray([[[float(y)]]]),
+    )
+    return grad_w, grad_b
+
+
+def _pack(models) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
+    """A stack's flat parameter vector (filled from the models), a matching
+    gradient vector, and (weights, biases) views into each."""
+    widths = [m.layer_sizes[0] for m in models]
+    sizes = models[0].layer_sizes[1:]
+    size = sum(p.size for m in models for p in m.weights + m.biases)
+    params, grads = np.empty(size), np.empty(size)
+    net = _stack_views(params, widths, sizes)
+    for mine, stacked in _stack_pairs(models, net):
+        stacked[...] = mine
+    return params, grads, net, _stack_views(grads, widths, sizes)
 
 
 def train(
@@ -158,55 +225,106 @@ def train(
     batches of ``batch_size`` (last one may be short), and steps against
     the batch-averaged gradient.  ``loss_history`` holds the mean
     full-training-set loss after each epoch.  Deterministic per seed.
-
-    The step runs on one flat parameter vector and one flat gradient
-    vector, with per-layer views into both, so the update is three numpy
-    calls for the whole network.  Each element sees the same IEEE
-    operations as ``w -= learning_rate * mean_gradient`` layer by layer.
+    This is ``train_stack`` on a stack of one.
     """
-    if train_ds.n_rows == 0:
+    (result,) = train_stack([model], [train_ds], epochs, learning_rate, batch_size, [seed])
+    if isinstance(result, TrainingDivergedError):
+        raise result
+    return model, result
+
+
+def train_stack(
+    models: list[NetworkModel],
+    datasets,
+    epochs: int,
+    learning_rate: float,
+    batch_size: int,
+    seeds: list[int],
+) -> list[list[float] | TrainingDivergedError]:
+    """Train C companies with the same training-row count, one SGD step for all at a time.
+
+    ``datasets[c]`` (anything with ``X`` (n, width_c) and ``y`` (n,)
+    arrays, such as a LabeledDataset) trains ``models[c]`` with the
+    shuffle generator seeded by ``seeds[c]``.  Input widths may differ;
+    the layer sizes after the input must match.  Equal row counts put
+    every company's batch boundaries in the same place, short last
+    batch included, so the stack needs no padding and no mask.
+
+    All parameters live in one flat vector and the gradients in a
+    matching one, so the update is three numpy calls for the whole
+    stack.  Each element sees the same IEEE operations as in a
+    company-by-company loop, so a company's weights and losses do not
+    depend on which companies share its stack.
+
+    Mutates the models and returns one entry per company: its loss
+    history (the mean full-training-set loss after each epoch), or the
+    TrainingDivergedError that stopped it.  A company whose loss turns
+    non-finite keeps its parameters from that epoch and leaves the
+    stack; the others go on from where they are.
+    """
+    if not models or not len(models) == len(datasets) == len(seeds):
+        raise ValidationError("a stack needs one dataset and one seed per model")
+    n = len(datasets[0].y)
+    if any(len(ds.y) != n for ds in datasets):
+        raise ValidationError(
+            f"a stack needs equal training-row counts, got {[len(ds.y) for ds in datasets]}"
+        )
+    if n == 0:
         raise ValidationError("training set is empty")
     if epochs < 1 or batch_size < 1:
         raise ValidationError("epochs and batch_size must be positive")
     if learning_rate < 0:
         raise ValidationError("learning_rate must be non-negative")
-    if train_ds.X.shape[1] != model.layer_sizes[0]:
-        raise ValidationError(
-            f"model expects {model.layer_sizes[0]} features, "
-            f"dataset has {train_ds.X.shape[1]}"
-        )
-    X = np.asarray(train_ds.X, dtype=float)
-    y = np.asarray(train_ds.y, dtype=float)
-    Y = y.reshape(-1, 1)
-    n = len(y)
-    rng = np.random.default_rng(seed)
-
-    params = np.concatenate([p.ravel() for layer in _layers(model) for p in layer])
-    grads = np.empty_like(params)
-    layers = _layer_views(model.layer_sizes, params)
-    grad_layers = _layer_views(model.layer_sizes, grads)
-    loss_history: list[float] = []
-    try:
-        for epoch in range(epochs):
-            order = rng.permutation(n)
-            X_epoch, Y_epoch = X[order], Y[order]
-            for start in range(0, n, batch_size):
-                stop = min(start + batch_size, n)
-                _summed_gradients(
-                    layers, grad_layers, X_epoch[start:stop], Y_epoch[start:stop]
-                )
-                grads /= stop - start
-                grads *= learning_rate
-                params -= grads
-            loss = _mean_loss(layers, X, y)
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch + 1}")
-            loss_history.append(loss)
-    finally:
-        for (w, b), (w_new, b_new) in zip(_layers(model), layers):
-            w[...] = w_new
-            b[...] = b_new
-    return model, loss_history
+    for model, ds in zip(models, datasets):
+        if ds.X.shape[1] != model.layer_sizes[0]:
+            raise ValidationError(
+                f"model expects {model.layer_sizes[0]} features, "
+                f"dataset has {ds.X.shape[1]}"
+            )
+        if model.layer_sizes[1:] != models[0].layer_sizes[1:]:
+            raise ValidationError(
+                f"stacked models differ past the input: {model.layer_sizes[1:]} "
+                f"and {models[0].layer_sizes[1:]}"
+            )
+    Xs = [np.asarray(ds.X, dtype=float) for ds in datasets]
+    ys = [np.asarray(ds.y, dtype=float) for ds in datasets]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    results: list = [[] for _ in models]
+    live = list(range(len(models)))
+    epoch = 0
+    while live and epoch < epochs:
+        stack = [models[c] for c in live]
+        params, grads, net, grad_net = _pack(stack)
+        alone = [_stack_of_one(*_company(net, i)) for i in range(len(stack))]
+        try:
+            while epoch < epochs:
+                epoch += 1
+                orders = [rngs[c].permutation(n) for c in live]
+                X_epoch = [Xs[c][order] for c, order in zip(live, orders)]
+                Y_epoch = np.stack([ys[c][order] for c, order in zip(live, orders)])[:, :, None]
+                for start in range(0, n, batch_size):
+                    stop = min(start + batch_size, n)
+                    _summed_gradients(
+                        net, grad_net, [X[start:stop] for X in X_epoch], Y_epoch[:, start:stop]
+                    )
+                    grads /= stop - start
+                    grads *= learning_rate
+                    params -= grads
+                diverged = False
+                for c, company_net in zip(live, alone):
+                    loss = _mean_loss(company_net, Xs[c], ys[c])
+                    if math.isfinite(loss):
+                        results[c].append(loss)
+                    else:
+                        results[c] = TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+                        diverged = True
+                if diverged:
+                    break
+        finally:
+            for mine, stacked in _stack_pairs(stack, net):
+                mine[...] = stacked
+        live = [c for c in live if isinstance(results[c], list)]
+    return results
 
 
 @dataclass
@@ -225,19 +343,23 @@ class EvalReport:
 def evaluate(
     model: NetworkModel, test_ds: LabeledDataset, threshold: float = MlpConfig.threshold
 ) -> EvalReport:
-    """Classify with ``output >= threshold`` (ties predict 1) and tally counts."""
-    if test_ds.n_rows == 0:
+    """Classify with ``output >= threshold`` (ties predict 1) and tally counts.
+
+    ``test_ds`` is anything with ``X`` and ``y`` arrays, such as a LabeledDataset.
+    """
+    n = len(test_ds.y)
+    if n == 0:
         raise ValidationError("test set is empty")
     if not 0.0 < threshold < 1.0:
         raise ValidationError("threshold must be in (0, 1)")
-    outputs = _forward_batch(_layers(model), np.asarray(test_ds.X, dtype=float))[-1][:, 0]
+    net = _stack_of_one(model.weights, model.biases)
+    outputs = _forward(net, [np.asarray(test_ds.X, dtype=float)])[-1][0, :, 0]
     pred = outputs >= threshold
     actual = np.asarray(test_ds.y, dtype=bool)
     tp = int(np.sum(pred & actual))
     tn = int(np.sum(~pred & ~actual))
     fp = int(np.sum(pred & ~actual))
     fn = int(np.sum(~pred & actual))
-    n = test_ds.n_rows
     return EvalReport(
         n_test=n,
         accuracy=(tp + tn) / n,

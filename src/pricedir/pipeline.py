@@ -2,8 +2,9 @@
 
 For every company panel: ingest, dataset build, logistic fit on all
 features, significance selection, network training on the selected
-features only, held-out evaluation.  One bad company never aborts the
-batch; it becomes a failure entry in the report.  Output is fully
+features only, held-out evaluation.  Training runs once every company
+is prepared, one stack per training-row count.  One bad company never
+aborts the batch; it becomes a failure entry in the report.  Output is fully
 deterministic for a fixed config and inputs (company order is stabilized
 by ticker, seeds are derived per company, no timestamps).
 """
@@ -16,6 +17,9 @@ import math
 import re
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from . import cohort as cohort_mod
 from . import dataset as ds_mod
@@ -27,6 +31,7 @@ from .errors import (
     DataError,
     PipelineError,
     PricedirError,
+    TrainingDivergedError,
     ValidationError,
 )
 from .ingest import (
@@ -193,16 +198,37 @@ def write_dataset(datasets_dir: Path, dataset: ds_mod.LabeledDataset, info: dict
     )
 
 
-def run_company(
+class _Split(NamedTuple):
+    """One part of a company's chronological split, as the arrays
+    ``mlp.train_stack`` and ``mlp.evaluate`` read: no dates, no metadata."""
+
+    X: np.ndarray
+    y: np.ndarray
+
+
+@dataclasses.dataclass
+class _Prepared:
+    """One company between the phases: its split arrays and the report
+    fields known before training, in report order."""
+
+    ticker: str
+    fields: dict
+    train: _Split
+    test: _Split
+
+
+def _prepare(
     ticker: str,
-    panel: CompanyPanel,
+    path: Path,
     snapshots: list[MembershipSnapshot],
     cfg: PipelineConfig,
-    out_dir: Path | None = None,
-) -> dict:
-    """Dataset, logit selection, network training, and evaluation for one company."""
+    out_dir: Path,
+) -> _Prepared:
+    """Parse, build, fit the logit, select and split one company, then
+    write its ``datasets/`` and ``logit/`` files (only once all of that
+    succeeded, so a company that fails here leaves no file)."""
+    panel = parse_company_panel(path.read_bytes(), ticker, source=str(path))
     dataset, build_info = build_company_dataset(panel, snapshots, cfg)
-
     fit = logit_mod.fit_logit(
         dataset.X,
         dataset.y,
@@ -227,60 +253,63 @@ def run_company(
     subset = dataset.select_columns(mlp_features)
     train_ds, test_ds = ds_mod.chronological_split(subset, cfg.dataset.train_fraction)
 
-    init_seed = derive_seed(cfg.mlp.seed, ticker, "init")
-    shuffle_seed = derive_seed(cfg.mlp.seed, ticker, "train")
-    sizes = [len(mlp_features)] + list(cfg.mlp.hidden_sizes) + [1]
-    model = mlp_mod.init_network(sizes, init_seed)
-    model, loss_history = mlp_mod.train(
-        model,
-        train_ds,
-        epochs=cfg.mlp.epochs,
-        learning_rate=cfg.mlp.learning_rate,
-        batch_size=cfg.mlp.batch_size,
-        seed=shuffle_seed,
-    )
-    report = mlp_mod.evaluate(model, test_ds, cfg.mlp.threshold)
-
-    if out_dir is not None:
-        write_dataset(out_dir / "datasets", dataset, build_info)
-        logit_dir = out_dir / "logit"
-        models_dir = out_dir / "models"
-        for d in (logit_dir, models_dir):
-            d.mkdir(parents=True, exist_ok=True)
-        (logit_dir / f"{ticker}.json").write_text(
-            json.dumps(logit_result_dict(ticker, fit, selected), indent=2) + "\n",
-            "utf-8",
-        )
-        model_doc = mlp_mod.model_to_dict(
-            model,
-            metadata={
-                "ticker": ticker,
-                "init_seed": init_seed,
-                "shuffle_seed": shuffle_seed,
-                "epochs": cfg.mlp.epochs,
-                "learning_rate": cfg.mlp.learning_rate,
-                "batch_size": cfg.mlp.batch_size,
-                "final_loss": loss_history[-1],
-                "features": mlp_features,
-            },
-        )
-        (models_dir / f"{ticker}.json").write_text(
-            json.dumps(model_doc, indent=2) + "\n", "utf-8"
-        )
-
-    return {
-        "ticker": ticker,
-        "status": "ok",
+    write_dataset(out_dir / "datasets", dataset, build_info)
+    logit_doc = logit_result_dict(ticker, fit, selected)
+    logit_dir = out_dir / "logit"
+    logit_dir.mkdir(parents=True, exist_ok=True)
+    (logit_dir / f"{ticker}.json").write_text(json.dumps(logit_doc, indent=2) + "\n", "utf-8")
+    fields = {
         "n_rows": dataset.n_rows,
         "n_train": train_ds.n_rows,
         "n_test": test_ds.n_rows,
         "timespan": build_info["timespan"],
         "dropped_columns": build_info["dropped_columns"],
-        "logit": logit_result_dict(ticker, fit, selected),
+        "logit": logit_doc,
         "selected": selected,
         "fallback_used": fallback_used,
         "mlp_features": mlp_features,
-        "seeds": {"init": init_seed, "train": shuffle_seed},
+        "seeds": {
+            "init": derive_seed(cfg.mlp.seed, ticker, "init"),
+            "train": derive_seed(cfg.mlp.seed, ticker, "train"),
+        },
+    }
+    return _Prepared(
+        ticker, fields, _Split(train_ds.X, train_ds.y), _Split(test_ds.X, test_ds.y)
+    )
+
+
+def _finish(
+    company: _Prepared,
+    model: mlp_mod.NetworkModel,
+    loss_history: list[float],
+    cfg: PipelineConfig,
+    out_dir: Path,
+) -> dict:
+    """Evaluate one trained company, write its ``models/`` file and return its report entry."""
+    report = mlp_mod.evaluate(model, company.test, cfg.mlp.threshold)
+    fields = company.fields
+    model_doc = mlp_mod.model_to_dict(
+        model,
+        metadata={
+            "ticker": company.ticker,
+            "init_seed": fields["seeds"]["init"],
+            "shuffle_seed": fields["seeds"]["train"],
+            "epochs": cfg.mlp.epochs,
+            "learning_rate": cfg.mlp.learning_rate,
+            "batch_size": cfg.mlp.batch_size,
+            "final_loss": loss_history[-1],
+            "features": fields["mlp_features"],
+        },
+    )
+    models_dir = out_dir / "models"
+    models_dir.mkdir(parents=True, exist_ok=True)
+    (models_dir / f"{company.ticker}.json").write_text(
+        json.dumps(model_doc, indent=2) + "\n", "utf-8"
+    )
+    return {
+        "ticker": company.ticker,
+        "status": "ok",
+        **fields,
         "hyperparameters": {
             "hidden_sizes": list(cfg.mlp.hidden_sizes),
             "epochs": cfg.mlp.epochs,
@@ -297,9 +326,12 @@ def run_company(
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run every company in the panels directory and write the report.
 
-    Per-company failures are recorded and skipped; zero successes raises
-    PipelineError.  Returns the report document (also written as
-    report.json and report.txt under the output directory).
+    Three phases: prepare each company (parse, build, logit, select,
+    split; fail-soft), train every company with the same training-row
+    count in one ``mlp.train_stack`` call, then evaluate and write each
+    model.  Per-company failures are recorded and skipped; zero
+    successes raises PipelineError.  Returns the report document (also
+    written as report.json and report.txt under the output directory).
     """
     cfg.validate()
     snapshots = load_membership_dir(cfg.paths.membership_dir)
@@ -307,15 +339,39 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     out_dir = Path(cfg.paths.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def process(item: tuple[str, Path]) -> dict:
-        ticker, path = item
+    entries: dict[str, dict] = {}
+    stacks: dict[int, list[_Prepared]] = {}
+    for ticker, path in sorted(panels.items()):
         try:
-            panel = parse_company_panel(path.read_bytes(), ticker, source=str(path))
-            return run_company(ticker, panel, snapshots, cfg, out_dir)
+            company = _prepare(ticker, path, snapshots, cfg, out_dir)
         except PricedirError as exc:
-            return {"ticker": ticker, "status": "failed", "error": str(exc)}
-
-    results = [process(item) for item in sorted(panels.items())]
+            entries[ticker] = {"ticker": ticker, "status": "failed", "error": str(exc)}
+        else:
+            stacks.setdefault(len(company.train.y), []).append(company)
+    for stack in stacks.values():
+        models = [
+            mlp_mod.init_network(
+                [len(c.fields["mlp_features"]), *cfg.mlp.hidden_sizes, 1],
+                c.fields["seeds"]["init"],
+            )
+            for c in stack
+        ]
+        outcomes = mlp_mod.train_stack(
+            models,
+            [c.train for c in stack],
+            epochs=cfg.mlp.epochs,
+            learning_rate=cfg.mlp.learning_rate,
+            batch_size=cfg.mlp.batch_size,
+            seeds=[c.fields["seeds"]["train"] for c in stack],
+        )
+        for company, model, outcome in zip(stack, models, outcomes):
+            if isinstance(outcome, TrainingDivergedError):
+                entries[company.ticker] = {
+                    "ticker": company.ticker, "status": "failed", "error": str(outcome)
+                }
+            else:
+                entries[company.ticker] = _finish(company, model, outcome, cfg, out_dir)
+    results = [entries[ticker] for ticker in sorted(entries)]
 
     ok = [r for r in results if r["status"] == "ok"]
     if not ok:

@@ -275,6 +275,22 @@ class TestAcceptance:
         report_line("pipeline-determinism", ok, f"({len(first)} bytes)")
         assert first == second
 
+    def test_model_does_not_depend_on_stack_composition(self, e2e_run):
+        # the full run trains all 10 companies (1600 training rows each) in
+        # one stack; a one-ticker run trains C000 in a stack of one
+        root, _, _, _ = e2e_run
+        cfg = PipelineConfig()
+        cfg.paths.membership_dir = str(root / "membership")
+        cfg.paths.panels_dir = str(root / "panels")
+        cfg.paths.output_dir = str(root / "out_c000")
+        cfg.tickers = ["C000"]
+        run_pipeline(cfg)
+        alone = (root / "out_c000" / "models" / "C000.json").read_bytes()
+        stacked = (root / "out" / "models" / "C000.json").read_bytes()
+        ok = alone == stacked
+        report_line("stack-composition-independence", ok, f"({len(alone)} bytes)")
+        assert alone == stacked
+
     def test_split_arithmetic(self):
         def build(n):
             from pricedir.dataset import assemble_dataset

@@ -17,6 +17,7 @@ from pricedir.mlp import (
     model_from_dict,
     model_to_dict,
     train,
+    train_stack,
 )
 
 from conftest import weekly_dates
@@ -297,6 +298,70 @@ class TestTrain:
             train(model, ds, epochs=0, learning_rate=0.1, batch_size=4, seed=0)
         with pytest.raises(ValidationError):
             train(model, ds, epochs=1, learning_rate=-0.1, batch_size=4, seed=0)
+
+
+class TestTrainStack:
+    """A stack must give every company the bits that solo ``train`` gives it."""
+
+    def company(self, width, n, seed, hidden, scale=1.0):
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, width))
+        y = (rng.random(n) < X.mean(axis=1)).astype(int)
+        if scale != 1.0:  # signed and huge, so that the loss turns NaN
+            X = (X - 0.5) * scale
+        return make_ds(X, y), [width] + hidden + [1]
+
+    def assert_same_bits(self, got, want):
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("hidden", [[8], [4, 3], []])
+    @pytest.mark.parametrize("n,batch_size", [
+        (97, 10),   # short last batch of 7 rows
+        (45, 64),   # batch larger than the training set
+    ])
+    def test_matches_solo_train(self, hidden, n, batch_size):
+        companies = [self.company(w, n, 10 + w, hidden) for w in (1, 4, 6)]
+        stacked = [init_network(sizes, seed=w) for (_, sizes), w in zip(companies, (1, 4, 6))]
+        results = train_stack(stacked, [ds for ds, _ in companies], epochs=5,
+                              learning_rate=0.7, batch_size=batch_size, seeds=[3, 4, 5])
+        for (ds, sizes), model, losses, w, seed in zip(
+            companies, stacked, results, (1, 4, 6), (3, 4, 5)
+        ):
+            solo, solo_losses = train(init_network(sizes, seed=w), ds, epochs=5,
+                                      learning_rate=0.7, batch_size=batch_size, seed=seed)
+            assert losses == solo_losses
+            self.assert_same_bits(model, solo)
+
+    def test_diverging_company_fails_alone(self):
+        companies = [self.company(3, 60, 1, []), self.company(4, 60, 2, [], scale=1e200),
+                     self.company(2, 60, 3, [])]
+        stacked = [init_network(sizes, seed=i) for i, (_, sizes) in enumerate(companies)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = train_stack(stacked, [ds for ds, _ in companies], epochs=4,
+                                  learning_rate=0.5, batch_size=16, seeds=[7, 8, 9])
+            with pytest.raises(TrainingDivergedError, match="epoch 1") as solo_error:
+                train(init_network(companies[1][1], seed=1), companies[1][0], epochs=4,
+                      learning_rate=0.5, batch_size=16, seed=8)
+        assert isinstance(results[1], TrainingDivergedError)
+        assert str(results[1]) == str(solo_error.value)
+        for i in (0, 2):
+            ds, sizes = companies[i]
+            solo, solo_losses = train(init_network(sizes, seed=i), ds, epochs=4,
+                                      learning_rate=0.5, batch_size=16, seed=7 + i)
+            assert results[i] == solo_losses
+            self.assert_same_bits(stacked[i], solo)
+
+    def test_stack_shape_checks(self):
+        (ds60, sizes), (ds61, _) = self.company(3, 60, 1, [8]), self.company(3, 61, 2, [8])
+        models = [init_network(sizes, seed=0), init_network(sizes, seed=1)]
+        with pytest.raises(ValidationError, match="equal training-row counts"):
+            train_stack(models, [ds60, ds61], epochs=1, learning_rate=0.1,
+                        batch_size=8, seeds=[0, 1])
+        models[1] = init_network([3, 4, 1], seed=1)
+        with pytest.raises(ValidationError, match="past the input"):
+            train_stack(models, [ds60, ds60], epochs=1, learning_rate=0.1,
+                        batch_size=8, seeds=[0, 1])
 
 
 class TestEvaluate:

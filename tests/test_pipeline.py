@@ -469,6 +469,29 @@ class TestCli:
                 piped = (tmp_path / "p" / "datasets" / name).read_bytes()
                 assert built == piped, name
 
+    def test_build_fails_soft(self, fixture, tmp_path, capsys):
+        root, _ = fixture
+        panels = tmp_path / "panels"
+        panels.mkdir()
+        for ticker in ("C000", "C002"):
+            panels.joinpath(f"{ticker}.csv").write_bytes(
+                (root / "panels" / f"{ticker}.csv").read_bytes()
+            )
+        panels.joinpath("C001.csv").write_text("date,foo\n2002-01-04,1.0\n2002-01-11,2.0\n")
+        out = tmp_path / "out"
+        code = main([
+            "build",
+            "--paths.membership_dir", str(root / "membership"),
+            "--paths.panels_dir", str(panels),
+            "--paths.output_dir", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: C001: ")
+        assert "built C000" in captured.out and "built C002" in captured.out
+        built = sorted(p.name for p in (out / "datasets").iterdir())
+        assert built == ["C000.csv", "C000.meta.json", "C002.csv", "C002.meta.json"]
+
     def test_cohort_subcommand(self, fixture, capsys):
         root, _ = fixture
         code = main([
