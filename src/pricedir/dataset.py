@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date
 from fractions import Fraction
@@ -27,7 +26,12 @@ from .errors import (
     UncoveredDateError,
     ValidationError,
 )
-from .ingest import CompanyPanel, MembershipSnapshot, parse_company_panel
+from .ingest import (
+    MAX_FALLBACK_DAYS,
+    CompanyPanel,
+    MembershipSnapshot,
+    parse_company_panel,
+)
 
 MEMBERSHIP_COLUMN = "in_index"
 LAG_SUFFIX = "_lag1w"
@@ -104,22 +108,24 @@ def attach_membership_indicator(
     if not snapshots:
         raise ValidationError("attach_membership_indicator needs snapshots")
     ordered = sorted(snapshots, key=lambda s: s.requested_date)
-    requested = [s.requested_date for s in ordered]
-
-    indicator = np.zeros(panel.n_rows)
-    uncovered: list[date] = []
-    for t, day in enumerate(panel.dates):
-        i = bisect_left(requested, day)
-        if i == len(ordered) or not ordered[i].covers(day):
-            uncovered.append(day)
-        elif panel.ticker in ordered[i].constituents:
-            indicator[t] = 1.0
-    if uncovered:
+    requested = _ordinals([s.requested_date for s in ordered])
+    member = np.fromiter(
+        (panel.ticker in s.constituents for s in ordered), bool, len(ordered)
+    )
+    days = _ordinals(panel.dates)
+    # the first week ending on or after each day is the only one that can cover it
+    week = np.minimum(np.searchsorted(requested, days), len(ordered) - 1)
+    covered = (days <= requested[week]) & (days >= requested[week] - MAX_FALLBACK_DAYS)
+    if not covered.all():
+        uncovered = [panel.dates[t].isoformat() for t in np.flatnonzero(~covered)]
         raise UncoveredDateError(
-            f"panel {panel.ticker}: no snapshot week covers "
-            f"{[d.isoformat() for d in uncovered]}"
+            f"panel {panel.ticker}: no snapshot week covers {uncovered}"
         )
-    return panel.with_columns({MEMBERSHIP_COLUMN: indicator})
+    return panel.with_columns({MEMBERSHIP_COLUMN: member[week].astype(float)})
+
+
+def _ordinals(days: Sequence[date]) -> np.ndarray:
+    return np.fromiter(map(date.toordinal, days), np.int64, len(days))
 
 
 def attach_direction_label(panel: CompanyPanel, price_column: str) -> np.ndarray:

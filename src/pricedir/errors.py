@@ -5,6 +5,8 @@ exit 1, unusable input data exits 2, and a run where no company
 succeeded exits 3.
 """
 
+import functools
+
 
 class PricedirError(Exception):
     """Base class for every error raised by this package."""
@@ -26,6 +28,7 @@ class ParseError(DataError):
     """Malformed file content, located by source, line, and column."""
 
     def __init__(self, message, *, source="<data>", line=None, column=None):
+        self.message = message
         self.source = source
         self.line = line
         self.column = column
@@ -35,6 +38,14 @@ class ParseError(DataError):
         if column is not None:
             where += f", column {column!r}"
         super().__init__(f"{where}: {message}")
+
+    def __reduce__(self):
+        # rebuild from the bare message: the default pickles the located
+        # text as the message, and unpickling would locate it a second time
+        rebuild = functools.partial(
+            type(self), source=self.source, line=self.line, column=self.column
+        )
+        return rebuild, (self.message,)
 
 
 class DataValidationError(DataError):

@@ -13,7 +13,7 @@ import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from typing import Sequence
 
 import numpy as np
@@ -68,13 +68,6 @@ class MembershipSnapshot:
         for ticker in self.constituents:
             if not ticker:
                 raise ValidationError("constituent tickers must be non-empty")
-
-    @property
-    def week_start(self) -> date:
-        return self.requested_date - timedelta(days=MAX_FALLBACK_DAYS)
-
-    def covers(self, day: date) -> bool:
-        return self.week_start <= day <= self.requested_date
 
 
 @dataclass(eq=False)

@@ -3,18 +3,26 @@
 For every company panel: ingest, dataset build, logistic fit on all
 features, significance selection, network training on the selected
 features only, held-out evaluation.  Training runs once every company
-is prepared, one stack per training-row count.  One bad company never
-aborts the batch; it becomes a failure entry in the report.  Output is fully
-deterministic for a fixed config and inputs (company order is stabilized
-by ticker, seeds are derived per company, no timestamps).
+is prepared, one stack per training-row count.  Preparing and training
+run on one forked worker process per CPU.  One bad company never aborts
+the batch; it becomes a failure entry in the report.  Output is fully
+deterministic for a fixed config and inputs, whatever the worker count
+(company order is stabilized by ticker, seeds are derived per company,
+no timestamps).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import re
+import sys
+import traceback
+from concurrent.futures import ProcessPoolExecutor
 from datetime import date
 from pathlib import Path
 from typing import NamedTuple
@@ -176,7 +184,7 @@ def write_dataset(datasets_dir: Path, dataset: ds_mod.LabeledDataset, info: dict
     """Write ``<ticker>.csv`` and ``<ticker>.meta.json`` for one built dataset."""
     datasets_dir.mkdir(parents=True, exist_ok=True)
     ticker = dataset.ticker
-    (datasets_dir / f"{ticker}.csv").write_text(ds_mod.dataset_csv_text(dataset), "utf-8")
+    write_atomic(datasets_dir / f"{ticker}.csv", ds_mod.dataset_csv_text(dataset))
     meta = {
         "ticker": ticker,
         "dropped_columns": info["dropped_columns"],
@@ -193,9 +201,19 @@ def write_dataset(datasets_dir: Path, dataset: ds_mod.LabeledDataset, info: dict
             for name, m in dataset.column_meta.items()
         },
     }
-    (datasets_dir / f"{ticker}.meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n", "utf-8"
-    )
+    write_atomic(datasets_dir / f"{ticker}.meta.json", json.dumps(meta, indent=2) + "\n")
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 through a temp file in the same directory,
+    then rename it over ``path``: a reader, or a worker writing the same
+    directory, never sees a half-written file."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(text, "utf-8")
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 class _Split(NamedTuple):
@@ -257,7 +275,7 @@ def _prepare(
     logit_doc = logit_result_dict(ticker, fit, selected)
     logit_dir = out_dir / "logit"
     logit_dir.mkdir(parents=True, exist_ok=True)
-    (logit_dir / f"{ticker}.json").write_text(json.dumps(logit_doc, indent=2) + "\n", "utf-8")
+    write_atomic(logit_dir / f"{ticker}.json", json.dumps(logit_doc, indent=2) + "\n")
     fields = {
         "n_rows": dataset.n_rows,
         "n_train": train_ds.n_rows,
@@ -303,9 +321,7 @@ def _finish(
     )
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
-    (models_dir / f"{company.ticker}.json").write_text(
-        json.dumps(model_doc, indent=2) + "\n", "utf-8"
-    )
+    write_atomic(models_dir / f"{company.ticker}.json", json.dumps(model_doc, indent=2) + "\n")
     return {
         "ticker": company.ticker,
         "status": "ok",
@@ -323,54 +339,153 @@ def _finish(
     }
 
 
+# The run in progress as a worker sees it, ``(snapshots, cfg, out_dir)``:
+# set by the pool initializer in each forked worker, so fork hands the
+# snapshots over without pickling them, or in this process for the
+# length of an in-process run.
+_run: tuple = ()
+
+
+def _set_run(*run) -> None:
+    global _run
+    _run = run
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: one pipeline worker each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return 1
+
+
+@contextlib.contextmanager
+def _workers(n_tasks: int, *run):
+    """Yield ``(map, workers)`` for the run's task functions.
+
+    One worker per CPU, at most one per task.  Several workers are
+    processes forked with ``run`` set; one worker is this process and the
+    builtin ``map``.  Either way the results come back in task order.
+    """
+    workers = min(_cpu_count(), n_tasks)
+    if workers <= 1:
+        _set_run(*run)
+        try:
+            yield map, 1
+        finally:
+            _set_run()
+        return
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_run,
+        initargs=run,
+    ) as pool:
+        yield pool.map, workers
+
+
+def _failure(exc: Exception, tickers: list[str]) -> str:
+    """The report's error text for an exception that stopped these companies.
+
+    A PricedirError describes bad input and is its own text.  Any other
+    exception is a fault in the program: its traceback goes to stderr
+    and the text names its type.  Only the text crosses back from a
+    worker, so the report does not depend on how an exception pickles.
+    """
+    if isinstance(exc, PricedirError):
+        return str(exc)
+    sys.stderr.write(
+        f"{', '.join(tickers)}: unexpected error\n"
+        + "".join(traceback.format_exception(exc))
+    )
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _failed(ticker: str, error: str) -> dict:
+    return {"ticker": ticker, "status": "failed", "error": error}
+
+
+def _prepare_task(item: tuple[str, Path]) -> _Prepared | str:
+    """Phase 1 for one company: its ``_Prepared``, or its error text."""
+    ticker, path = item
+    try:
+        return _prepare(ticker, path, *_run)
+    except Exception as exc:  # one company's fault must not stop the batch
+        return _failure(exc, [ticker])
+
+
+def _train_task(part: list[_Prepared]) -> list[tuple[mlp_mod.NetworkModel, list[float]] | str]:
+    """Phase 2 for companies with one training-row count: for each, its
+    trained model and loss history, or its error text."""
+    cfg = _run[1]
+    models = [
+        mlp_mod.init_network(
+            [len(c.fields["mlp_features"]), *cfg.mlp.hidden_sizes, 1],
+            c.fields["seeds"]["init"],
+        )
+        for c in part
+    ]
+    try:
+        outcomes = mlp_mod.train_stack(
+            models,
+            [c.train for c in part],
+            epochs=cfg.mlp.epochs,
+            learning_rate=cfg.mlp.learning_rate,
+            batch_size=cfg.mlp.batch_size,
+            seeds=[c.fields["seeds"]["train"] for c in part],
+        )
+    except Exception as exc:  # one stack's fault must not stop the batch
+        return [_failure(exc, [c.ticker for c in part])] * len(part)
+    return [
+        str(outcome) if isinstance(outcome, TrainingDivergedError) else (model, outcome)
+        for model, outcome in zip(models, outcomes)
+    ]
+
+
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run every company in the panels directory and write the report.
 
     Three phases: prepare each company (parse, build, logit, select,
-    split; fail-soft), train every company with the same training-row
-    count in one ``mlp.train_stack`` call, then evaluate and write each
-    model.  Per-company failures are recorded and skipped; zero
-    successes raises PipelineError.  Returns the report document (also
-    written as report.json and report.txt under the output directory).
+    split, write ``datasets/`` and ``logit/``), train every company with
+    the same training-row count in one ``mlp.train_stack`` call, then
+    evaluate and write each model.  The first two run on one worker
+    process per CPU; the output bytes do not depend on how many.
+    Per-company failures are recorded and skipped; zero successes
+    raises PipelineError.  Returns the report document (also written as
+    report.json and report.txt under the output directory).
     """
     cfg.validate()
     snapshots = load_membership_dir(cfg.paths.membership_dir)
-    panels = discover_panels(cfg.paths.panels_dir, cfg.tickers)
+    panels = sorted(discover_panels(cfg.paths.panels_dir, cfg.tickers).items())
     out_dir = Path(cfg.paths.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     entries: dict[str, dict] = {}
     stacks: dict[int, list[_Prepared]] = {}
-    for ticker, path in sorted(panels.items()):
-        try:
-            company = _prepare(ticker, path, snapshots, cfg, out_dir)
-        except PricedirError as exc:
-            entries[ticker] = {"ticker": ticker, "status": "failed", "error": str(exc)}
-        else:
-            stacks.setdefault(len(company.train.y), []).append(company)
-    for stack in stacks.values():
-        models = [
-            mlp_mod.init_network(
-                [len(c.fields["mlp_features"]), *cfg.mlp.hidden_sizes, 1],
-                c.fields["seeds"]["init"],
-            )
-            for c in stack
-        ]
-        outcomes = mlp_mod.train_stack(
-            models,
-            [c.train for c in stack],
-            epochs=cfg.mlp.epochs,
-            learning_rate=cfg.mlp.learning_rate,
-            batch_size=cfg.mlp.batch_size,
-            seeds=[c.fields["seeds"]["train"] for c in stack],
-        )
-        for company, model, outcome in zip(stack, models, outcomes):
-            if isinstance(outcome, TrainingDivergedError):
-                entries[company.ticker] = {
-                    "ticker": company.ticker, "status": "failed", "error": str(outcome)
-                }
+    with _workers(len(panels), snapshots, cfg, out_dir) as (run_map, workers):
+        for (ticker, _), company in zip(panels, run_map(_prepare_task, panels)):
+            if isinstance(company, str):
+                entries[ticker] = _failed(ticker, company)
             else:
-                entries[company.ticker] = _finish(company, model, outcome, cfg, out_dir)
+                stacks.setdefault(len(company.train.y), []).append(company)
+        # A company's bits do not depend on which companies share its
+        # stack, so cutting stacks into one part per worker changes no byte.
+        parts = []
+        for stack in stacks.values():
+            k = min(workers, len(stack))
+            parts += [stack[i * len(stack) // k : (i + 1) * len(stack) // k] for i in range(k)]
+        trained = list(run_map(_train_task, parts))
+    for part, outcomes in zip(parts, trained):
+        for company, outcome in zip(part, outcomes):
+            if isinstance(outcome, str):
+                entries[company.ticker] = _failed(company.ticker, outcome)
+                continue
+            try:
+                entries[company.ticker] = _finish(company, *outcome, cfg, out_dir)
+            except Exception as exc:  # one company's fault must not stop the batch
+                entries[company.ticker] = _failed(
+                    company.ticker, _failure(exc, [company.ticker])
+                )
     results = [entries[ticker] for ticker in sorted(entries)]
 
     ok = [r for r in results if r["status"] == "ok"]
@@ -388,8 +503,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "generator": cohort_mod.GENERATOR_NAME,
         "config": cfg.to_dict(),
     }
-    (out_dir / "report.json").write_text(render_report(report, "json"), "utf-8")
-    (out_dir / "report.txt").write_text(render_report(report, "text"), "utf-8")
+    write_atomic(out_dir / "report.json", render_report(report, "json"))
+    write_atomic(out_dir / "report.txt", render_report(report, "text"))
     return report
 
 

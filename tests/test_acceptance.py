@@ -29,6 +29,7 @@ from pricedir.dataset import (
 from pricedir.ingest import resolve_weekly_date
 from pricedir.logit import fit_logit, select_features
 from pricedir.mlp import backprop_gradients, bce_loss, forward, init_network
+from pricedir import pipeline as pipeline_mod
 from pricedir.pipeline import run_pipeline
 from pricedir.synth import (
     PlantedModel,
@@ -259,7 +260,7 @@ class TestAcceptance:
         )
         assert worst_mean_drift < 1e-12
 
-    def test_pipeline_reports_are_byte_identical(self, e2e_run):
+    def test_pipeline_reports_are_byte_identical(self, e2e_run, monkeypatch):
         root, _, _, _ = e2e_run
         cfg = PipelineConfig()
         cfg.paths.membership_dir = str(root / "membership")
@@ -271,9 +272,13 @@ class TestAcceptance:
         first = (Path(cfg.paths.output_dir) / "report.json").read_bytes()
         run_pipeline(cfg)
         second = (Path(cfg.paths.output_dir) / "report.json").read_bytes()
-        ok = first == second
+        # and in this process, the four companies in one stack
+        monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: 1)
+        run_pipeline(cfg)
+        one_worker = (Path(cfg.paths.output_dir) / "report.json").read_bytes()
+        ok = first == second == one_worker
         report_line("pipeline-determinism", ok, f"({len(first)} bytes)")
-        assert first == second
+        assert first == second == one_worker
 
     def test_model_does_not_depend_on_stack_composition(self, e2e_run):
         # the full run trains all 10 companies (1600 training rows each) in

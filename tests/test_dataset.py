@@ -1,5 +1,6 @@
 import math
-from datetime import date
+from bisect import bisect_left
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from pricedir.errors import (
     UncoveredDateError,
     ValidationError,
 )
+
+from pricedir.ingest import MAX_FALLBACK_DAYS, CompanyPanel, MembershipSnapshot
 
 from conftest import make_panel, make_snapshots, weekly_dates
 
@@ -56,6 +59,70 @@ class TestMembershipIndicator:
         snaps = make_snapshots([{"A"}])
         with pytest.raises(UncoveredDateError, match="2010-01-01"):
             attach_membership_indicator(panel, snaps)
+
+    def test_uncovered_dates_listed_in_row_order(self):
+        # snapshots for weeks 1, 2 and 4 (week 3 missing), given out of order;
+        # rows fall before the first week, in the gap and after the last week
+        weeks = weekly_dates(5)
+        snaps = [
+            MembershipSnapshot(day, day, frozenset({"A"}))
+            for day in (weeks[4], weeks[1], weeks[2])
+        ]
+        days = [weeks[0], weeks[1], weeks[2] + timedelta(days=3), weeks[3], weeks[4],
+                weeks[4] + timedelta(days=1)]
+        panel = CompanyPanel("A", days, {"price": [1.0] * len(days)})
+        with pytest.raises(UncoveredDateError) as info:
+            attach_membership_indicator(panel, snaps)
+        assert str(info.value) == (
+            "panel A: no snapshot week covers "
+            "['2002-01-04', '2002-01-21', '2002-01-25', '2002-02-02']"
+        )
+
+    @given(st.data())
+    def test_matches_reference_loop(self, data):
+        weeks = weekly_dates(12)
+        kept = data.draw(st.lists(st.sampled_from(weeks), min_size=1, unique=True))
+        snaps = [
+            MembershipSnapshot(
+                day,
+                day - timedelta(days=data.draw(st.integers(0, MAX_FALLBACK_DAYS))),
+                frozenset(data.draw(st.sets(st.sampled_from(["A", "B"])))),
+            )
+            for day in kept
+        ]
+        offsets = data.draw(st.sets(st.integers(-10, 7 * 12 + 10), min_size=1))
+        days = [weeks[0] + timedelta(days=k) for k in sorted(offsets)]
+        panel = CompanyPanel("A", days, {"price": [1.0] * len(days)})
+        try:
+            want = reference_indicator(panel, snaps)
+        except UncoveredDateError as exc:
+            with pytest.raises(UncoveredDateError) as info:
+                attach_membership_indicator(panel, snaps)
+            assert str(info.value) == str(exc)
+        else:
+            got = attach_membership_indicator(panel, snaps).column("in_index")
+            np.testing.assert_array_equal(got, want)
+
+
+def reference_indicator(panel, snapshots):
+    """The row-by-row form of the indicator: bisect, then the week-window test."""
+    ordered = sorted(snapshots, key=lambda s: s.requested_date)
+    requested = [s.requested_date for s in ordered]
+    indicator = np.zeros(panel.n_rows)
+    uncovered = []
+    for t, day in enumerate(panel.dates):
+        i = bisect_left(requested, day)
+        week_start = i < len(ordered) and requested[i] - timedelta(days=MAX_FALLBACK_DAYS)
+        if i == len(ordered) or not week_start <= day <= requested[i]:
+            uncovered.append(day)
+        elif panel.ticker in ordered[i].constituents:
+            indicator[t] = 1.0
+    if uncovered:
+        raise UncoveredDateError(
+            f"panel {panel.ticker}: no snapshot week covers "
+            f"{[d.isoformat() for d in uncovered]}"
+        )
+    return indicator
 
 
 class TestDirectionLabel:

@@ -1,3 +1,4 @@
+import pickle
 from datetime import date, timedelta
 
 import numpy as np
@@ -204,6 +205,15 @@ class TestParseCompanyPanel:
     def test_missing_feature_columns_rejected(self):
         with pytest.raises(ParseError):
             parse_company_panel("date\n2002-01-04\n", "TST")
+
+    def test_parse_error_survives_pickling(self):
+        with pytest.raises(ParseError) as info:
+            parse_company_panel("date,price\n2002-01-04,x\n", "TST", source="p.csv")
+        sent = info.value
+        back = pickle.loads(pickle.dumps(sent))
+        assert type(back) is ParseError
+        assert str(back) == str(sent) == "p.csv, line 2, column 'price': non-numeric cell 'x'"
+        assert (back.source, back.line, back.column) == ("p.csv", 2, "price")
 
     @given(
         data=st.lists(

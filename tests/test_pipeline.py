@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,8 @@ import pytest
 from pricedir.cli import main
 from pricedir.config import PipelineConfig, apply_overrides, config_from_dict, load_config
 from pricedir.errors import ConfigError, PipelineError, ValidationError
+from pricedir import mlp as mlp_mod
+from pricedir import pipeline as pipeline_mod
 from pricedir.ingest import parse_company_panel
 from pricedir.pipeline import (
     build_company_dataset,
@@ -14,6 +18,7 @@ from pricedir.pipeline import (
     load_membership_dir,
     render_report,
     run_pipeline,
+    write_atomic,
 )
 from pricedir.synth import default_planted, derive_seed, write_fixture
 
@@ -264,6 +269,96 @@ class TestRunPipeline:
         assert company["mlp_features"] == [
             "sentiment", "trades", "in_index", "total_return_lag1w"
         ]
+
+
+def output_tree(out: Path) -> dict[str, bytes]:
+    return {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+
+
+class TestWorkers:
+    def test_outputs_do_not_depend_on_worker_count(self, fixture, tmp_path, monkeypatch):
+        # C000, C001 and C003 share a stack of 128 training rows: 2 workers
+        # cut it into two parts, 3 workers into three
+        root, _ = fixture
+        panels = tmp_path / "panels"
+        panels.mkdir()
+        for file in (root / "panels").glob("*.csv"):
+            panels.joinpath(file.name).write_bytes(file.read_bytes())
+        panels.joinpath("BAD.csv").write_text("date,foo\n2002-01-04,1.0\n2002-01-11,2.0\n")
+        cfg = small_config(root)
+        cfg.paths.panels_dir = str(panels)
+        cfg.paths.output_dir = str(tmp_path / "out")
+        trees = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: workers)
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            report = run_pipeline(cfg)
+            assert [c["status"] for c in report["companies"]] == ["failed"] + ["ok"] * 4
+            assert [c["n_train"] for c in report["companies"][1:]] == [128, 128, 124, 128]
+            trees.append(output_tree(tmp_path / "out"))
+        assert len(trees[0]) == 2 + 4 * 4
+        assert trees[0] == trees[1] == trees[2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("phase", ["prepare", "train", "finish"])
+    def test_unexpected_exception_fails_one_company(
+        self, fixture, monkeypatch, capfd, phase, workers
+    ):
+        # C002 is the only company with 124 training rows
+        module, name, is_c002 = {
+            "prepare": (
+                pipeline_mod, "build_company_dataset", lambda panel, *_: panel.ticker == "C002"
+            ),
+            "train": (mlp_mod, "train_stack", lambda _, data, **__: len(data[0].y) == 124),
+            "finish": (mlp_mod, "model_to_dict", lambda _, metadata: metadata["ticker"] == "C002"),
+        }[phase]
+        real = getattr(module, name)
+
+        def faulty(*args, **kwargs):
+            if is_c002(*args, **kwargs):
+                raise ZeroDivisionError("planted fault")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, faulty)
+        monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: workers)
+        root, _ = fixture
+        report = run_pipeline(small_config(root, f"out_fault_{phase}{workers}"))
+        status = {c["ticker"]: c["status"] for c in report["companies"]}
+        assert status == {"C000": "ok", "C001": "ok", "C002": "failed", "C003": "ok"}
+        assert report["companies"][2]["error"] == "ZeroDivisionError: planted fault"
+        err = capfd.readouterr().err
+        assert "C002: unexpected error\nTraceback (most recent call last):" in err
+        assert "ZeroDivisionError: planted fault" in err
+
+    def test_write_atomic_replaces_through_a_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "report.txt"
+        target.write_text("old", "utf-8")
+        renames = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            renames.append((Path(src), Path(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        write_atomic(target, "new \u00e9\n")
+        assert target.read_bytes() == "new \u00e9\n".encode("utf-8")
+        ((temp, dst),) = renames
+        assert dst == target and temp.parent == tmp_path and str(os.getpid()) in temp.name
+        # a write that fails keeps the old file and leaves no temp file
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(target, "\ud800")
+        assert target.read_bytes() == "new \u00e9\n".encode("utf-8")
+        assert [f.name for f in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_pipeline_leaves_no_temp_file(self, fixture):
+        root, _ = fixture
+        cfg = small_config(root, "out_atomic")
+        report = run_pipeline(cfg)
+        out = Path(cfg.paths.output_dir)
+        assert not [f for f in out.rglob("*") if f.name.endswith(".tmp")]
+        assert (out / "report.json").read_text("utf-8") == render_report(report, "json")
+        assert (out / "report.txt").read_text("utf-8") == render_report(report, "text")
 
 
 class TestRenderReport:
