@@ -65,9 +65,8 @@ class MembershipSnapshot:
                 f"effective date {self.effective_date} is {gap} days before "
                 f"requested date {self.requested_date} (max {MAX_FALLBACK_DAYS})"
             )
-        for ticker in self.constituents:
-            if not ticker:
-                raise ValidationError("constituent tickers must be non-empty")
+        if "" in self.constituents:
+            raise ValidationError("constituent tickers must be non-empty")
 
 
 @dataclass(eq=False)
@@ -178,23 +177,23 @@ def parse_membership_file(
     if len(lines) < 2 or lines[1].strip() != "ticker":
         raise ParseError("expected 'ticker' column header", source=source, line=2)
 
-    tickers: list[str] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(lines[2:], start=3):
-        ticker = raw.strip()
-        if not ticker or "," in ticker or any(c.isspace() for c in ticker):
+        # one whitespace-free token: not empty, no inner whitespace
+        words = raw.split()
+        if len(words) != 1 or "," in raw:
             raise ParseError(
                 f"malformed ticker row {raw!r}", source=source, line=lineno
             )
+        ticker = words[0]
         if ticker in seen:
             raise DataValidationError(
                 f"{source}, line {lineno}: duplicate ticker {ticker!r}"
             )
         seen.add(ticker)
-        tickers.append(ticker)
 
     try:
-        return MembershipSnapshot(requested_date, effective, frozenset(tickers))
+        return MembershipSnapshot(requested_date, effective, frozenset(seen))
     except ValidationError as exc:
         raise DataValidationError(f"{source}: {exc}") from exc
 

@@ -17,10 +17,14 @@ import numpy as np
 from .config import MlpConfig
 from .dataset import LabeledDataset
 from .errors import TrainingDivergedError, ValidationError
-from .logit import sigmoid
 
 # Keeps log(yhat) finite when an output saturates at 0 or 1.
 OUTPUT_EPS = 1e-12
+# 0-d float64 operands: a ufunc converts a Python scalar on every call.
+_ZERO = np.array(0.0)
+_ONE = np.array(1.0)
+_LOW = np.array(OUTPUT_EPS)
+_HIGH = np.array(1.0 - OUTPUT_EPS)
 
 
 @dataclass
@@ -107,6 +111,22 @@ def _stack_pairs(models, net):
         yield from zip(model.weights + model.biases, weights + biases)
 
 
+def _sigmoid_into(z: np.ndarray, out: np.ndarray) -> None:
+    """Write ``logit.sigmoid(z)`` into ``out`` through the same IEEE operations.
+
+    ``out`` holds ``e = exp(-|z|)`` on the way.  ``z`` is overwritten: it
+    takes the ``z >= 0`` mask as 0.0/1.0, so that the max runs
+    float/float, and then the numerator ``max(e, mask)``.
+    """
+    np.abs(z, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.greater_equal(z, _ZERO, out=z)
+    np.maximum(out, z, out=z)
+    np.add(_ONE, out, out=out)
+    np.divide(z, out, out=out)
+
+
 def _forward(net, Xs) -> list:
     """Activations per layer for one (m, width_c) batch per company.
 
@@ -122,10 +142,11 @@ def _forward(net, Xs) -> list:
         if layer:
             z = acts[-1] @ weights[layer].transpose(0, 2, 1)
         z += b
-        acts.append(sigmoid(z))
+        acts.append(np.empty_like(z))
+        _sigmoid_into(z, acts[-1])
     # np.clip in place, without its Python-level argument handling
-    np.maximum(acts[-1], OUTPUT_EPS, out=acts[-1])
-    np.minimum(acts[-1], 1.0 - OUTPUT_EPS, out=acts[-1])
+    np.maximum(acts[-1], _LOW, out=acts[-1])
+    np.minimum(acts[-1], _HIGH, out=acts[-1])
     return acts
 
 
@@ -155,27 +176,58 @@ def _mean_loss(net, X: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(y * np.log(yhat) + (1.0 - y) * np.log(1.0 - yhat)))
 
 
-def _summed_gradients(net, grads, Xs, Y: np.ndarray) -> None:
-    """Write each company's cross-entropy gradients, summed over its batch rows, into ``grads``.
+def _step_plan(net, grad_net, n_companies: int, m: int):
+    """Return ``gradients(Xs, Y)`` for batches of ``m`` rows of a stack of C companies.
 
-    ``Y`` holds the targets as a (C, m, 1) array.  ``grads`` is a
-    (weights, biases) pair of views shaped like ``net``; dividing by the
-    row count gives the batch mean.
+    ``gradients`` takes one (m, width_c) batch per company and the
+    targets as a (C, m, 1) array.  It writes each company's
+    cross-entropy gradients, summed over the batch rows, into
+    ``grad_net``, a (weights, biases) pair of views shaped like ``net``;
+    dividing by ``m`` gives the batch mean.  The (C, m, size) buffers
+    and the transposed weight views are bound here, once, so a step
+    allocates nothing and every ufunc writes ``out=``.  Each element
+    goes through the operations of ``_forward`` and the backward pass
+    in the same order, so the bits are those of the allocating code.
     """
     weights, biases = net
-    grad_weights, grad_biases = grads
-    acts = _forward(net, Xs)
-    # sigmoid output + cross-entropy: output delta is yhat - y
-    delta = acts[-1] - Y
-    for layer in range(len(biases) - 1, -1, -1):
-        np.add.reduce(delta, axis=1, keepdims=True, out=grad_biases[layer])
-        if layer == 0:
-            for X, d, grad_w in zip(Xs, delta, grad_weights[0]):
-                np.matmul(d.T, X, out=grad_w)
-        else:
-            np.matmul(delta.transpose(0, 2, 1), acts[layer], out=grad_weights[layer])
-            a = acts[layer]
-            delta = (delta @ weights[layer]) * a * (1.0 - a)
+    grad_weights, grad_biases = grad_net
+    shapes = [(n_companies, m, b.shape[2]) for b in biases]
+    Z = [np.empty(shape) for shape in shapes]  # pre-activation; then the numerator, then 1 - a
+    A = [np.empty(shape) for shape in shapes]  # activation
+    D = [np.empty(shape) for shape in shapes]  # delta
+    wTs = [None] + [w.transpose(0, 2, 1) for w in weights[1:]]
+    dTs = [d.transpose(0, 2, 1) for d in D]
+    # layer 0 runs per company, so its views are bound per company
+    z0s, w0Ts, d0Ts = list(Z[0]), [w.T for w in weights[0]], list(dTs[0])
+    n_layers = len(biases)
+
+    def gradients(Xs, Y) -> None:
+        for X, w0T, z in zip(Xs, w0Ts, z0s):
+            np.matmul(X, w0T, out=z)
+        for layer in range(n_layers):
+            if layer:
+                np.matmul(A[layer - 1], wTs[layer], out=Z[layer])
+            np.add(Z[layer], biases[layer], out=Z[layer])
+            _sigmoid_into(Z[layer], A[layer])
+        # np.clip in place, without its Python-level argument handling
+        np.maximum(A[-1], _LOW, out=A[-1])
+        np.minimum(A[-1], _HIGH, out=A[-1])
+        # sigmoid output + cross-entropy: output delta is yhat - y
+        np.subtract(A[-1], Y, out=D[-1])
+        for layer in range(n_layers - 1, 0, -1):
+            np.add.reduce(D[layer], axis=1, keepdims=True, out=grad_biases[layer])
+            np.matmul(dTs[layer], A[layer - 1], out=grad_weights[layer])
+            # the delta below is (delta @ w) * a * (1 - a); Z below is free for 1 - a
+            a, delta, one_minus_a = A[layer - 1], D[layer - 1], Z[layer - 1]
+            np.matmul(D[layer], weights[layer], out=delta)
+            np.multiply(delta, a, out=delta)
+            np.subtract(_ONE, a, out=one_minus_a)
+            np.multiply(delta, one_minus_a, out=delta)
+        np.add.reduce(D[0], axis=1, keepdims=True, out=grad_biases[0])
+        for X, d0T, grad_w in zip(Xs, d0Ts, grad_weights[0]):
+            np.matmul(d0T, X, out=grad_w)
+
+    return gradients
 
 
 def backprop_gradients(model: NetworkModel, x, y: float):
@@ -189,12 +241,10 @@ def backprop_gradients(model: NetworkModel, x, y: float):
         raise ValidationError("target must lie in [0, 1]")
     grad_w = [np.empty_like(w) for w in model.weights]
     grad_b = [np.empty_like(b) for b in model.biases]
-    _summed_gradients(
-        _stack_of_one(model.weights, model.biases),
-        _stack_of_one(grad_w, grad_b),
-        [x.reshape(1, -1)],
-        np.asarray([[[float(y)]]]),
+    gradients = _step_plan(
+        _stack_of_one(model.weights, model.biases), _stack_of_one(grad_w, grad_b), 1, 1
     )
+    gradients([x.reshape(1, -1)], np.asarray([[[float(y)]]]))
     return grad_w, grad_b
 
 
@@ -252,9 +302,11 @@ def train_stack(
 
     All parameters live in one flat vector and the gradients in a
     matching one, so the update is three numpy calls for the whole
-    stack.  Each element sees the same IEEE operations as in a
-    company-by-company loop, so a company's weights and losses do not
-    depend on which companies share its stack.
+    stack.  The gradients come from a step plan (``_step_plan``) per
+    batch size, built when the stack is packed: at most two, for the
+    full batches and the short last one.  Each element sees the same
+    IEEE operations as in a company-by-company loop, so a company's
+    weights and losses do not depend on which companies share its stack.
 
     Mutates the models and returns one entry per company: its loss
     history (the mean full-training-set loss after each epoch), or the
@@ -273,8 +325,8 @@ def train_stack(
         raise ValidationError("training set is empty")
     if epochs < 1 or batch_size < 1:
         raise ValidationError("epochs and batch_size must be positive")
-    if learning_rate < 0:
-        raise ValidationError("learning_rate must be non-negative")
+    if not 0.0 <= learning_rate < math.inf:
+        raise ValidationError("learning_rate must be finite and non-negative")
     for model, ds in zip(models, datasets):
         if ds.X.shape[1] != model.layer_sizes[0]:
             raise ValidationError(
@@ -289,6 +341,8 @@ def train_stack(
     Xs = [np.asarray(ds.X, dtype=float) for ds in datasets]
     ys = [np.asarray(ds.y, dtype=float) for ds in datasets]
     rngs = [np.random.default_rng(seed) for seed in seeds]
+    lr = np.array(float(learning_rate))
+    batches = [(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
     results: list = [[] for _ in models]
     live = list(range(len(models)))
     epoch = 0
@@ -296,20 +350,29 @@ def train_stack(
         stack = [models[c] for c in live]
         params, grads, net, grad_net = _pack(stack)
         alone = [_stack_of_one(*_company(net, i)) for i in range(len(stack))]
+        # each epoch's shuffled rows, and every batch's views into them
+        X_epoch = [np.empty(Xs[c].shape) for c in live]
+        Y_epoch = np.empty((len(stack), n, 1))
+        plans = {
+            m: (_step_plan(net, grad_net, len(stack), m), np.array(float(m)))
+            for m in {stop - start for start, stop in batches}
+        }
+        steps = [
+            ([X[start:stop] for X in X_epoch], Y_epoch[:, start:stop], *plans[stop - start])
+            for start, stop in batches
+        ]
         try:
             while epoch < epochs:
                 epoch += 1
-                orders = [rngs[c].permutation(n) for c in live]
-                X_epoch = [Xs[c][order] for c, order in zip(live, orders)]
-                Y_epoch = np.stack([ys[c][order] for c, order in zip(live, orders)])[:, :, None]
-                for start in range(0, n, batch_size):
-                    stop = min(start + batch_size, n)
-                    _summed_gradients(
-                        net, grad_net, [X[start:stop] for X in X_epoch], Y_epoch[:, start:stop]
-                    )
-                    grads /= stop - start
-                    grads *= learning_rate
-                    params -= grads
+                for c, X, Y in zip(live, X_epoch, Y_epoch):
+                    order = rngs[c].permutation(n)
+                    np.take(Xs[c], order, axis=0, out=X)
+                    np.take(ys[c], order, out=Y[:, 0])
+                for Xb, Yb, gradients, m in steps:
+                    gradients(Xb, Yb)
+                    np.divide(grads, m, out=grads)
+                    np.multiply(grads, lr, out=grads)
+                    np.subtract(params, grads, out=params)
                 diverged = False
                 for c, company_net in zip(live, alone):
                     loss = _mean_loss(company_net, Xs[c], ys[c])

@@ -68,16 +68,17 @@ def load_membership_dir(path: str | Path) -> list[MembershipSnapshot]:
     if not path.is_dir():
         raise ConfigError(f"membership directory not found: {path}")
     snapshots = []
-    for file in sorted(path.glob("*.csv")):
-        match = MEMBERSHIP_FILE_RE.match(file.name)
+    # names sorted as strings: in one directory, the order Path sorting gives
+    for name in sorted(name for name in os.listdir(path) if name.endswith(".csv")):
+        file = str(path / name)
+        match = MEMBERSHIP_FILE_RE.match(name)
         if not match:
             raise DataError(
                 f"{file}: membership files must be named constituents_YYYY-MM-DD.csv"
             )
         requested = date.fromisoformat(match.group(1))
-        snapshots.append(
-            parse_membership_file(file.read_bytes(), requested, source=str(file))
-        )
+        with open(file, "rb") as stream:
+            snapshots.append(parse_membership_file(stream, requested, source=file))
     if not snapshots:
         raise DataError(f"no membership files in {path}")
     return snapshots

@@ -28,7 +28,32 @@ def membership_text(effective, tickers):
     return f"# effective_date={effective}\nticker\n" + "".join(t + "\n" for t in tickers)
 
 
+def reference_ticker_rows(lines, source):
+    """The ticker-row check as first written (a per-character ``isspace``
+    scan): the constituents, or the error the parser must raise."""
+    seen = set()
+    for lineno, raw in enumerate(lines, start=3):
+        ticker = raw.strip()
+        if not ticker or "," in ticker or any(c.isspace() for c in ticker):
+            return ParseError(f"malformed ticker row {raw!r}", source=source, line=lineno)
+        if ticker in seen:
+            return DataValidationError(f"{source}, line {lineno}: duplicate ticker {ticker!r}")
+        seen.add(ticker)
+    return frozenset(seen)
+
+
 class TestParseMembershipFile:
+    @given(rows=st.lists(st.text(alphabet="AB,. \t\u00a0\u2003\x1f\u3000", max_size=4), max_size=6))
+    def test_ticker_rows_match_reference_check(self, rows):
+        text = "# effective_date=2002-01-04\nticker\n" + "\n".join(rows)
+        want = reference_ticker_rows(text.splitlines()[2:], "m.csv")
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as info:
+                parse_membership_file(text, date(2002, 1, 4), source="m.csv")
+            assert str(info.value) == str(want)
+        else:
+            assert parse_membership_file(text, date(2002, 1, 4)).constituents == want
+
     def test_thursday_fallback_header(self):
         # nominal Friday requested, file effective the Thursday before
         text = membership_text("2004-04-08", [f"T{i:03d}" for i in range(600)])

@@ -5,10 +5,12 @@ import pytest
 
 from pricedir.dataset import LabeledDataset
 from pricedir.errors import TrainingDivergedError, ValidationError
+from pricedir.logit import sigmoid
 from pricedir.mlp import (
     OUTPUT_EPS,
     EvalReport,
     NetworkModel,
+    _sigmoid_into,
     backprop_gradients,
     bce_loss,
     evaluate,
@@ -232,6 +234,8 @@ class TestTrain:
         ([5, 4, 3, 1], 130, 32),
         ([3, 4, 1], 240, 240),  # one batch of every row
         ([2, 3, 1], 45, 64),    # batch larger than the training set
+        ([3, 4, 1], 256, 32),   # every batch full
+        ([3, 4, 1], 257, 32),   # short last batch of one row
     ])
     def test_matches_reference_loop(self, sizes, n, batch_size):
         rng = np.random.default_rng(n + sizes[0])
@@ -296,8 +300,21 @@ class TestTrain:
         model = init_network([3, 1], seed=0)
         with pytest.raises(ValidationError):
             train(model, ds, epochs=0, learning_rate=0.1, batch_size=4, seed=0)
-        with pytest.raises(ValidationError):
-            train(model, ds, epochs=1, learning_rate=-0.1, batch_size=4, seed=0)
+        for learning_rate in (-0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="learning_rate"):
+                train(model, ds, epochs=1, learning_rate=learning_rate, batch_size=4, seed=0)
+
+
+class TestStepPlan:
+    def test_sigmoid_into_matches_logit_sigmoid(self):
+        """The plan's in-place sigmoid (float mask, 0-d constants) gives
+        ``logit.sigmoid``'s bits, NaN payloads and signed zeros included."""
+        special = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan])
+        random = np.random.default_rng(5).normal(scale=30.0, size=(257, 7))
+        for eta in (special, random):
+            z, a = eta.copy(), np.empty_like(eta)
+            _sigmoid_into(z, a)
+            np.testing.assert_array_equal(a.view(np.uint64), sigmoid(eta).view(np.uint64))
 
 
 class TestTrainStack:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -5,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from pricedir.cli import main
 from pricedir.config import PipelineConfig, apply_overrides, config_from_dict, load_config
-from pricedir.errors import ConfigError, PipelineError, ValidationError
+from pricedir.errors import ConfigError, DataError, PipelineError, ValidationError
 from pricedir import mlp as mlp_mod
 from pricedir import pipeline as pipeline_mod
 from pricedir.ingest import parse_company_panel
@@ -21,6 +24,8 @@ from pricedir.pipeline import (
     write_atomic,
 )
 from pricedir.synth import default_planted, derive_seed, write_fixture
+
+from conftest import weekly_dates
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +42,30 @@ def fixture(tmp_path_factory):
         signal_scale=2.0,
     )
     return root, truth
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    """A 20-row ``date,y,f0,f1`` dataset file, for quick ``pricedir train`` runs."""
+    rng = np.random.default_rng(3)
+    rows = [
+        f"{day},{int(rng.random() < 0.5)},{rng.random()!r},{rng.random()!r}"
+        for day in weekly_dates(20)
+    ]
+    file = tmp_path_factory.mktemp("tiny") / "TINY.csv"
+    file.write_text("date,y,f0,f1\n" + "\n".join(rows) + "\n")
+    return file
+
+
+# Flag values for the train property test: well-formed ones, small enough to
+# keep a run to a few steps, and malformed strings.
+MALFORMED = st.sampled_from(["", " ", "x", "1.5", "1e1", "0x2", "-", "[1]", "2,"])
+HIDDEN_SIZES = st.lists(st.integers(min_value=-1, max_value=5), max_size=3)
+
+
+def mostly(good):
+    """A value from ``good`` four times in five, else a malformed string."""
+    return st.integers(min_value=0, max_value=4).flatmap(lambda k: good if k else MALFORMED)
 
 
 def small_config(root, out_name="out"):
@@ -156,6 +185,41 @@ class TestBuildCompanyDataset:
         indicator = with_indicator.column("in_index")
         by_date = dict(zip(with_indicator.dates, indicator))
         assert all(int(by_date[d]) == y for d, y in zip(ds.dates, ds.y))
+
+
+class TestLoadMembershipDir:
+    def test_files_read_in_name_order(self, tmp_path):
+        days = ["2002-01-18", "2002-01-04", "2002-01-11"]
+        for day in days:  # written out of order
+            (tmp_path / f"constituents_{day}.csv").write_text(
+                f"# effective_date={day}\nticker\nAAA\n"
+            )
+        (tmp_path / "notes.txt").write_text("not a membership file")
+        (tmp_path / "upper.CSV").write_text("not a membership file")
+        snapshots = load_membership_dir(tmp_path)
+        assert [s.requested_date.isoformat() for s in snapshots] == sorted(days)
+
+    def test_errors_name_the_problem(self, tmp_path):
+        with pytest.raises(ConfigError, match="membership directory not found"):
+            load_membership_dir(tmp_path / "absent")
+        with pytest.raises(DataError, match="no membership files in"):
+            load_membership_dir(tmp_path)
+        for name in ("z.csv", "constituents_2002-01-04.csv", "a.csv"):
+            (tmp_path / name).write_text("# effective_date=2002-01-04\nticker\nAAA\n")
+        # the first misnamed file in name order is the one reported
+        with pytest.raises(DataError) as info:
+            load_membership_dir(tmp_path)
+        assert str(info.value) == (
+            f"{tmp_path / 'a.csv'}: membership files must be named constituents_YYYY-MM-DD.csv"
+        )
+        (tmp_path / "a.csv").unlink()
+        (tmp_path / "z.csv").unlink()
+        (tmp_path / "constituents_2002-01-11.csv").write_text("# effective_date=2002-01-11\nticker\nB B\n")
+        with pytest.raises(DataError) as info:
+            load_membership_dir(tmp_path)
+        assert str(info.value) == (
+            f"{tmp_path / 'constituents_2002-01-11.csv'}, line 3: malformed ticker row 'B B'"
+        )
 
 
 class TestRunPipeline:
@@ -531,6 +595,11 @@ class TestCli:
             assert main(["train", "--dataset", str(dataset), "--out", str(model_path),
                          "--hidden-sizes", hidden]) == 1
             assert "--hidden-sizes" in capsys.readouterr().err
+        for rate in ("nan", "inf", "-inf"):
+            assert main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "bad.json"),
+                         "--epochs", "2", f"--learning-rate={rate}"]) == 1
+            assert "learning_rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "bad.json").exists()
 
         assert main(["evaluate", "--dataset", str(dataset),
                      "--model", str(model_path)]) == 0
@@ -615,3 +684,36 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "fx" / "truth.json").is_file()
         assert len(list((tmp_path / "fx" / "membership").glob("*.csv"))) == 30
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        epochs=mostly(st.integers(min_value=-1, max_value=3).map(str)),
+        batch_size=mostly(st.integers(min_value=-1, max_value=40).map(str)),
+        learning_rate=mostly(st.one_of(st.floats(min_value=0.0, max_value=2.0), st.floats()).map(repr)),
+        hidden_sizes=mostly(st.one_of(
+            HIDDEN_SIZES.map(lambda sizes: ",".join(map(str, sizes))),
+            HIDDEN_SIZES.map(json.dumps),
+        )),
+    )
+    def test_train_flags_exit_cleanly(self, tiny_dataset, epochs, batch_size,
+                                      learning_rate, hidden_sizes):
+        """Any flag values end in exit 0, 1 or 2, with ``error:`` and no traceback."""
+        model_path = tiny_dataset.with_name("model.json")
+        model_path.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["train", "--dataset", str(tiny_dataset), "--out", str(model_path),
+                f"--epochs={epochs}", f"--batch-size={batch_size}",
+                f"--learning-rate={learning_rate}", f"--hidden-sizes={hidden_sizes}"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                np.errstate(all="ignore"):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a value with exit 2
+                code = exc.code
+        event(f"exit {code}")
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert "error:" in err.getvalue(), argv
+        else:
+            assert model_path.is_file() and out.getvalue().startswith("trained TINY")
