@@ -25,7 +25,6 @@ from .ingest import (
     MembershipSnapshot,
     parse_company_panel,
     parse_membership_file,
-    resolve_weekly_date,
 )
 from .logit import LogitFit, fit_logit, predict_proba, select_features
 from .mlp import (

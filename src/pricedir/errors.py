@@ -52,10 +52,6 @@ class DataValidationError(DataError):
     """Well-formed file whose content breaks a data invariant."""
 
 
-class UnresolvableWeekError(DataError):
-    """No available trading date inside the weekly lookback window."""
-
-
 class UncoveredDateError(DataError):
     """Panel rows fall outside every membership snapshot week."""
 

@@ -11,19 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DataValidationError,
-    ParseError,
-    UnresolvableWeekError,
-    ValidationError,
-)
+from .errors import DataValidationError, ParseError, ValidationError
 
 # A nominal week is the requested day plus the six days before it, so a
 # fallback can never reach into the previous week's snapshot.
@@ -162,7 +156,11 @@ def parse_membership_file(
         DataValidationError: empty file, duplicate ticker, or an
             effective date outside the weekly window.
     """
-    lines = _as_text(content, source).splitlines()
+    # rows end at "\n" only (str.splitlines would also break them at form
+    # feeds and other separators); one "\r" before it is part of the ending
+    lines = _as_text(content, source).replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline ends a row, it does not start one
     if not lines:
         raise DataValidationError(f"{source}: empty membership file")
     header = lines[0]
@@ -207,22 +205,6 @@ def membership_file_text(snapshot: MembershipSnapshot) -> str:
     lines = [f"{EFFECTIVE_DATE_PREFIX}{snapshot.effective_date.isoformat()}", "ticker"]
     lines.extend(sorted(snapshot.constituents))
     return "\n".join(lines) + "\n"
-
-
-def resolve_weekly_date(requested: date, available: Sequence[date]) -> date:
-    """Return the latest available date within the weekly lookback window.
-
-    ``available`` must be sorted ascending.  The result is the largest
-    date d with requested - 6 days <= d <= requested.
-    """
-    if not available:
-        raise ValidationError("available dates must be non-empty")
-    idx = bisect_right(available, requested) - 1
-    if idx < 0 or (requested - available[idx]).days > MAX_FALLBACK_DAYS:
-        raise UnresolvableWeekError(
-            f"no available date within {MAX_FALLBACK_DAYS} days before {requested}"
-        )
-    return available[idx]
 
 
 def parse_company_panel(content, ticker: str, source: str = "<panel>") -> CompanyPanel:

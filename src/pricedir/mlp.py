@@ -25,6 +25,7 @@ _ZERO = np.array(0.0)
 _ONE = np.array(1.0)
 _LOW = np.array(OUTPUT_EPS)
 _HIGH = np.array(1.0 - OUTPUT_EPS)
+_MINUS_ONE = np.array(-1.0)
 
 
 @dataclass
@@ -114,12 +115,12 @@ def _stack_pairs(models, net):
 def _sigmoid_into(z: np.ndarray, out: np.ndarray) -> None:
     """Write ``logit.sigmoid(z)`` into ``out`` through the same IEEE operations.
 
-    ``out`` holds ``e = exp(-|z|)`` on the way.  ``z`` is overwritten: it
-    takes the ``z >= 0`` mask as 0.0/1.0, so that the max runs
-    float/float, and then the numerator ``max(e, mask)``.
+    ``out`` holds ``e = exp(-|z|)`` on the way (``copysign`` only sets the
+    sign bit, as ``-abs`` does).  ``z`` is overwritten: it takes the
+    ``z >= 0`` mask as 0.0/1.0, so that the max runs float/float, and
+    then the numerator ``max(e, mask)``.
     """
-    np.abs(z, out=out)
-    np.negative(out, out=out)
+    np.copysign(z, _MINUS_ONE, out=out)
     np.exp(out, out=out)
     np.greater_equal(z, _ZERO, out=z)
     np.maximum(out, z, out=z)
@@ -127,27 +128,55 @@ def _sigmoid_into(z: np.ndarray, out: np.ndarray) -> None:
     np.divide(z, out, out=out)
 
 
-def _forward(net, Xs) -> list:
-    """Activations per layer for one (m, width_c) batch per company.
+def _kernel(m: int):
+    """The matrix product for 2-D operands with ``m`` rows.
 
-    ``acts[0]`` is ``Xs`` itself, each later entry a (C, m, size) array;
-    the final output is clamped open.
+    ``np.dot`` is a plain BLAS call, cheaper to dispatch than
+    ``np.matmul``, with the same bits, except that for a (1, 1) @ (1, 1)
+    product its scalar path can return a zero of the other sign.
     """
-    weights, biases = net
-    z = np.empty((len(Xs), len(Xs[0]), biases[0].shape[2]))
-    for X, w, out in zip(Xs, weights[0], z):
-        np.matmul(X, w.T, out=out)
-    acts = [Xs]
-    for layer, b in enumerate(biases):
-        if layer:
-            z = acts[-1] @ weights[layer].transpose(0, 2, 1)
-        z += b
-        acts.append(np.empty_like(z))
-        _sigmoid_into(z, acts[-1])
-    # np.clip in place, without its Python-level argument handling
-    np.maximum(acts[-1], _LOW, out=acts[-1])
-    np.minimum(acts[-1], _HIGH, out=acts[-1])
-    return acts
+    return np.matmul if m == 1 else np.dot
+
+
+def _forward_plan(w0Ts, z0s, wTs, biases, Z, A, dot0, dot):
+    """Return ``forward(Xs)``, the forward pass into bound buffers.
+
+    ``Xs`` holds one (m, width_c) input per company.  Layer 0 runs per
+    company: ``dot0(Xs[c], w0Ts[c])`` goes into ``z0s[c]``, a view of
+    ``Z[0]``.  Every later layer is ``dot(A[l - 1], wTs[l])`` into
+    ``Z[l]``, for one company's (m, size) buffers or a stack's
+    (C, m, size) ones.  ``A[l]`` takes the activations; the final output
+    is clamped open.
+    """
+    n_layers = len(biases)
+
+    def forward(Xs) -> None:
+        for X, w0T, z in zip(Xs, w0Ts, z0s):
+            dot0(X, w0T, out=z)
+        for layer in range(n_layers):
+            if layer:
+                dot(A[layer - 1], wTs[layer], out=Z[layer])
+            np.add(Z[layer], biases[layer], out=Z[layer])
+            _sigmoid_into(Z[layer], A[layer])
+        # np.clip in place, without its Python-level argument handling
+        np.maximum(A[-1], _LOW, out=A[-1])
+        np.minimum(A[-1], _HIGH, out=A[-1])
+
+    return forward
+
+
+def _company_forward(weights, biases, Z, A):
+    """``_forward_plan`` for one network's (out, in) weights into (n, size) buffers."""
+    dot = _kernel(len(Z[0]))
+    return _forward_plan([weights[0].T], [Z[0]], [w.T for w in weights], biases, Z, A, dot, dot)
+
+
+def _forward(model: NetworkModel, X: np.ndarray) -> list[np.ndarray]:
+    """The (n, size) activations of every layer for the rows of ``X``."""
+    Z = [np.empty((len(X), size)) for size in model.layer_sizes[1:]]
+    A = [np.empty_like(z) for z in Z]
+    _company_forward(model.weights, model.biases, Z, A)([X])
+    return A
 
 
 def forward(model: NetworkModel, x) -> tuple[float, list[np.ndarray]]:
@@ -159,8 +188,8 @@ def forward(model: NetworkModel, x) -> tuple[float, list[np.ndarray]]:
         )
     if not np.all(np.isfinite(x)):
         raise ValidationError("input contains non-finite values")
-    acts = _forward(_stack_of_one(model.weights, model.biases), [x.reshape(1, -1)])
-    return float(acts[-1][0, 0, 0]), [x] + [a[0, 0] for a in acts[1:]]
+    acts = _forward(model, x.reshape(1, -1))
+    return float(acts[-1][0, 0]), [x] + [a[0] for a in acts]
 
 
 def bce_loss(y: float, yhat: float) -> float:
@@ -169,63 +198,90 @@ def bce_loss(y: float, yhat: float) -> float:
     return -(y * math.log(yhat) + (1.0 - y) * math.log(1.0 - yhat))
 
 
-def _mean_loss(net, X: np.ndarray, y: np.ndarray) -> float:
-    """One company's mean cross-entropy over all its rows (a stack of one, so
-    the loss pass never holds more than one company's activations)."""
-    yhat = _forward(net, [X])[-1][0, :, 0]
-    return float(-np.mean(y * np.log(yhat) + (1.0 - y) * np.log(1.0 - yhat)))
+def _loss_plan(net, Xs, ys):
+    """Return ``loss(c)``: company c's mean cross-entropy over all its rows.
+
+    The companies of a stack share their row count n, so one set of
+    (n, size) activation buffers and two (n,) temporaries serve them
+    all, bound here with each company's ``1 - y``.  Each element goes
+    through the operations of ``-mean(y * log(yhat) + (1 - y) *
+    log(1 - yhat))`` in that order.
+    """
+    n = len(ys[0])
+    Z = [np.empty((n, b.shape[2])) for b in net[1]]
+    A = [np.empty_like(z) for z in Z]
+    passes = [_company_forward(*_company(net, c), Z, A) for c in range(len(ys))]
+    not_ys = [np.subtract(_ONE, y) for y in ys]
+    yhat, log_yes, log_no = A[-1][:, 0], np.empty(n), np.empty(n)
+
+    def loss(c: int) -> float:
+        passes[c]([Xs[c]])
+        np.log(yhat, out=log_yes)
+        np.multiply(ys[c], log_yes, out=log_yes)
+        np.subtract(_ONE, yhat, out=log_no)
+        np.log(log_no, out=log_no)
+        np.multiply(not_ys[c], log_no, out=log_no)
+        np.add(log_yes, log_no, out=log_yes)
+        return -(float(np.add.reduce(log_yes)) / n)
+
+    return loss
 
 
 def _step_plan(net, grad_net, n_companies: int, m: int):
     """Return ``gradients(Xs, Y)`` for batches of ``m`` rows of a stack of C companies.
 
     ``gradients`` takes one (m, width_c) batch per company and the
-    targets as a (C, m, 1) array.  It writes each company's
-    cross-entropy gradients, summed over the batch rows, into
-    ``grad_net``, a (weights, biases) pair of views shaped like ``net``;
-    dividing by ``m`` gives the batch mean.  The (C, m, size) buffers
+    targets as a (C, m, 1) array, or (m, 1) for a stack of one.  It
+    writes each company's cross-entropy gradients, summed over the batch
+    rows, into ``grad_net``, a (weights, biases) pair of views shaped
+    like ``net``; dividing by ``m`` gives the batch mean.  The buffers
     and the transposed weight views are bound here, once, so a step
-    allocates nothing and every ufunc writes ``out=``.  Each element
-    goes through the operations of ``_forward`` and the backward pass
-    in the same order, so the bits are those of the allocating code.
+    allocates nothing and every ufunc writes ``out=``.
+
+    Layer 0 runs per company on 2-D views.  A stack of one binds 2-D
+    ``[0]`` views for every other layer too, so that each product is a
+    plain 2-D BLAS call (``_kernel``); a larger stack runs batched
+    (C, ...) ``np.matmul``.  The kernels give the same bits, and each
+    element goes through the same operations in the same order, so a
+    company's gradients do not depend on the stack it is in.
     """
     weights, biases = net
     grad_weights, grad_biases = grad_net
-    shapes = [(n_companies, m, b.shape[2]) for b in biases]
-    Z = [np.empty(shape) for shape in shapes]  # pre-activation; then the numerator, then 1 - a
-    A = [np.empty(shape) for shape in shapes]  # activation
-    D = [np.empty(shape) for shape in shapes]  # delta
-    wTs = [None] + [w.transpose(0, 2, 1) for w in weights[1:]]
-    dTs = [d.transpose(0, 2, 1) for d in D]
-    # layer 0 runs per company, so its views are bound per company
-    z0s, w0Ts, d0Ts = list(Z[0]), [w.T for w in weights[0]], list(dTs[0])
+    # pre-activation; then the numerator, then 1 - a
+    Z = [np.empty((n_companies, m, b.shape[2])) for b in biases]
+    A = [np.empty_like(z) for z in Z]  # activation
+    D = [np.empty_like(z) for z in Z]  # delta
+    z0s, d0Ts, w0Ts = list(Z[0]), [d.T for d in D[0]], [w.T for w in weights[0]]
+    Ws, Bs, GWs, GBs = [None] + weights[1:], biases, [None] + grad_weights[1:], grad_biases
+    dot0 = _kernel(m)
+    if n_companies == 1:
+        Ws, Bs, GWs, GBs, Z, A, D = (
+            [a if a is None else a[0] for a in arrays] for arrays in (Ws, Bs, GWs, GBs, Z, A, D)
+        )
+        dot = dot0
+    else:
+        dot = np.matmul
+    wTs = [w if w is None else w.swapaxes(-1, -2) for w in Ws]
+    dTs = [d.swapaxes(-1, -2) for d in D]
+    forward = _forward_plan(w0Ts, z0s, wTs, Bs, Z, A, dot0, dot)
     n_layers = len(biases)
 
     def gradients(Xs, Y) -> None:
-        for X, w0T, z in zip(Xs, w0Ts, z0s):
-            np.matmul(X, w0T, out=z)
-        for layer in range(n_layers):
-            if layer:
-                np.matmul(A[layer - 1], wTs[layer], out=Z[layer])
-            np.add(Z[layer], biases[layer], out=Z[layer])
-            _sigmoid_into(Z[layer], A[layer])
-        # np.clip in place, without its Python-level argument handling
-        np.maximum(A[-1], _LOW, out=A[-1])
-        np.minimum(A[-1], _HIGH, out=A[-1])
+        forward(Xs)
         # sigmoid output + cross-entropy: output delta is yhat - y
         np.subtract(A[-1], Y, out=D[-1])
         for layer in range(n_layers - 1, 0, -1):
-            np.add.reduce(D[layer], axis=1, keepdims=True, out=grad_biases[layer])
-            np.matmul(dTs[layer], A[layer - 1], out=grad_weights[layer])
+            np.add.reduce(D[layer], axis=-2, keepdims=True, out=GBs[layer])
+            dot(dTs[layer], A[layer - 1], out=GWs[layer])
             # the delta below is (delta @ w) * a * (1 - a); Z below is free for 1 - a
             a, delta, one_minus_a = A[layer - 1], D[layer - 1], Z[layer - 1]
-            np.matmul(D[layer], weights[layer], out=delta)
+            dot(D[layer], Ws[layer], out=delta)
             np.multiply(delta, a, out=delta)
             np.subtract(_ONE, a, out=one_minus_a)
             np.multiply(delta, one_minus_a, out=delta)
-        np.add.reduce(D[0], axis=1, keepdims=True, out=grad_biases[0])
+        np.add.reduce(D[0], axis=-2, keepdims=True, out=GBs[0])
         for X, d0T, grad_w in zip(Xs, d0Ts, grad_weights[0]):
-            np.matmul(d0T, X, out=grad_w)
+            dot0(d0T, X, out=grad_w)
 
     return gradients
 
@@ -244,7 +300,7 @@ def backprop_gradients(model: NetworkModel, x, y: float):
     gradients = _step_plan(
         _stack_of_one(model.weights, model.biases), _stack_of_one(grad_w, grad_b), 1, 1
     )
-    gradients([x.reshape(1, -1)], np.asarray([[[float(y)]]]))
+    gradients([x.reshape(1, -1)], np.asarray([[float(y)]]))
     return grad_w, grad_b
 
 
@@ -304,9 +360,11 @@ def train_stack(
     matching one, so the update is three numpy calls for the whole
     stack.  The gradients come from a step plan (``_step_plan``) per
     batch size, built when the stack is packed: at most two, for the
-    full batches and the short last one.  Each element sees the same
-    IEEE operations as in a company-by-company loop, so a company's
-    weights and losses do not depend on which companies share its stack.
+    full batches and the short last one.  The per-epoch loss comes from
+    a loss plan (``_loss_plan``), built then too.  Each element sees
+    the same IEEE operations as in a company-by-company loop, so a
+    company's weights and losses do not depend on which companies share
+    its stack.
 
     Mutates the models and returns one entry per company: its loss
     history (the mean full-training-set loss after each epoch), or the
@@ -349,16 +407,17 @@ def train_stack(
     while live and epoch < epochs:
         stack = [models[c] for c in live]
         params, grads, net, grad_net = _pack(stack)
-        alone = [_stack_of_one(*_company(net, i)) for i in range(len(stack))]
+        losses = _loss_plan(net, [Xs[c] for c in live], [ys[c] for c in live])
         # each epoch's shuffled rows, and every batch's views into them
         X_epoch = [np.empty(Xs[c].shape) for c in live]
         Y_epoch = np.empty((len(stack), n, 1))
+        Y_plan = Y_epoch[0] if len(stack) == 1 else Y_epoch  # the targets' shape in a plan
         plans = {
             m: (_step_plan(net, grad_net, len(stack), m), np.array(float(m)))
             for m in {stop - start for start, stop in batches}
         }
         steps = [
-            ([X[start:stop] for X in X_epoch], Y_epoch[:, start:stop], *plans[stop - start])
+            ([X[start:stop] for X in X_epoch], Y_plan[..., start:stop, :], *plans[stop - start])
             for start, stop in batches
         ]
         try:
@@ -374,8 +433,8 @@ def train_stack(
                     np.multiply(grads, lr, out=grads)
                     np.subtract(params, grads, out=params)
                 diverged = False
-                for c, company_net in zip(live, alone):
-                    loss = _mean_loss(company_net, Xs[c], ys[c])
+                for i, c in enumerate(live):
+                    loss = losses(i)
                     if math.isfinite(loss):
                         results[c].append(loss)
                     else:
@@ -415,8 +474,7 @@ def evaluate(
         raise ValidationError("test set is empty")
     if not 0.0 < threshold < 1.0:
         raise ValidationError("threshold must be in (0, 1)")
-    net = _stack_of_one(model.weights, model.biases)
-    outputs = _forward(net, [np.asarray(test_ds.X, dtype=float)])[-1][0, :, 0]
+    outputs = _forward(model, np.asarray(test_ds.X, dtype=float))[-1][:, 0]
     pred = outputs >= threshold
     actual = np.asarray(test_ds.y, dtype=bool)
     tp = int(np.sum(pred & actual))

@@ -26,7 +26,7 @@ from pricedir.dataset import (
     impute_missing,
     normalize_column,
 )
-from pricedir.ingest import resolve_weekly_date
+from pricedir.errors import DataValidationError
 from pricedir.logit import fit_logit, select_features
 from pricedir.mlp import backprop_gradients, bce_loss, forward, init_network
 from pricedir import pipeline as pipeline_mod
@@ -222,12 +222,22 @@ class TestAcceptance:
         report_line("label-inversion", ok, f"({mismatches} mismatches over 799 rows)")
         assert mismatches == 0
 
-    def test_documented_friday_fallback(self):
-        available = [date(2004, 3, 26), date(2004, 4, 1), date(2004, 4, 8)]
-        resolved = resolve_weekly_date(date(2004, 4, 9), available)
-        ok = resolved == date(2004, 4, 8)
-        report_line("date-fallback", ok, f"(resolved {resolved.isoformat()})")
-        assert resolved == date(2004, 4, 8)
+    def test_documented_friday_fallback(self, tmp_path):
+        # the Friday's file holds the Thursday list; one effective 8 days
+        # earlier would reach into the previous week and is rejected
+        (tmp_path / "constituents_2004-04-09.csv").write_text(
+            "# effective_date=2004-04-08\nticker\nAAA\n"
+        )
+        (resolved,) = pipeline_mod.load_membership_dir(tmp_path)
+        ok = resolved.effective_date == date(2004, 4, 8)
+        report_line("date-fallback", ok, f"(resolved {resolved.effective_date.isoformat()})")
+        assert resolved.requested_date == date(2004, 4, 9)
+        assert resolved.effective_date == date(2004, 4, 8)
+        (tmp_path / "constituents_2004-04-09.csv").write_text(
+            "# effective_date=2004-04-01\nticker\nAAA\n"
+        )
+        with pytest.raises(DataValidationError, match="max 6"):
+            pipeline_mod.load_membership_dir(tmp_path)
 
     def test_normalization_and_imputation_suite(self):
         rng = np.random.default_rng(77)

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from pricedir.errors import (
     DataValidationError,
     ParseError,
-    UnresolvableWeekError,
     ValidationError,
 )
 from pricedir.ingest import (
@@ -18,7 +17,6 @@ from pricedir.ingest import (
     panel_file_text,
     parse_company_panel,
     parse_membership_file,
-    resolve_weekly_date,
 )
 
 from conftest import assert_panels_equal
@@ -89,6 +87,23 @@ class TestParseMembershipFile:
         with pytest.raises(ParseError, match="line 4"):
             parse_membership_file(text, date(2002, 1, 4))
 
+    def test_rows_end_at_newline_only(self):
+        # str.splitlines would break these rows at \x1c and at the form feed
+        text = membership_text("2002-01-04", ["AAA", "AB\x1cCD"])
+        with pytest.raises(ParseError, match=r"line 4: malformed ticker row 'AB\\x1cCD'"):
+            parse_membership_file(text, date(2002, 1, 4), source="m.csv")
+        text = membership_text("2002-01-04", ["A\x0cB", "C D"])
+        with pytest.raises(ParseError, match=r"line 3: malformed ticker row 'A\\x0cB'"):
+            parse_membership_file(text, date(2002, 1, 4), source="m.csv")
+
+    def test_crlf_line_endings(self):
+        text = membership_text("2002-01-04", ["AAA", "BBB"]).replace("\n", "\r\n")
+        snap = parse_membership_file(text, date(2002, 1, 4))
+        assert snap.constituents == frozenset({"AAA", "BBB"})
+        text = membership_text("2002-01-04", ["AAA", "B B"]).replace("\n", "\r\n")
+        with pytest.raises(ParseError, match=r"line 4: malformed ticker row 'B B'$"):
+            parse_membership_file(text, date(2002, 1, 4), source="m.csv")
+
     def test_bad_header_line(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_membership_file("effective=2002-01-04\nticker\nAAA\n", date(2002, 1, 4))
@@ -132,48 +147,6 @@ class TestMembershipSnapshot:
         )
         again = parse_membership_file(membership_file_text(snap), snap.requested_date)
         assert again == snap
-
-
-class TestResolveWeeklyDate:
-    def test_friday_falls_back_to_thursday(self):
-        available = [date(2004, 4, 1), date(2004, 4, 8), date(2004, 4, 15)]
-        assert resolve_weekly_date(date(2004, 4, 9), available) == date(2004, 4, 8)
-
-    def test_requested_date_present(self):
-        available = [date(2004, 4, 2), date(2004, 4, 9)]
-        assert resolve_weekly_date(date(2004, 4, 9), available) == date(2004, 4, 9)
-
-    def test_eight_day_gap_unresolvable(self):
-        # 2004-04-09 minus 2004-04-01 is 8 days, two past the window
-        assert (date(2004, 4, 9) - date(2004, 4, 1)).days == 8
-        with pytest.raises(UnresolvableWeekError):
-            resolve_weekly_date(date(2004, 4, 9), [date(2004, 4, 1)])
-
-    def test_six_day_gap_is_still_inside_window(self):
-        assert resolve_weekly_date(date(2004, 4, 9), [date(2004, 4, 3)]) == date(2004, 4, 3)
-
-    def test_no_earlier_date_at_all(self):
-        with pytest.raises(UnresolvableWeekError):
-            resolve_weekly_date(date(2004, 4, 9), [date(2004, 4, 10)])
-
-    def test_empty_available_rejected(self):
-        with pytest.raises(ValidationError):
-            resolve_weekly_date(date(2004, 4, 9), [])
-
-    @given(
-        offsets=st.lists(st.integers(min_value=0, max_value=2000), min_size=1, max_size=50),
-        req_offset=st.integers(min_value=0, max_value=2000),
-    )
-    def test_idempotent(self, offsets, req_offset):
-        base = date(2002, 1, 4)
-        available = sorted({base + timedelta(days=o) for o in offsets})
-        requested = base + timedelta(days=req_offset)
-        try:
-            resolved = resolve_weekly_date(requested, available)
-        except UnresolvableWeekError:
-            return
-        assert resolve_weekly_date(resolved, available) == resolved
-        assert 0 <= (requested - resolved).days <= 6
 
 
 PANEL_TEXT = """date,price,trades

@@ -202,6 +202,13 @@ class TestBackprop:
         _, gb2 = backprop_gradients(m, [0.4, 0.2], 1.0)
         assert gb1[-1] == pytest.approx(gb2[-1])
 
+    def test_one_row_weight_gradient_sums_from_positive_zero(self):
+        # the residual is negative and the input zero: the one product is -0.0,
+        # and a sum over the batch rows starts at +0.0 (np.matmul's one-row dot)
+        m = NetworkModel([1, 1], [np.array([[0.5]])], [np.zeros(1)])
+        gw, _ = backprop_gradients(m, [0.0], 1.0)
+        assert gw[0].view(np.uint64)[0, 0] == np.array(0.0).view(np.uint64)
+
     @pytest.mark.parametrize("sizes,seed", [([3, 4, 1], 21), ([4, 8, 1], 22)])
     def test_matches_central_finite_differences(self, sizes, seed):
         rng = np.random.default_rng(seed)
@@ -250,7 +257,8 @@ class TestTrain:
                               batch_size=batch_size, seed=n + 1)
         assert losses == ref_losses
         for got, want in zip(model.weights + model.biases, ref_w + ref_b):
-            assert np.array_equal(got, want)
+            # as bits: np.array_equal takes -0.0 for 0.0
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_zero_learning_rate_changes_nothing(self):
         ds = self.planted_ds()
@@ -324,22 +332,30 @@ class TestTrainStack:
         rng = np.random.default_rng(seed)
         X = rng.random((n, width))
         y = (rng.random(n) < X.mean(axis=1)).astype(int)
-        if scale != 1.0:  # signed and huge, so that the loss turns NaN
+        if scale != 1.0:  # signed and large: sigmoids saturate, and at 1e200 the loss turns NaN
             X = (X - 0.5) * scale
         return make_ds(X, y), [width] + hidden + [1]
 
     def assert_same_bits(self, got, want):
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
-            assert np.array_equal(a, b)
+            # as bits: np.array_equal takes -0.0 for 0.0
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
     @pytest.mark.parametrize("hidden", [[8], [4, 3], []])
-    @pytest.mark.parametrize("n,batch_size", [
-        (97, 10),   # short last batch of 7 rows
-        (45, 64),   # batch larger than the training set
+    @pytest.mark.parametrize("n,batch_size,scale", [
+        pytest.param(97, 10, 1.0, id="97-10"),  # short last batch of 7 rows
+        pytest.param(45, 64, 1.0, id="45-64"),  # batch larger than the training set
+        pytest.param(65, 32, 1.0, id="65-32"),  # short last batch of one row
+        pytest.param(97, 10, 1e4, id="saturated"),  # hidden sigmoids at exactly 0.0
     ])
-    def test_matches_solo_train(self, hidden, n, batch_size):
-        companies = [self.company(w, n, 10 + w, hidden) for w in (1, 4, 6)]
+    def test_matches_solo_train(self, hidden, n, batch_size, scale):
+        """The stack runs batched (C, ...) products and solo ``train`` the
+        2-D ones of a stack of one: the same bits either way."""
+        companies = [self.company(w, n, 10 + w, hidden, scale) for w in (1, 4, 6)]
         stacked = [init_network(sizes, seed=w) for (_, sizes), w in zip(companies, (1, 4, 6))]
+        if hidden and scale != 1.0:
+            (ds, _), model = companies[0], stacked[0]
+            assert any(0.0 in forward(model, x)[1][1] for x in ds.X)
         results = train_stack(stacked, [ds for ds, _ in companies], epochs=5,
                               learning_rate=0.7, batch_size=batch_size, seeds=[3, 4, 5])
         for (ds, sizes), model, losses, w, seed in zip(
