@@ -26,7 +26,7 @@ from .ingest import (
     parse_company_panel,
     parse_membership_file,
 )
-from .logit import LogitFit, fit_logit, predict_proba, select_features
+from .logit import LogitFit, fit_logit, select_features
 from .mlp import (
     EvalReport,
     NetworkModel,

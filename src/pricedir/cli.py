@@ -15,9 +15,10 @@ import sys
 from pathlib import Path
 
 from . import dataset as ds_mod
-from . import logit as logit_mod
 from . import mlp as mlp_mod
+from . import pipeline
 from . import synth as synth_mod
+from .cohort import cohort_report
 from .config import (
     ENV_CONFIG_VAR,
     TOP_LEVEL_FIELDS,
@@ -36,12 +37,6 @@ from .errors import (
     PipelineError,
     PricedirError,
     ValidationError,
-)
-from .pipeline import (
-    cohort_report,
-    load_membership_dir,
-    render_report,
-    run_pipeline,
 )
 from .synth import derive_seed
 
@@ -89,11 +84,14 @@ def _load_pipeline_config(args, dotted_by_dest: dict[str, str]) -> PipelineConfi
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text, "utf-8")
-    else:
-        sys.stdout.write(text)
+    """Write ``doc`` as JSON to the ``--out`` file, or to stdout without one."""
+    if not out:
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        return
+    try:
+        pipeline.write_json(Path(out), doc)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: cannot write ({exc.strerror or exc})") from exc
 
 
 def _cmd_synth(args) -> int:
@@ -120,31 +118,27 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_cohort(args) -> int:
-    snapshots = load_membership_dir(args.membership_dir)
+    snapshots = pipeline.load_membership_dir(args.membership_dir)
     doc = cohort_report(snapshots, args.per_group, args.seed, args.allow_deficient)
     _emit(doc, args.out)
     return 0
 
 
 def _cmd_build(args, dotted_by_dest) -> int:
-    from .ingest import parse_company_panel
-    from .pipeline import build_company_dataset, discover_panels, write_dataset
-
     cfg = _load_pipeline_config(args, dotted_by_dest)
-    snapshots = load_membership_dir(cfg.paths.membership_dir)
-    panels = discover_panels(cfg.paths.panels_dir, cfg.tickers)
+    snapshots = pipeline.load_membership_dir(cfg.paths.membership_dir)
+    panels = pipeline.discover_panels(cfg.paths.panels_dir, cfg.tickers)
     out_dir = Path(cfg.paths.output_dir) / "datasets"
     failed = False
     for ticker, path in sorted(panels.items()):
         try:
-            panel = parse_company_panel(path.read_bytes(), ticker, source=str(path))
-            dataset, info = build_company_dataset(panel, snapshots, cfg)
+            dataset, info = pipeline.build_from_file(ticker, path, snapshots, cfg)
         except PricedirError as exc:
             # fail soft, as the pipeline does: report it and build the rest
             print(f"error: {ticker}: {exc}", file=sys.stderr)
             failed = True
             continue
-        write_dataset(out_dir, dataset, info)
+        pipeline.write_dataset(out_dir, dataset, info)
         sys.stdout.write(f"built {ticker}: {dataset.n_rows} rows\n")
     return 2 if failed else 0
 
@@ -167,57 +161,37 @@ def _read_dataset(path: str) -> ds_mod.LabeledDataset:
 
 
 def _cmd_logit(args) -> int:
-    from .pipeline import logit_result_dict
-
     dataset = _read_dataset(args.dataset)
-    fit = logit_mod.fit_logit(
-        dataset.X,
-        dataset.y,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        feature_names=dataset.feature_names,
-    )
-    selected = logit_mod.select_features(fit, args.alpha)
-    _emit(logit_result_dict(dataset.ticker, fit, selected), args.out)
+    logit_cfg = LogitConfig(alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
+    fit, selected = pipeline.fit_and_select(dataset, logit_cfg)
+    _emit(pipeline.logit_result_dict(dataset.ticker, fit, selected), args.out)
     return 0
 
 
 def _cmd_train(args) -> int:
     dataset = _read_dataset(args.dataset)
+    features = dataset.feature_names
     if args.features:
-        dataset = dataset.select_columns([f.strip() for f in args.features.split(",")])
-    train_ds, _ = ds_mod.chronological_split(dataset, args.train_fraction)
-    hidden = MlpConfig().hidden_sizes
+        features = [f.strip() for f in args.features.split(",")]
+    train_ds, _ = pipeline.split_features(dataset, features, args.train_fraction)
+    mlp_cfg = MlpConfig(
+        epochs=args.epochs, learning_rate=args.learning_rate, batch_size=args.batch_size
+    )
     if args.hidden_sizes:
         try:
-            hidden = parse_flag_value(MlpConfig, "hidden_sizes", args.hidden_sizes)
+            mlp_cfg.hidden_sizes = parse_flag_value(MlpConfig, "hidden_sizes", args.hidden_sizes)
         except ValueError as exc:
             raise ConfigError(
                 f"--hidden-sizes: bad value {args.hidden_sizes!r} ({exc})"
             ) from exc
-    sizes = [len(dataset.feature_names)] + hidden + [1]
-    model = mlp_mod.init_network(sizes, derive_seed(args.seed, dataset.ticker, "init"))
+    # --seed is the network seed itself, where pipeline's --seed derives it
+    seeds = pipeline.company_seeds(args.seed, dataset.ticker)
     model, losses = mlp_mod.train(
-        model,
-        train_ds,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        seed=derive_seed(args.seed, dataset.ticker, "train"),
+        mlp_mod.init_network([len(features), *mlp_cfg.hidden_sizes, 1], seeds["init"]),
+        train_ds, mlp_cfg.epochs, mlp_cfg.learning_rate, mlp_cfg.batch_size, seeds["train"],
     )
-    doc = mlp_mod.model_to_dict(
-        model,
-        metadata={
-            "ticker": dataset.ticker,
-            "seed": args.seed,
-            "epochs": args.epochs,
-            "learning_rate": args.learning_rate,
-            "batch_size": args.batch_size,
-            "final_loss": losses[-1],
-            "features": dataset.feature_names,
-        },
-    )
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", "utf-8")
+    doc = pipeline.model_document(model, dataset.ticker, seeds, mlp_cfg, losses[-1], features)
+    _emit(doc, args.out)
     sys.stdout.write(f"trained {dataset.ticker}: final loss {losses[-1]:.6f}\n")
     return 0
 
@@ -226,10 +200,8 @@ def _cmd_evaluate(args) -> int:
     dataset = _read_dataset(args.dataset)
     model_doc = _read_json(args.model, "model")
     model = mlp_mod.model_from_dict(model_doc)
-    features = model_doc.get("metadata", {}).get("features")
-    if features:
-        dataset = dataset.select_columns(features)
-    _, test_ds = ds_mod.chronological_split(dataset, args.train_fraction)
+    features = model_doc.get("metadata", {}).get("features") or dataset.feature_names
+    _, test_ds = pipeline.split_features(dataset, features, args.train_fraction)
     report = mlp_mod.evaluate(model, test_ds, args.threshold)
     _emit(dataclasses.asdict(report), args.out)
     sys.stdout.write(f"{dataset.ticker} | {report.accuracy * 100:.2f}%\n")
@@ -238,15 +210,15 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_pipeline(args, dotted_by_dest) -> int:
     cfg = _load_pipeline_config(args, dotted_by_dest)
-    report = run_pipeline(cfg)
-    sys.stdout.write(render_report(report, "text"))
+    report = pipeline.run_pipeline(cfg)
+    sys.stdout.write(pipeline.render_report(report, "text"))
     return 0
 
 
 def _cmd_report(args) -> int:
     report = _read_json(args.input, "report")
     try:
-        text = render_report(report, args.format)
+        text = pipeline.render_report(report, args.format)
     except DataError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
     sys.stdout.write(text)

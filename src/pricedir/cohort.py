@@ -108,3 +108,30 @@ def sample_cohort(
         picks = rng.permutation(len(members))[:per_group]
         sample.update(members[i] for i in picks)
     return sample
+
+
+def cohort_report(
+    snapshots: list[MembershipSnapshot],
+    per_group: int,
+    seed: int,
+    allow_deficient: bool = False,
+) -> dict:
+    """Counts, equal-width groups, and the sampled cohort as a JSON document."""
+    counts = membership_counts(snapshots)
+    groups = partition_into_fifths(counts)
+    sample = sample_cohort(groups, per_group, seed, allow_deficient)
+    return {
+        "group_boundaries": group_boundaries(counts),
+        "groups": [
+            {
+                "index": g.group_index,
+                "size": len(g.members),
+                "members": sorted(g.members),
+            }
+            for g in groups
+        ],
+        "sample": sorted(sample),
+        "per_group": per_group,
+        "seed": seed,
+        "generator": GENERATOR_NAME,
+    }

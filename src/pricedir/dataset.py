@@ -193,7 +193,9 @@ def trim_timespan(panel: CompanyPanel, required: Sequence[str]) -> CompanyPanel:
     stops = anchors[np.r_[new_run[1:], True]] + 1
     # the last of the longest runs, so ties go to the more recent one
     best = len(starts) - 1 - int(np.argmax((stops - starts)[::-1]))
-    return panel.slice_rows(int(starts[best]), int(stops[best]))
+    start, stop = int(starts[best]), int(stops[best])
+    columns = {name: v[start:stop] for name, v in panel.columns.items()}
+    return CompanyPanel(panel.ticker, panel.dates[start:stop], columns)
 
 
 def normalize_column(values: Sequence[float]) -> tuple[np.ndarray, float, float]:

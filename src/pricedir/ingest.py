@@ -26,14 +26,6 @@ MAX_FALLBACK_DAYS = 6
 EFFECTIVE_DATE_PREFIX = "# effective_date="
 
 
-def parse_iso_date(text: str) -> date:
-    """Parse a YYYY-MM-DD string, raising ValidationError on anything else."""
-    try:
-        return date.fromisoformat(text)
-    except ValueError as exc:
-        raise ValidationError(f"invalid ISO date {text!r}") from exc
-
-
 @dataclass(frozen=True)
 class MembershipSnapshot:
     """One weekly record of which tickers constitute the index.
@@ -120,13 +112,6 @@ class CompanyPanel:
         drop = set(names)
         kept = {n: v for n, v in self.columns.items() if n not in drop}
         return CompanyPanel(self.ticker, self.dates, kept)
-
-    def slice_rows(self, start: int, stop: int) -> "CompanyPanel":
-        return CompanyPanel(
-            self.ticker,
-            self.dates[start:stop],
-            {n: v[start:stop] for n, v in self.columns.items()},
-        )
 
 
 def _as_text(content, source: str) -> str:

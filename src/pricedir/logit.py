@@ -65,10 +65,6 @@ class LogitFit:
     separation_detected: bool
     ll_history: list[float] = field(default_factory=list)
 
-    @property
-    def n_features(self) -> int:
-        return len(self.beta) - 1
-
 
 def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
     # sum(y*eta - log(1 + e^eta)), stable for large |eta|
@@ -214,18 +210,6 @@ def fit_logit(
         separation_detected=separated,
         ll_history=history,
     )
-
-
-def predict_proba(fit: LogitFit, x) -> float:
-    """P(y = 1 | x) for one feature vector, strictly inside (0, 1)."""
-    x = np.asarray(x, dtype=float).ravel()
-    if len(x) != fit.n_features:
-        raise ValidationError(
-            f"expected {fit.n_features} features, got {len(x)}"
-        )
-    eta = fit.beta[0] + float(fit.beta[1:] @ x)
-    p = float(sigmoid(eta))
-    return min(max(p, 1e-15), 1.0 - 1e-15)
 
 
 def select_features(fit: LogitFit, alpha: float) -> list[str]:

@@ -66,6 +66,11 @@ def init_network(layer_sizes, seed: int) -> NetworkModel:
     return NetworkModel(sizes, weights, biases)
 
 
+def _check_width(model: NetworkModel, width: int, what: str) -> None:
+    if width != model.layer_sizes[0]:
+        raise ValidationError(f"model expects {model.layer_sizes[0]} features, {what} has {width}")
+
+
 def _stack_views(flat: np.ndarray, widths, sizes) -> tuple[list, list[np.ndarray]]:
     """(weights, biases) views for C companies' parameters in one flat vector.
 
@@ -92,11 +97,6 @@ def _stack_views(flat: np.ndarray, widths, sizes) -> tuple[list, list[np.ndarray
         biases.append(flat[start:stop].reshape(n_companies, 1, fan_out))
         start = stop
     return weights, biases
-
-
-def _stack_of_one(weights, biases) -> tuple[list, list[np.ndarray]]:
-    """One network's (weights, biases) as a stack of one: views, no copy."""
-    return [[weights[0]]] + [w[None] for w in weights[1:]], [b[None, None] for b in biases]
 
 
 def _company(net, c: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -182,10 +182,7 @@ def _forward(model: NetworkModel, X: np.ndarray) -> list[np.ndarray]:
 def forward(model: NetworkModel, x) -> tuple[float, list[np.ndarray]]:
     """Single-sample forward pass returning (output, cached activations)."""
     x = np.asarray(x, dtype=float).ravel()
-    if len(x) != model.layer_sizes[0]:
-        raise ValidationError(
-            f"expected {model.layer_sizes[0]} inputs, got {len(x)}"
-        )
+    _check_width(model, len(x), "the input")
     if not np.all(np.isfinite(x)):
         raise ValidationError("input contains non-finite values")
     acts = _forward(model, x.reshape(1, -1))
@@ -289,19 +286,12 @@ def _step_plan(net, grad_net, n_companies: int, m: int):
 def backprop_gradients(model: NetworkModel, x, y: float):
     """Exact loss gradients for one sample (target may be fractional)."""
     x = np.asarray(x, dtype=float).ravel()
-    if len(x) != model.layer_sizes[0]:
-        raise ValidationError(
-            f"expected {model.layer_sizes[0]} inputs, got {len(x)}"
-        )
+    _check_width(model, len(x), "the input")
     if not 0.0 <= y <= 1.0:
         raise ValidationError("target must lie in [0, 1]")
-    grad_w = [np.empty_like(w) for w in model.weights]
-    grad_b = [np.empty_like(b) for b in model.biases]
-    gradients = _step_plan(
-        _stack_of_one(model.weights, model.biases), _stack_of_one(grad_w, grad_b), 1, 1
-    )
-    gradients([x.reshape(1, -1)], np.asarray([[float(y)]]))
-    return grad_w, grad_b
+    _, _, net, grad_net = _pack([model])
+    _step_plan(net, grad_net, 1, 1)([x.reshape(1, -1)], np.asarray([[float(y)]]))
+    return _company(grad_net, 0)
 
 
 def _pack(models) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
@@ -386,11 +376,7 @@ def train_stack(
     if not 0.0 <= learning_rate < math.inf:
         raise ValidationError("learning_rate must be finite and non-negative")
     for model, ds in zip(models, datasets):
-        if ds.X.shape[1] != model.layer_sizes[0]:
-            raise ValidationError(
-                f"model expects {model.layer_sizes[0]} features, "
-                f"dataset has {ds.X.shape[1]}"
-            )
+        _check_width(model, ds.X.shape[1], "the dataset")
         if model.layer_sizes[1:] != models[0].layer_sizes[1:]:
             raise ValidationError(
                 f"stacked models differ past the input: {model.layer_sizes[1:]} "
@@ -474,7 +460,9 @@ def evaluate(
         raise ValidationError("test set is empty")
     if not 0.0 < threshold < 1.0:
         raise ValidationError("threshold must be in (0, 1)")
-    outputs = _forward(model, np.asarray(test_ds.X, dtype=float))[-1][:, 0]
+    X = np.asarray(test_ds.X, dtype=float)
+    _check_width(model, X.shape[-1], "the test set")
+    outputs = _forward(model, X)[-1][:, 0]
     pred = outputs >= threshold
     actual = np.asarray(test_ds.y, dtype=bool)
     tp = int(np.sum(pred & actual))
@@ -512,11 +500,22 @@ def _model_entries(data: dict, key: str, convert) -> list:
 
 
 def model_from_dict(data: dict) -> NetworkModel:
-    """Inverse of ``model_to_dict``; NetworkModel checks that the shapes chain."""
+    """Inverse of ``model_to_dict``; NetworkModel checks that the shapes chain.
+
+    ``metadata``, when present, must be an object, and its ``features``
+    a list of column names.
+    """
     if not isinstance(data, dict):
         raise ValidationError("model document must be a JSON object")
-    return NetworkModel(
+    model = NetworkModel(
         _model_entries(data, "layer_sizes", int),
         _model_entries(data, "weights", lambda w: np.asarray(w, dtype=float)),
         _model_entries(data, "biases", lambda b: np.asarray(b, dtype=float)),
     )
+    metadata = data.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValidationError("model document key 'metadata' must be an object")
+    features = metadata.get("features", [])
+    if not (isinstance(features, list) and all(isinstance(f, str) for f in features)):
+        raise ValidationError("model metadata key 'features' must be a list of strings")
+    return model

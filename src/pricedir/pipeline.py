@@ -2,13 +2,15 @@
 
 For every company panel: ingest, dataset build, logistic fit on all
 features, significance selection, network training on the selected
-features only, held-out evaluation.  Training runs once every company
-is prepared, one stack per training-row count.  Preparing and training
-run on one forked worker process per CPU.  One bad company never aborts
-the batch; it becomes a failure entry in the report.  Output is fully
-deterministic for a fixed config and inputs, whatever the worker count
-(company order is stabilized by ticker, seeds are derived per company,
-no timestamps).
+features only, held-out evaluation.  Each stage is one public function
+(``build_from_file``, ``fit_and_select``, ``split_features``,
+``company_seeds``, ``model_document``) that the step-by-step
+subcommands call too.  Training runs once every company is prepared,
+one stack per training-row count.  Preparing and training run on one
+forked worker process per CPU.  One bad company never aborts the batch;
+it becomes a failure entry in the report.  Output is fully deterministic
+for a fixed config and inputs, whatever the worker count (company order
+is stabilized by ticker, seeds are derived per company, no timestamps).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from . import cohort as cohort_mod
 from . import dataset as ds_mod
 from . import logit as logit_mod
 from . import mlp as mlp_mod
-from .config import TARGET_DIRECTION, PipelineConfig
+from .config import TARGET_DIRECTION, LogitConfig, MlpConfig, PipelineConfig
 from .errors import (
     ConfigError,
     DataError,
@@ -155,6 +157,67 @@ def build_company_dataset(
     return dataset, info
 
 
+def build_from_file(
+    ticker: str, path: Path, snapshots: list[MembershipSnapshot], cfg: PipelineConfig
+) -> tuple[ds_mod.LabeledDataset, dict]:
+    """Parse one company's panel file and build its dataset: ``(dataset, info)``."""
+    panel = parse_company_panel(path.read_bytes(), ticker, source=str(path))
+    return build_company_dataset(panel, snapshots, cfg)
+
+
+def fit_and_select(
+    dataset: ds_mod.LabeledDataset, logit_cfg: LogitConfig
+) -> tuple[logit_mod.LogitFit, list[str]]:
+    """Fit the logit on every feature and keep those with p < alpha."""
+    fit = logit_mod.fit_logit(
+        dataset.X,
+        dataset.y,
+        max_iter=logit_cfg.max_iter,
+        tol=logit_cfg.tol,
+        feature_names=dataset.feature_names,
+    )
+    return fit, logit_mod.select_features(fit, logit_cfg.alpha)
+
+
+def split_features(
+    dataset: ds_mod.LabeledDataset, features: list[str], train_fraction: float
+) -> tuple[ds_mod.LabeledDataset, ds_mod.LabeledDataset]:
+    """The network's columns of ``dataset``, split into (train, test) by time."""
+    return ds_mod.chronological_split(dataset.select_columns(features), train_fraction)
+
+
+def company_seeds(mlp_seed: int, ticker: str) -> dict[str, int]:
+    """A company's network seeds: ``init`` for the weights, ``train`` for the shuffle."""
+    return {
+        "init": derive_seed(mlp_seed, ticker, "init"),
+        "train": derive_seed(mlp_seed, ticker, "train"),
+    }
+
+
+def model_document(
+    model: mlp_mod.NetworkModel,
+    ticker: str,
+    seeds: dict[str, int],
+    mlp_cfg: MlpConfig,
+    final_loss: float,
+    features: list[str],
+) -> dict:
+    """A trained company's ``models/<ticker>.json`` document."""
+    return mlp_mod.model_to_dict(
+        model,
+        metadata={
+            "ticker": ticker,
+            "init_seed": seeds["init"],
+            "shuffle_seed": seeds["train"],
+            "epochs": mlp_cfg.epochs,
+            "learning_rate": mlp_cfg.learning_rate,
+            "batch_size": mlp_cfg.batch_size,
+            "final_loss": final_loss,
+            "features": features,
+        },
+    )
+
+
 def _json_float(value) -> float | None:
     value = float(value)
     return value if math.isfinite(value) else None
@@ -202,7 +265,12 @@ def write_dataset(datasets_dir: Path, dataset: ds_mod.LabeledDataset, info: dict
             for name, m in dataset.column_meta.items()
         },
     }
-    write_atomic(datasets_dir / f"{ticker}.meta.json", json.dumps(meta, indent=2) + "\n")
+    write_json(datasets_dir / f"{ticker}.meta.json", meta)
+
+
+def write_json(path: Path, doc) -> None:
+    """Write ``doc`` as indented JSON with a final newline, atomically."""
+    write_atomic(path, json.dumps(doc, indent=2) + "\n")
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -246,20 +314,10 @@ def _prepare(
     """Parse, build, fit the logit, select and split one company, then
     write its ``datasets/`` and ``logit/`` files (only once all of that
     succeeded, so a company that fails here leaves no file)."""
-    panel = parse_company_panel(path.read_bytes(), ticker, source=str(path))
-    dataset, build_info = build_company_dataset(panel, snapshots, cfg)
-    fit = logit_mod.fit_logit(
-        dataset.X,
-        dataset.y,
-        max_iter=cfg.logit.max_iter,
-        tol=cfg.logit.tol,
-        feature_names=dataset.feature_names,
-    )
-    selected = logit_mod.select_features(fit, cfg.logit.alpha)
-    fallback_used = False
-    if selected:
-        mlp_features = selected
-    else:
+    dataset, build_info = build_from_file(ticker, path, snapshots, cfg)
+    fit, selected = fit_and_select(dataset, cfg.logit)
+    mlp_features = selected
+    if not selected:
         fallback = set(CANONICAL_FALLBACK_FEATURES)
         mlp_features = [f for f in dataset.feature_names if f in fallback]
         if not mlp_features:
@@ -267,16 +325,13 @@ def _prepare(
                 f"{ticker}: no significant features and no canonical fallback "
                 f"columns present"
             )
-        fallback_used = True
-
-    subset = dataset.select_columns(mlp_features)
-    train_ds, test_ds = ds_mod.chronological_split(subset, cfg.dataset.train_fraction)
+    train_ds, test_ds = split_features(dataset, mlp_features, cfg.dataset.train_fraction)
 
     write_dataset(out_dir / "datasets", dataset, build_info)
     logit_doc = logit_result_dict(ticker, fit, selected)
     logit_dir = out_dir / "logit"
     logit_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(logit_dir / f"{ticker}.json", json.dumps(logit_doc, indent=2) + "\n")
+    write_json(logit_dir / f"{ticker}.json", logit_doc)
     fields = {
         "n_rows": dataset.n_rows,
         "n_train": train_ds.n_rows,
@@ -285,12 +340,9 @@ def _prepare(
         "dropped_columns": build_info["dropped_columns"],
         "logit": logit_doc,
         "selected": selected,
-        "fallback_used": fallback_used,
+        "fallback_used": not selected,
         "mlp_features": mlp_features,
-        "seeds": {
-            "init": derive_seed(cfg.mlp.seed, ticker, "init"),
-            "train": derive_seed(cfg.mlp.seed, ticker, "train"),
-        },
+        "seeds": company_seeds(cfg.mlp.seed, ticker),
     }
     return _Prepared(
         ticker, fields, _Split(train_ds.X, train_ds.y), _Split(test_ds.X, test_ds.y)
@@ -307,22 +359,12 @@ def _finish(
     """Evaluate one trained company, write its ``models/`` file and return its report entry."""
     report = mlp_mod.evaluate(model, company.test, cfg.mlp.threshold)
     fields = company.fields
-    model_doc = mlp_mod.model_to_dict(
-        model,
-        metadata={
-            "ticker": company.ticker,
-            "init_seed": fields["seeds"]["init"],
-            "shuffle_seed": fields["seeds"]["train"],
-            "epochs": cfg.mlp.epochs,
-            "learning_rate": cfg.mlp.learning_rate,
-            "batch_size": cfg.mlp.batch_size,
-            "final_loss": loss_history[-1],
-            "features": fields["mlp_features"],
-        },
+    model_doc = model_document(
+        model, company.ticker, fields["seeds"], cfg.mlp, loss_history[-1], fields["mlp_features"]
     )
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(models_dir / f"{company.ticker}.json", json.dumps(model_doc, indent=2) + "\n")
+    write_json(models_dir / f"{company.ticker}.json", model_doc)
     return {
         "ticker": company.ticker,
         "status": "ok",
@@ -541,30 +583,3 @@ def _report_table(report: dict) -> str:
         lines.append("Failed companies:")
         lines.extend(f"  {c['ticker']}: {c['error']}" for c in failed)
     return "\n".join(lines) + "\n"
-
-
-def cohort_report(
-    snapshots: list[MembershipSnapshot],
-    per_group: int,
-    seed: int,
-    allow_deficient: bool = False,
-) -> dict:
-    """Counts, equal-width groups, and the sampled cohort as a JSON document."""
-    counts = cohort_mod.membership_counts(snapshots)
-    groups = cohort_mod.partition_into_fifths(counts)
-    sample = cohort_mod.sample_cohort(groups, per_group, seed, allow_deficient)
-    return {
-        "group_boundaries": cohort_mod.group_boundaries(counts),
-        "groups": [
-            {
-                "index": g.group_index,
-                "size": len(g.members),
-                "members": sorted(g.members),
-            }
-            for g in groups
-        ],
-        "sample": sorted(sample),
-        "per_group": per_group,
-        "seed": seed,
-        "generator": cohort_mod.GENERATOR_NAME,
-    }

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from pricedir.cli import main
+from pricedir.cohort import cohort_report
 from pricedir.config import PipelineConfig, apply_overrides, config_from_dict, load_config
 from pricedir.errors import ConfigError, DataError, PipelineError, ValidationError
 from pricedir import mlp as mlp_mod
@@ -17,7 +18,6 @@ from pricedir import pipeline as pipeline_mod
 from pricedir.ingest import parse_company_panel
 from pricedir.pipeline import (
     build_company_dataset,
-    cohort_report,
     load_membership_dir,
     render_report,
     run_pipeline,
@@ -61,6 +61,12 @@ def tiny_dataset(tmp_path_factory):
 # keep a run to a few steps, and malformed strings.
 MALFORMED = st.sampled_from(["", " ", "x", "1.5", "1e1", "0x2", "-", "[1]", "2,"])
 HIDDEN_SIZES = st.lists(st.integers(min_value=-1, max_value=5), max_size=3)
+
+
+# A one-layer model for the 2-feature ``tiny_dataset``, and one 3 inputs wide.
+TINY_MODEL = {"layer_sizes": [2, 1], "weights": [[[0.5, 0.5]]], "biases": [[0.0]], "metadata": {}}
+WIDE_MODEL = {**TINY_MODEL, "layer_sizes": [3, 1], "weights": [[[0.5, 0.5, 0.5]]]}
+EVALUATE = ["evaluate", "--dataset", "{data}", "--model", "{model}"]
 
 
 def mostly(good):
@@ -616,6 +622,75 @@ class TestCli:
         no_sizes.write_text(json.dumps({"weights": [], "biases": []}))
         assert main(["evaluate", "--dataset", str(dataset), "--model", str(no_sizes)]) == 1
         assert "layer_sizes" in capsys.readouterr().err
+
+    def test_step_by_step_reproduces_pipeline(self, fixture, tmp_path, capsys):
+        """build, logit, train on logit's selection, evaluate: the pipeline's files."""
+        root, _ = fixture
+        base = [
+            "--paths.membership_dir", str(root / "membership"),
+            "--paths.panels_dir", str(root / "panels"),
+            "--tickers", "C000",
+        ]
+        piped = tmp_path / "piped"
+        assert main(["pipeline", *base, "--paths.output_dir", str(piped),
+                     "--mlp.epochs", "40"]) == 0
+        assert main(["build", *base, "--paths.output_dir", str(tmp_path / "built")]) == 0
+        dataset = str(tmp_path / "built" / "datasets" / "C000.csv")
+        logit_file, model_file, eval_file = (
+            tmp_path / name for name in ("logit.json", "model.json", "eval.json")
+        )
+        assert main(["logit", "--dataset", dataset, "--out", str(logit_file)]) == 0
+        selected = json.loads(logit_file.read_text())["selected"]
+        assert selected  # so the pipeline trains on it, not on the fallback
+        assert main(["train", "--dataset", dataset, "--out", str(model_file),
+                     "--epochs", "40", "--features", ",".join(selected)]) == 0
+        assert main(["evaluate", "--dataset", dataset, "--model", str(model_file),
+                     "--out", str(eval_file)]) == 0
+        assert logit_file.read_bytes() == (piped / "logit" / "C000.json").read_bytes()
+        assert model_file.read_bytes() == (piped / "models" / "C000.json").read_bytes()
+        (entry,) = json.loads((piped / "report.json").read_text())["companies"]
+        assert eval_file.read_text() == json.dumps(entry["eval"], indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv, model, named", [
+        pytest.param(EVALUATE, WIDE_MODEL, "model expects 3 features", id="model-width"),
+        pytest.param(EVALUATE, {**TINY_MODEL, "metadata": []}, "'metadata'",
+                     id="metadata-not-object"),
+        pytest.param(EVALUATE, {**TINY_MODEL, "metadata": {"features": 7}}, "'features'",
+                     id="features-not-names"),
+        pytest.param(["train", "--dataset", "{data}", "--epochs", "1", "--out", "{missing}"],
+                     TINY_MODEL, "--out {missing}", id="train-out"),
+        pytest.param(["logit", "--dataset", "{data}", "--out", "{taken}"],
+                     TINY_MODEL, "--out {taken}", id="logit-out"),
+        pytest.param([*EVALUATE, "--out", "{missing}"], TINY_MODEL, "--out {missing}",
+                     id="evaluate-out"),
+        pytest.param(["cohort", "--membership-dir", "{membership}", "--per-group", "1",
+                      "--allow-deficient", "--out", "{taken}"],
+                     TINY_MODEL, "--out {taken}", id="cohort-out"),
+    ])
+    def test_malformed_input_exits_1_naming_it(
+        self, fixture, tiny_dataset, tmp_path, capsys, argv, model, named
+    ):
+        """A malformed model file or an unwritable ``--out`` (a missing
+        directory, or a directory in the file's place) exits 1 with a
+        message that names it, and leaves no file behind."""
+        root, _ = fixture
+        paths = {
+            "data": tiny_dataset,
+            "model": tmp_path / "model.json",
+            "missing": tmp_path / "no_such_dir" / "out.json",
+            "taken": tmp_path / "taken",
+            "membership": root / "membership",
+        }
+        paths["model"].write_text(json.dumps(model))
+        paths["taken"].mkdir()
+
+        def fill(text):
+            return text.format(**{key: str(path) for key, path in paths.items()})
+
+        assert main([fill(arg) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fill(named) in err
+        assert sorted(f.name for f in tmp_path.rglob("*")) == ["model.json", "taken"]
 
     def test_build_and_pipeline_write_identical_datasets(self, fixture, tmp_path, capsys):
         root, _ = fixture
