@@ -161,8 +161,8 @@ def _read_dataset(path: str) -> ds_mod.LabeledDataset:
 
 
 def _cmd_logit(args) -> int:
+    logit_cfg = LogitConfig(alpha=args.alpha, tol=args.tol, max_iter=args.max_iter).validate()
     dataset = _read_dataset(args.dataset)
-    logit_cfg = LogitConfig(alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
     fit, selected = pipeline.fit_and_select(dataset, logit_cfg)
     _emit(pipeline.logit_result_dict(dataset.ticker, fit, selected), args.out)
     return 0

@@ -45,6 +45,15 @@ class LogitConfig:
     tol: float = 1e-8
     max_iter: int = 100
 
+    def validate(self) -> "LogitConfig":
+        if not 0.0 < self.alpha <= 1.0:
+            raise ConfigError("logit.alpha must be in (0, 1]")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError("logit.tol must be finite and > 0")
+        if self.max_iter < 1:
+            raise ConfigError("logit.max_iter must be >= 1")
+        return self
+
 
 @dataclass
 class MlpConfig:
@@ -71,10 +80,7 @@ class PipelineConfig:
             raise ConfigError("dataset.train_fraction must be in (0, 1)")
         if not 0.0 <= ds.max_missing_fraction <= 1.0:
             raise ConfigError("dataset.max_missing_fraction must be in [0, 1]")
-        if not 0.0 < self.logit.alpha <= 1.0:
-            raise ConfigError("logit.alpha must be in (0, 1]")
-        if self.logit.max_iter < 1 or not 0.0 < self.logit.tol < math.inf:
-            raise ConfigError("logit.max_iter must be >= 1 and logit.tol finite and > 0")
+        self.logit.validate()
         mlp = self.mlp
         if not 0.0 < mlp.threshold < 1.0:
             raise ConfigError("mlp.threshold must be in (0, 1)")

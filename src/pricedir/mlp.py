@@ -47,13 +47,19 @@ class NetworkModel:
                 )
 
 
+def _check_sizes(sizes, what: str) -> list[int]:
+    """``sizes`` as a list, if it is a list or tuple of positive integers
+    (``True`` is not one); else a ValidationError that names ``what``."""
+    if not isinstance(sizes, (list, tuple)) or any(type(s) is not int or s < 1 for s in sizes):
+        raise ValidationError(f"{what} must be a list of positive integers: {sizes!r}")
+    return list(sizes)
+
+
 def init_network(layer_sizes, seed: int) -> NetworkModel:
     """Seeded uniform init: weights in [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases 0."""
-    sizes = list(layer_sizes)
+    sizes = _check_sizes(layer_sizes, "layer sizes")
     if len(sizes) < 2:
         raise ValidationError("need at least an input and an output layer")
-    if any((not isinstance(s, int)) or s <= 0 for s in sizes):
-        raise ValidationError(f"layer sizes must be positive integers: {sizes}")
     if sizes[-1] != 1:
         raise ValidationError("final layer must have exactly 1 unit")
     rng = np.random.default_rng(seed)
@@ -490,27 +496,33 @@ def model_to_dict(model: NetworkModel, metadata: dict | None = None) -> dict:
     }
 
 
-def _model_entries(data: dict, key: str, convert) -> list:
-    if key not in data:
-        raise ValidationError(f"model document has no {key!r} key")
+def _model_arrays(data: dict, key: str) -> list[np.ndarray]:
+    """The ``weights`` or ``biases`` of a model document: finite float arrays."""
     try:
-        return [convert(v) for v in data[key]]
+        arrays = [np.asarray(v, dtype=float) for v in data[key]]
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"model document key {key!r} is malformed: {exc}") from exc
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValidationError(f"model document key {key!r} holds a non-finite number")
+    return arrays
 
 
 def model_from_dict(data: dict) -> NetworkModel:
     """Inverse of ``model_to_dict``; NetworkModel checks that the shapes chain.
 
-    ``metadata``, when present, must be an object, and its ``features``
+    ``layer_sizes`` must be a list of positive integers, and every weight
+    and bias a finite number.  ``metadata``, when present, must be an object, and its ``features``
     a list of column names.
     """
     if not isinstance(data, dict):
         raise ValidationError("model document must be a JSON object")
+    for key in ("layer_sizes", "weights", "biases"):
+        if key not in data:
+            raise ValidationError(f"model document has no {key!r} key")
     model = NetworkModel(
-        _model_entries(data, "layer_sizes", int),
-        _model_entries(data, "weights", lambda w: np.asarray(w, dtype=float)),
-        _model_entries(data, "biases", lambda b: np.asarray(b, dtype=float)),
+        _check_sizes(data["layer_sizes"], "model document key 'layer_sizes'"),
+        _model_arrays(data, "weights"),
+        _model_arrays(data, "biases"),
     )
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):

@@ -5,12 +5,15 @@ features, significance selection, network training on the selected
 features only, held-out evaluation.  Each stage is one public function
 (``build_from_file``, ``fit_and_select``, ``split_features``,
 ``company_seeds``, ``model_document``) that the step-by-step
-subcommands call too.  Training runs once every company is prepared,
-one stack per training-row count.  Preparing and training run on one
-forked worker process per CPU.  One bad company never aborts the batch;
-it becomes a failure entry in the report.  Output is fully deterministic
-for a fixed config and inputs, whatever the worker count (company order
-is stabilized by ticker, seeds are derived per company, no timestamps).
+subcommands call too.  A run has two phases, each on one forked worker
+process per CPU: prepare every company, then train each stack of
+companies with the same training-row count and evaluate them.  The
+worker that trains a company also writes its model; the calling
+process writes only the report.  One bad company never aborts the
+batch; it becomes a failure entry in the report.  Output is fully
+deterministic for a fixed config and inputs, whatever the worker count
+(company order is stabilized by ticker, seeds are derived per company,
+no timestamps).
 """
 
 from __future__ import annotations
@@ -64,6 +67,15 @@ CANONICAL_FALLBACK_FEATURES = [
 ]
 
 
+def _read_input(path: Path) -> bytes:
+    """The bytes of an input file; one that cannot be read (a directory
+    in its place, say) is a DataError that names it."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+
+
 def load_membership_dir(path: str | Path) -> list[MembershipSnapshot]:
     """Parse every ``constituents_<requested-date>.csv`` in a directory."""
     path = Path(path)
@@ -72,15 +84,16 @@ def load_membership_dir(path: str | Path) -> list[MembershipSnapshot]:
     snapshots = []
     # names sorted as strings: in one directory, the order Path sorting gives
     for name in sorted(name for name in os.listdir(path) if name.endswith(".csv")):
-        file = str(path / name)
+        file = path / name
         match = MEMBERSHIP_FILE_RE.match(name)
         if not match:
             raise DataError(
                 f"{file}: membership files must be named constituents_YYYY-MM-DD.csv"
             )
         requested = date.fromisoformat(match.group(1))
-        with open(file, "rb") as stream:
-            snapshots.append(parse_membership_file(stream, requested, source=file))
+        snapshots.append(
+            parse_membership_file(_read_input(file), requested, source=str(file))
+        )
     if not snapshots:
         raise DataError(f"no membership files in {path}")
     return snapshots
@@ -161,7 +174,7 @@ def build_from_file(
     ticker: str, path: Path, snapshots: list[MembershipSnapshot], cfg: PipelineConfig
 ) -> tuple[ds_mod.LabeledDataset, dict]:
     """Parse one company's panel file and build its dataset: ``(dataset, info)``."""
-    panel = parse_company_panel(path.read_bytes(), ticker, source=str(path))
+    panel = parse_company_panel(_read_input(path), ticker, source=str(path))
     return build_company_dataset(panel, snapshots, cfg)
 
 
@@ -383,15 +396,9 @@ def _finish(
 
 
 # The run in progress as a worker sees it, ``(snapshots, cfg, out_dir)``:
-# set by the pool initializer in each forked worker, so fork hands the
-# snapshots over without pickling them, or in this process for the
-# length of an in-process run.
+# set by ``_workers`` for the length of a run and before the pool forks,
+# so fork hands the snapshots to every worker without pickling them.
 _run: tuple = ()
-
-
-def _set_run(*run) -> None:
-    global _run
-    _run = run
 
 
 def _cpu_count() -> int:
@@ -404,63 +411,60 @@ def _cpu_count() -> int:
 
 @contextlib.contextmanager
 def _workers(n_tasks: int, *run):
-    """Yield ``(map, workers)`` for the run's task functions.
+    """Yield ``(map, workers)`` for the run's task functions, with ``run`` set.
 
     One worker per CPU, at most one per task.  Several workers are
-    processes forked with ``run`` set; one worker is this process and the
-    builtin ``map``.  Either way the results come back in task order.
+    processes forked at the first ``map``; one worker is this process and
+    the builtin ``map``.  Either way the results come back in task order.
     """
+    global _run
     workers = min(_cpu_count(), n_tasks)
-    if workers <= 1:
-        _set_run(*run)
-        try:
+    _run = run
+    try:
+        if workers <= 1:
             yield map, 1
-        finally:
-            _set_run()
-        return
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_run,
-        initargs=run,
-    ) as pool:
-        yield pool.map, workers
+        else:
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                yield pool.map, workers
+    finally:
+        _run = ()
 
 
-def _failure(exc: Exception, tickers: list[str]) -> str:
-    """The report's error text for an exception that stopped these companies.
+def _failed(exc: Exception, tickers: list[str]) -> list[dict]:
+    """The report entries of the companies that this exception stopped.
 
-    A PricedirError describes bad input and is its own text.  Any other
-    exception is a fault in the program: its traceback goes to stderr
-    and the text names its type.  Only the text crosses back from a
-    worker, so the report does not depend on how an exception pickles.
+    A PricedirError describes bad input and is its own error text.  Any
+    other exception is a fault in the program: its traceback goes to
+    stderr and the text names its type.  Only the entries cross back
+    from a worker, so the report does not depend on how an exception
+    pickles.
     """
     if isinstance(exc, PricedirError):
-        return str(exc)
-    sys.stderr.write(
-        f"{', '.join(tickers)}: unexpected error\n"
-        + "".join(traceback.format_exception(exc))
-    )
-    return f"{type(exc).__name__}: {exc}"
+        error = str(exc)
+    else:
+        sys.stderr.write(
+            f"{', '.join(tickers)}: unexpected error\n"
+            + "".join(traceback.format_exception(exc))
+        )
+        error = f"{type(exc).__name__}: {exc}"
+    return [{"ticker": ticker, "status": "failed", "error": error} for ticker in tickers]
 
 
-def _failed(ticker: str, error: str) -> dict:
-    return {"ticker": ticker, "status": "failed", "error": error}
-
-
-def _prepare_task(item: tuple[str, Path]) -> _Prepared | str:
-    """Phase 1 for one company: its ``_Prepared``, or its error text."""
+def _prepare_task(item: tuple[str, Path]) -> _Prepared | list[dict]:
+    """Phase 1 for one company: its ``_Prepared``, or ``[its failure entry]``."""
     ticker, path = item
     try:
         return _prepare(ticker, path, *_run)
     except Exception as exc:  # one company's fault must not stop the batch
-        return _failure(exc, [ticker])
+        return _failed(exc, [ticker])
 
 
-def _train_task(part: list[_Prepared]) -> list[tuple[mlp_mod.NetworkModel, list[float]] | str]:
-    """Phase 2 for companies with one training-row count: for each, its
-    trained model and loss history, or its error text."""
-    cfg = _run[1]
+def _train_task(part: list[_Prepared]) -> list[dict]:
+    """Phase 2 for companies with one training-row count: train them in
+    one stack, then evaluate each and write its ``models/`` file.
+    Returns their report entries."""
+    _, cfg, out_dir = _run
     models = [
         mlp_mod.init_network(
             [len(c.fields["mlp_features"]), *cfg.mlp.hidden_sizes, 1],
@@ -478,21 +482,26 @@ def _train_task(part: list[_Prepared]) -> list[tuple[mlp_mod.NetworkModel, list[
             seeds=[c.fields["seeds"]["train"] for c in part],
         )
     except Exception as exc:  # one stack's fault must not stop the batch
-        return [_failure(exc, [c.ticker for c in part])] * len(part)
-    return [
-        str(outcome) if isinstance(outcome, TrainingDivergedError) else (model, outcome)
-        for model, outcome in zip(models, outcomes)
-    ]
+        return _failed(exc, [c.ticker for c in part])
+    entries = []
+    for company, model, outcome in zip(part, models, outcomes):
+        try:
+            if isinstance(outcome, TrainingDivergedError):
+                raise outcome
+            entries.append(_finish(company, model, outcome, cfg, out_dir))
+        except Exception as exc:  # one company's fault must not stop the batch
+            entries += _failed(exc, [company.ticker])
+    return entries
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run every company in the panels directory and write the report.
 
-    Three phases: prepare each company (parse, build, logit, select,
-    split, write ``datasets/`` and ``logit/``), train every company with
-    the same training-row count in one ``mlp.train_stack`` call, then
-    evaluate and write each model.  The first two run on one worker
-    process per CPU; the output bytes do not depend on how many.
+    Two phases, each on one worker process per CPU: prepare each company
+    (parse, build, logit, select, split, write ``datasets/`` and
+    ``logit/``), then train every company with the same training-row
+    count in one ``mlp.train_stack`` call, evaluate each and write its
+    model.  The output bytes do not depend on how many workers run.
     Per-company failures are recorded and skipped; zero successes
     raises PipelineError.  Returns the report document (also written as
     report.json and report.txt under the output directory).
@@ -503,33 +512,23 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     out_dir = Path(cfg.paths.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    entries: dict[str, dict] = {}
+    results: list[dict] = []
     stacks: dict[int, list[_Prepared]] = {}
     with _workers(len(panels), snapshots, cfg, out_dir) as (run_map, workers):
-        for (ticker, _), company in zip(panels, run_map(_prepare_task, panels)):
-            if isinstance(company, str):
-                entries[ticker] = _failed(ticker, company)
-            else:
+        for company in run_map(_prepare_task, panels):
+            if isinstance(company, _Prepared):
                 stacks.setdefault(len(company.train.y), []).append(company)
+            else:
+                results += company
         # A company's bits do not depend on which companies share its
         # stack, so cutting stacks into one part per worker changes no byte.
         parts = []
         for stack in stacks.values():
             k = min(workers, len(stack))
             parts += [stack[i * len(stack) // k : (i + 1) * len(stack) // k] for i in range(k)]
-        trained = list(run_map(_train_task, parts))
-    for part, outcomes in zip(parts, trained):
-        for company, outcome in zip(part, outcomes):
-            if isinstance(outcome, str):
-                entries[company.ticker] = _failed(company.ticker, outcome)
-                continue
-            try:
-                entries[company.ticker] = _finish(company, *outcome, cfg, out_dir)
-            except Exception as exc:  # one company's fault must not stop the batch
-                entries[company.ticker] = _failed(
-                    company.ticker, _failure(exc, [company.ticker])
-                )
-    results = [entries[ticker] for ticker in sorted(entries)]
+        for entries in run_map(_train_task, parts):
+            results += entries
+    results.sort(key=lambda r: r["ticker"])
 
     ok = [r for r in results if r["status"] == "ok"]
     if not ok:

@@ -12,7 +12,13 @@ from hypothesis import event, given, settings, strategies as st
 from pricedir.cli import main
 from pricedir.cohort import cohort_report
 from pricedir.config import PipelineConfig, apply_overrides, config_from_dict, load_config
-from pricedir.errors import ConfigError, DataError, PipelineError, ValidationError
+from pricedir.errors import (
+    ConfigError,
+    DataError,
+    PipelineError,
+    TrainingDivergedError,
+    ValidationError,
+)
 from pricedir import mlp as mlp_mod
 from pricedir import pipeline as pipeline_mod
 from pricedir.ingest import parse_company_panel
@@ -370,35 +376,50 @@ class TestWorkers:
         assert trees[0] == trees[1] == trees[2]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("phase", ["prepare", "train", "finish"])
+    @pytest.mark.parametrize("phase", ["prepare", "train", "diverge", "finish"])
     def test_unexpected_exception_fails_one_company(
         self, fixture, monkeypatch, capfd, phase, workers
     ):
-        # C002 is the only company with 124 training rows
+        # C002 is the only company with 124 training rows, so it trains
+        # alone; "diverge" is not a fault but a training outcome
         module, name, is_c002 = {
             "prepare": (
                 pipeline_mod, "build_company_dataset", lambda panel, *_: panel.ticker == "C002"
             ),
             "train": (mlp_mod, "train_stack", lambda _, data, **__: len(data[0].y) == 124),
+            "diverge": (mlp_mod, "train_stack", lambda _, data, **__: len(data[0].y) == 124),
             "finish": (mlp_mod, "model_to_dict", lambda _, metadata: metadata["ticker"] == "C002"),
         }[phase]
         real = getattr(module, name)
 
         def faulty(*args, **kwargs):
-            if is_c002(*args, **kwargs):
-                raise ZeroDivisionError("planted fault")
-            return real(*args, **kwargs)
+            if not is_c002(*args, **kwargs):
+                return real(*args, **kwargs)
+            if phase == "diverge":
+                diverged = TrainingDivergedError("non-finite loss at epoch 1")
+                return [diverged for _ in real(*args, **kwargs)]
+            raise ZeroDivisionError("planted fault")
 
         monkeypatch.setattr(module, name, faulty)
         monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: workers)
         root, _ = fixture
-        report = run_pipeline(small_config(root, f"out_fault_{phase}{workers}"))
+        cfg = small_config(root, f"out_fault_{phase}{workers}")
+        report = run_pipeline(cfg)
         status = {c["ticker"]: c["status"] for c in report["companies"]}
         assert status == {"C000": "ok", "C001": "ok", "C002": "failed", "C003": "ok"}
-        assert report["companies"][2]["error"] == "ZeroDivisionError: planted fault"
         err = capfd.readouterr().err
-        assert "C002: unexpected error\nTraceback (most recent call last):" in err
-        assert "ZeroDivisionError: planted fault" in err
+        if phase == "diverge":
+            assert report["companies"][2]["error"] == "non-finite loss at epoch 1"
+            assert "unexpected error" not in err
+        else:
+            assert report["companies"][2]["error"] == "ZeroDivisionError: planted fault"
+            assert "C002: unexpected error\nTraceback (most recent call last):" in err
+            assert "ZeroDivisionError: planted fault" in err
+        # a company that fails after prepare keeps the files prepare wrote
+        out = Path(cfg.paths.output_dir)
+        assert not (out / "models" / "C002.json").exists()
+        for name in ("datasets/C002.csv", "logit/C002.json"):
+            assert (out / name).exists() == (phase != "prepare"), name
 
     def test_write_atomic_replaces_through_a_temp_file(self, tmp_path, monkeypatch):
         target = tmp_path / "report.txt"
@@ -666,13 +687,30 @@ class TestCli:
         pytest.param(["cohort", "--membership-dir", "{membership}", "--per-group", "1",
                       "--allow-deficient", "--out", "{taken}"],
                      TINY_MODEL, "--out {taken}", id="cohort-out"),
+        pytest.param(EVALUATE, {**TINY_MODEL, "weights": [[[float("nan"), 0.5]]]}, "'weights'",
+                     id="weights-not-finite"),
+        pytest.param(EVALUATE, {**TINY_MODEL, "biases": [[float("inf")]]}, "'biases'",
+                     id="biases-not-finite"),
+        pytest.param(EVALUATE, {**TINY_MODEL, "layer_sizes": "21"}, "'layer_sizes'",
+                     id="layer-sizes-string"),
+        pytest.param(EVALUATE, {**TINY_MODEL, "layer_sizes": [2.7, 1]}, "'layer_sizes'",
+                     id="layer-sizes-float"),
+        pytest.param(EVALUATE, {**TINY_MODEL, "layer_sizes": [2, True]}, "'layer_sizes'",
+                     id="layer-sizes-bool"),
+        pytest.param(["logit", "--dataset", "{data}", "--alpha", "7"], TINY_MODEL,
+                     "logit.alpha", id="logit-alpha"),
+        pytest.param(["logit", "--dataset", "{data}", "--tol", "nan"], TINY_MODEL,
+                     "logit.tol", id="logit-tol-nan"),
+        pytest.param(["logit", "--dataset", "{data}", "--max-iter", "0"], TINY_MODEL,
+                     "logit.max_iter", id="logit-max-iter-0"),
     ])
     def test_malformed_input_exits_1_naming_it(
         self, fixture, tiny_dataset, tmp_path, capsys, argv, model, named
     ):
-        """A malformed model file or an unwritable ``--out`` (a missing
-        directory, or a directory in the file's place) exits 1 with a
-        message that names it, and leaves no file behind."""
+        """A malformed model file, a bad ``logit`` flag or an unwritable
+        ``--out`` (a missing directory, or a directory in the file's
+        place) exits 1 with a message that names it, and leaves no file
+        behind."""
         root, _ = fixture
         paths = {
             "data": tiny_dataset,
@@ -730,6 +768,39 @@ class TestCli:
         assert "built C000" in captured.out and "built C002" in captured.out
         built = sorted(p.name for p in (out / "datasets").iterdir())
         assert built == ["C000.csv", "C000.meta.json", "C002.csv", "C002.meta.json"]
+
+    def test_directory_in_place_of_input_file_is_a_data_error(self, fixture, tmp_path, capfd):
+        root, _ = fixture
+        panels = tmp_path / "panels"
+        shutil.copytree(root / "panels", panels)
+        (panels / "ZZZ.csv").mkdir()
+        base = [
+            "--paths.membership_dir", str(root / "membership"),
+            "--paths.panels_dir", str(panels),
+            "--mlp.epochs", "2",
+        ]
+        # build reports the company and builds the rest
+        assert main(["build", *base, "--paths.output_dir", str(tmp_path / "b")]) == 2
+        captured = capfd.readouterr()
+        assert captured.err.startswith(f"error: ZZZ: {panels / 'ZZZ.csv'}: cannot read")
+        assert "Traceback" not in captured.err and "built C003" in captured.out
+        # pipeline records a data error for it and runs the rest
+        assert main(["pipeline", *base, "--paths.output_dir", str(tmp_path / "p")]) == 0
+        assert "Traceback" not in capfd.readouterr().err
+        report = json.loads((tmp_path / "p" / "report.json").read_text())
+        zzz = report["companies"][-1]
+        assert zzz["ticker"] == "ZZZ" and zzz["status"] == "failed"
+        assert zzz["error"].startswith(f"{panels / 'ZZZ.csv'}: cannot read")
+        assert report["n_ok"] == 4
+        # among the membership files it stops the run before any work
+        membership = tmp_path / "membership"
+        shutil.copytree(root / "membership", membership)
+        (membership / "constituents_2099-01-01.csv").mkdir()
+        base[1] = str(membership)
+        assert main(["pipeline", *base, "--paths.output_dir", str(tmp_path / "m")]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith(f"error: {membership / 'constituents_2099-01-01.csv'}: cannot read")
+        assert "Traceback" not in err and not (tmp_path / "m").exists()
 
     def test_cohort_subcommand(self, fixture, capsys):
         root, _ = fixture
