@@ -125,7 +125,7 @@ def _cmd_build(args) -> int:
     cfg = _load_pipeline_config(args)
     snapshots = pipeline.load_membership_dir(cfg.paths.membership_dir)
     panels = pipeline.discover_panels(cfg.paths.panels_dir, cfg.tickers)
-    out_dir = Path(cfg.paths.output_dir) / "datasets"
+    out_dir = pipeline.make_output_dirs(cfg.paths.output_dir, "datasets") / "datasets"
     failed = False
     for ticker, path in sorted(panels.items()):
         try:

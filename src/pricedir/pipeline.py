@@ -5,21 +5,21 @@ features, significance selection, network training on the selected
 features only, held-out evaluation.  Each stage is one public function
 (``build_from_file``, ``fit_and_select``, ``split_features``,
 ``company_seeds``, ``model_document``) that the step-by-step
-subcommands call too.  A run has two phases, each on one forked worker
-process per CPU: prepare every company, then train each stack of
-companies with the same training-row count and evaluate them.  The
-worker that trains a company also writes its model; the calling
-process writes only the report.  One bad company never aborts the
-batch; it becomes a failure entry in the report.  Output is fully
-deterministic for a fixed config and inputs, whatever the worker count
-(company order is stabilized by ticker, seeds are derived per company,
-no timestamps).
+subcommands call too.  The companies are dealt out once to one forked
+worker process per CPU.  Each worker takes its share from panel file to
+report entry, training its companies with one training-row count in
+one stack; the calling process writes only the report.  One bad
+company never aborts the batch; it becomes a failure entry in the
+report.  Output is fully deterministic for a fixed config and inputs,
+whatever the worker count (company order is stabilized by ticker, seeds
+are derived per company, a company's bits do not depend on which
+companies share its stack, no timestamps).
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import errno
 import json
 import math
 import multiprocessing
@@ -30,9 +30,6 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from datetime import date
 from pathlib import Path
-from typing import NamedTuple
-
-import numpy as np
 
 from . import cohort as cohort_mod
 from . import dataset as ds_mod
@@ -258,8 +255,8 @@ def logit_result_dict(ticker: str, fit: logit_mod.LogitFit, selected: list[str])
 
 
 def write_dataset(datasets_dir: Path, dataset: ds_mod.LabeledDataset, info: dict) -> None:
-    """Write ``<ticker>.csv`` and ``<ticker>.meta.json`` for one built dataset."""
-    datasets_dir.mkdir(parents=True, exist_ok=True)
+    """Write ``<ticker>.csv`` and ``<ticker>.meta.json`` for one built dataset
+    into ``datasets_dir``, which ``make_output_dirs`` has made."""
     ticker = dataset.ticker
     write_atomic(datasets_dir / f"{ticker}.csv", ds_mod.dataset_csv_text(dataset))
     meta = {
@@ -289,7 +286,10 @@ def write_json(path: Path, doc) -> None:
 def write_atomic(path: Path, text: str) -> None:
     """Write ``text`` as UTF-8 through a temp file in the same directory,
     then rename it over ``path``: a reader, or a worker writing the same
-    directory, never sees a half-written file."""
+    directory, never sees a half-written file.  The rename would replace
+    a directory, FIFO or device at ``path``, so that is refused."""
+    if path.exists() and not path.is_file():
+        raise FileExistsError(errno.EEXIST, "exists and is not a regular file", str(path))
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         temp.write_text(text, "utf-8")
@@ -298,35 +298,29 @@ def write_atomic(path: Path, text: str) -> None:
         temp.unlink(missing_ok=True)
 
 
-class _Split(NamedTuple):
-    """One part of a company's chronological split, as the arrays
-    ``mlp.train_stack`` and ``mlp.evaluate`` read: no dates, no metadata."""
-
-    X: np.ndarray
-    y: np.ndarray
-
-
-@dataclasses.dataclass
-class _Prepared:
-    """One company between the phases: its split arrays and the report
-    fields known before training, in report order."""
-
-    ticker: str
-    fields: dict
-    train: _Split
-    test: _Split
+def make_output_dirs(output_dir: str | Path, *names: str) -> Path:
+    """Create ``output_dir`` and its subdirectories ``names``, and return
+    it; one that cannot be made is a ConfigError naming ``paths.output_dir``."""
+    out_dir = Path(output_dir)
+    for name in names:
+        try:
+            (out_dir / name).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"paths.output_dir {out_dir}: cannot create {name}/ ({exc.strerror})"
+            ) from exc
+    return out_dir
 
 
 def _prepare(
-    ticker: str,
-    path: Path,
-    snapshots: list[MembershipSnapshot],
-    cfg: PipelineConfig,
-    out_dir: Path,
-) -> _Prepared:
+    ticker: str, path: Path, snapshots: list[MembershipSnapshot],
+    cfg: PipelineConfig, out_dir: Path,
+) -> tuple[dict, ds_mod.LabeledDataset, ds_mod.LabeledDataset]:
     """Parse, build, fit the logit, select and split one company, then
     write its ``datasets/`` and ``logit/`` files (only once all of that
-    succeeded, so a company that fails here leaves no file)."""
+    succeeded, so a company that fails here leaves no file).  Returns
+    the report fields known before training, in report order, and the
+    network's (train, test) split."""
     dataset, build_info = build_from_file(ticker, path, snapshots, cfg)
     fit, selected = fit_and_select(dataset, cfg.logit)
     mlp_features = selected
@@ -342,10 +336,10 @@ def _prepare(
 
     write_dataset(out_dir / "datasets", dataset, build_info)
     logit_doc = logit_result_dict(ticker, fit, selected)
-    logit_dir = out_dir / "logit"
-    logit_dir.mkdir(parents=True, exist_ok=True)
-    write_json(logit_dir / f"{ticker}.json", logit_doc)
+    write_json(out_dir / "logit" / f"{ticker}.json", logit_doc)
     fields = {
+        "ticker": ticker,
+        "status": "ok",
         "n_rows": dataset.n_rows,
         "n_train": train_ds.n_rows,
         "n_test": test_ds.n_rows,
@@ -357,30 +351,21 @@ def _prepare(
         "mlp_features": mlp_features,
         "seeds": company_seeds(cfg.mlp.seed, ticker),
     }
-    return _Prepared(
-        ticker, fields, _Split(train_ds.X, train_ds.y), _Split(test_ds.X, test_ds.y)
-    )
+    return fields, train_ds, test_ds
 
 
 def _finish(
-    company: _Prepared,
-    model: mlp_mod.NetworkModel,
-    loss_history: list[float],
-    cfg: PipelineConfig,
-    out_dir: Path,
+    fields: dict, test_ds: ds_mod.LabeledDataset, model: mlp_mod.NetworkModel,
+    loss_history: list[float], cfg: PipelineConfig, out_dir: Path,
 ) -> dict:
     """Evaluate one trained company, write its ``models/`` file and return its report entry."""
-    report = mlp_mod.evaluate(model, company.test, cfg.mlp.threshold)
-    fields = company.fields
+    report = mlp_mod.evaluate(model, test_ds, cfg.mlp.threshold)
+    ticker = fields["ticker"]
     model_doc = model_document(
-        model, company.ticker, fields["seeds"], cfg.mlp, loss_history[-1], fields["mlp_features"]
+        model, ticker, fields["seeds"], cfg.mlp, loss_history[-1], fields["mlp_features"]
     )
-    models_dir = out_dir / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
-    write_json(models_dir / f"{company.ticker}.json", model_doc)
+    write_json(out_dir / "models" / f"{ticker}.json", model_doc)
     return {
-        "ticker": company.ticker,
-        "status": "ok",
         **fields,
         "hyperparameters": {
             "hidden_sizes": list(cfg.mlp.hidden_sizes),
@@ -395,9 +380,8 @@ def _finish(
     }
 
 
-# The run in progress as a worker sees it, ``(snapshots, cfg, out_dir)``:
-# set by ``_workers`` for the length of a run and before the pool forks,
-# so fork hands the snapshots to every worker without pickling them.
+# The run in progress, ``(snapshots, cfg, out_dir)``: set for the length of
+# a run and before the pool forks, so every worker gets it without pickling.
 _run: tuple = ()
 
 
@@ -407,28 +391,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         return 1
-
-
-@contextlib.contextmanager
-def _workers(n_tasks: int, *run):
-    """Yield ``(map, workers)`` for the run's task functions, with ``run`` set.
-
-    One worker per CPU, at most one per task.  Several workers are
-    processes forked at the first ``map``; one worker is this process and
-    the builtin ``map``.  Either way the results come back in task order.
-    """
-    global _run
-    workers = min(_cpu_count(), n_tasks)
-    _run = run
-    try:
-        if workers <= 1:
-            yield map, 1
-        else:
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-                yield pool.map, workers
-    finally:
-        _run = ()
 
 
 def _failed(exc: Exception, tickers: list[str]) -> list[dict]:
@@ -451,83 +413,79 @@ def _failed(exc: Exception, tickers: list[str]) -> list[dict]:
     return [{"ticker": ticker, "status": "failed", "error": error} for ticker in tickers]
 
 
-def _prepare_task(item: tuple[str, Path]) -> _Prepared | list[dict]:
-    """Phase 1 for one company: its ``_Prepared``, or ``[its failure entry]``."""
-    ticker, path = item
-    try:
-        return _prepare(ticker, path, *_run)
-    except Exception as exc:  # one company's fault must not stop the batch
-        return _failed(exc, [ticker])
+def _run_share(share: list[tuple[str, Path]]) -> list[dict]:
+    """One worker's companies, from panel file to report entry.
 
-
-def _train_task(part: list[_Prepared]) -> list[dict]:
-    """Phase 2 for companies with one training-row count: train them in
-    one stack, then evaluate each and write its ``models/`` file.
-    Returns their report entries."""
-    _, cfg, out_dir = _run
-    models = [
-        mlp_mod.init_network(
-            [len(c.fields["mlp_features"]), *cfg.mlp.hidden_sizes, 1],
-            c.fields["seeds"]["init"],
-        )
-        for c in part
-    ]
-    try:
-        outcomes = mlp_mod.train_stack(
-            models,
-            [c.train for c in part],
-            epochs=cfg.mlp.epochs,
-            learning_rate=cfg.mlp.learning_rate,
-            batch_size=cfg.mlp.batch_size,
-            seeds=[c.fields["seeds"]["train"] for c in part],
-        )
-    except Exception as exc:  # one stack's fault must not stop the batch
-        return _failed(exc, [c.ticker for c in part])
-    entries = []
-    for company, model, outcome in zip(part, models, outcomes):
+    Prepares each company, trains those with the same training-row
+    count in one ``mlp.train_stack`` call, then evaluates each and
+    writes its ``models/`` file.  Returns their report entries,
+    failures included.
+    """
+    snapshots, cfg, out_dir = _run
+    entries: list[dict] = []
+    stacks: dict[int, list[tuple]] = {}
+    for ticker, path in share:
         try:
-            if isinstance(outcome, TrainingDivergedError):
-                raise outcome
-            entries.append(_finish(company, model, outcome, cfg, out_dir))
+            fields, train_ds, test_ds = _prepare(ticker, path, snapshots, cfg, out_dir)
         except Exception as exc:  # one company's fault must not stop the batch
-            entries += _failed(exc, [company.ticker])
+            entries += _failed(exc, [ticker])
+        else:
+            stacks.setdefault(train_ds.n_rows, []).append((fields, train_ds, test_ds))
+    sizes = [*cfg.mlp.hidden_sizes, 1]
+    for stack in stacks.values():
+        models = [
+            mlp_mod.init_network([len(fields["mlp_features"]), *sizes], fields["seeds"]["init"])
+            for fields, _, _ in stack
+        ]
+        try:
+            outcomes = mlp_mod.train_stack(
+                models, [train_ds for _, train_ds, _ in stack], epochs=cfg.mlp.epochs,
+                learning_rate=cfg.mlp.learning_rate, batch_size=cfg.mlp.batch_size,
+                seeds=[fields["seeds"]["train"] for fields, _, _ in stack],
+            )
+        except Exception as exc:  # one stack's fault must not stop the batch
+            entries += _failed(exc, [fields["ticker"] for fields, _, _ in stack])
+            continue
+        for (fields, _, test_ds), model, outcome in zip(stack, models, outcomes):
+            try:
+                if isinstance(outcome, TrainingDivergedError):
+                    raise outcome
+                entries.append(_finish(fields, test_ds, model, outcome, cfg, out_dir))
+            except Exception as exc:  # one company's fault must not stop the batch
+                entries += _failed(exc, [fields["ticker"]])
     return entries
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run every company in the panels directory and write the report.
 
-    Two phases, each on one worker process per CPU: prepare each company
-    (parse, build, logit, select, split, write ``datasets/`` and
-    ``logit/``), then train every company with the same training-row
-    count in one ``mlp.train_stack`` call, evaluate each and write its
-    model.  The output bytes do not depend on how many workers run.
-    Per-company failures are recorded and skipped; zero successes
-    raises PipelineError.  Returns the report document (also written as
-    report.json and report.txt under the output directory).
+    The ticker-sorted companies are dealt out once to one worker process
+    per CPU, at most one per company: worker ``i`` of ``w`` gets
+    ``panels[i::w]`` and takes it from panel file to report entry
+    (``_run_share``); one worker runs in this process.  Per-company
+    failures are recorded and skipped; zero successes raises
+    PipelineError, and an output directory that cannot be made or
+    written raises ConfigError.  Returns the report document (also
+    written as report.json and report.txt under the output directory).
     """
+    global _run
     cfg.validate()
     snapshots = load_membership_dir(cfg.paths.membership_dir)
     panels = sorted(discover_panels(cfg.paths.panels_dir, cfg.tickers).items())
-    out_dir = Path(cfg.paths.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_output_dirs(cfg.paths.output_dir, "datasets", "logit", "models")
 
-    results: list[dict] = []
-    stacks: dict[int, list[_Prepared]] = {}
-    with _workers(len(panels), snapshots, cfg, out_dir) as (run_map, workers):
-        for company in run_map(_prepare_task, panels):
-            if isinstance(company, _Prepared):
-                stacks.setdefault(len(company.train.y), []).append(company)
-            else:
-                results += company
-        # A company's bits do not depend on which companies share its
-        # stack, so cutting stacks into one part per worker changes no byte.
-        parts = []
-        for stack in stacks.values():
-            k = min(workers, len(stack))
-            parts += [stack[i * len(stack) // k : (i + 1) * len(stack) // k] for i in range(k)]
-        for entries in run_map(_train_task, parts):
-            results += entries
+    workers = min(_cpu_count(), len(panels))
+    _run = (snapshots, cfg, out_dir)
+    try:
+        if workers == 1:
+            results = _run_share(panels)
+        else:
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                shares = [panels[i::workers] for i in range(workers)]
+                results = [entry for part in pool.map(_run_share, shares) for entry in part]
+    finally:
+        _run = ()
     results.sort(key=lambda r: r["ticker"])
 
     ok = [r for r in results if r["status"] == "ok"]
@@ -545,8 +503,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "generator": cohort_mod.GENERATOR_NAME,
         "config": cfg.to_dict(),
     }
-    write_atomic(out_dir / "report.json", render_report(report, "json"))
-    write_atomic(out_dir / "report.txt", render_report(report, "text"))
+    for name, fmt in (("report.json", "json"), ("report.txt", "text")):
+        try:
+            write_atomic(out_dir / name, render_report(report, fmt))
+        except OSError as exc:
+            raise ConfigError(
+                f"paths.output_dir {out_dir}: cannot write {name} ({exc.strerror})"
+            ) from exc
     return report
 
 

@@ -372,8 +372,12 @@ def output_tree(out: Path) -> dict[str, bytes]:
 
 class TestWorkers:
     def test_outputs_do_not_depend_on_worker_count(self, fixture, tmp_path, monkeypatch):
-        # C000, C001 and C003 share a stack of 128 training rows: 2 workers
-        # cut it into two parts, 3 workers into three
+        # C000, C001 and C003 share 128 training rows, C002 has 124 and BAD
+        # fails to prepare.  The ticker-sorted panels are dealt out round
+        # robin: 1 worker trains the three 128-row companies in one stack;
+        # 2 take [BAD, C001, C003] and [C000, C002]; 3 take [BAD, C002],
+        # [C000, C003] and [C001]; 8 are capped at 5, one company each, so
+        # every company trains alone and BAD's worker trains nothing
         root, _ = fixture
         panels = tmp_path / "panels"
         panels.mkdir()
@@ -384,7 +388,7 @@ class TestWorkers:
         cfg.paths.panels_dir = str(panels)
         cfg.paths.output_dir = str(tmp_path / "out")
         trees = []
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 8):
             monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: workers)
             shutil.rmtree(tmp_path / "out", ignore_errors=True)
             report = run_pipeline(cfg)
@@ -392,7 +396,7 @@ class TestWorkers:
             assert [c["n_train"] for c in report["companies"][1:]] == [128, 128, 124, 128]
             trees.append(output_tree(tmp_path / "out"))
         assert len(trees[0]) == 2 + 4 * 4
-        assert trees[0] == trees[1] == trees[2]
+        assert trees[0] == trees[1] == trees[2] == trees[3]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("phase", ["prepare", "train", "diverge", "finish"])
@@ -758,6 +762,55 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and fill(named) in err
         assert sorted(f.name for f in tmp_path.rglob("*")) == ["model.json", "taken"]
+
+    def test_fifo_as_out_is_refused(self, tiny_dataset, tmp_path, capsys):
+        """An ``--out`` that names a FIFO exits 1 naming it and stays a FIFO:
+        the rename into place would have replaced it with a regular file."""
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        for argv in (["logit"], ["train", "--mlp.epochs", "1"]):
+            assert main([*argv, "--dataset", str(tiny_dataset), "--out", str(fifo)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: --out {fifo}: cannot write (exists and is not a regular file)\n"
+            assert fifo.is_fifo()
+            assert [f.name for f in tmp_path.iterdir()] == ["fifo"]
+
+    @pytest.mark.parametrize("command, blocked, problem", [
+        pytest.param("build", "", "cannot create datasets/", id="build-out-is-file"),
+        pytest.param("build", "datasets", "cannot create datasets/", id="build-datasets-is-file"),
+        pytest.param("pipeline", "", "cannot create datasets/", id="pipeline-out-is-file"),
+        pytest.param("pipeline", "models", "cannot create models/", id="pipeline-models-is-file"),
+        pytest.param("pipeline", "report.json/", "cannot write report.json",
+                     id="pipeline-report-is-dir"),
+    ])
+    def test_unusable_output_dir_exits_1_naming_it(
+        self, fixture, tmp_path, capfd, command, blocked, problem
+    ):
+        """A file where the output directory or one of its subdirectories
+        goes, or a directory where ``report.json`` goes, exits 1 naming
+        ``paths.output_dir`` with no traceback, and stays as it was."""
+        root, _ = fixture
+        out = tmp_path / "out"
+        blocker = out / blocked
+        if blocked.endswith("/"):
+            blocker.mkdir(parents=True)
+        else:
+            blocker.parent.mkdir(parents=True, exist_ok=True)
+            blocker.write_text("in the way")
+        code = main([
+            command,
+            "--paths.membership_dir", str(root / "membership"),
+            "--paths.panels_dir", str(root / "panels"),
+            "--paths.output_dir", str(out),
+            "--mlp.epochs", "2",
+            "--tickers", "C000",
+        ])
+        assert code == 1
+        err = capfd.readouterr().err
+        assert err.startswith(f"error: paths.output_dir {out}: {problem} (")
+        assert "Traceback" not in err
+        assert blocker.is_dir() if blocked.endswith("/") else blocker.read_text() == "in the way"
+        assert not [f for f in tmp_path.rglob("*") if f.name.endswith(".tmp")]
 
     def test_build_and_pipeline_write_identical_datasets(self, fixture, tmp_path, capsys):
         root, _ = fixture
