@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from .errors import (
     DataError,
     PipelineError,
     PricedirError,
+    TrainingDivergedError,
     ValidationError,
 )
 from .synth import derive_seed
@@ -83,29 +85,33 @@ def _load_pipeline_config(args) -> PipelineConfig:
 def _emit(doc: dict, out: str | None) -> None:
     """Write ``doc`` as JSON to the ``--out`` file, or to stdout without one."""
     if not out:
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(pipeline.json_text(doc))
         return
     try:
-        pipeline.write_json(Path(out), doc)
+        pipeline.write_atomic(Path(out), pipeline.json_text(doc))
     except OSError as exc:
         raise ConfigError(f"--out {out}: cannot write ({exc.strerror or exc})") from exc
 
 
 def _cmd_synth(args) -> int:
-    planted = synth_mod.default_planted()
-    truth = synth_mod.write_fixture(
-        out_dir=args.out,
-        n_companies=args.companies,
-        n_weeks=args.weeks,
-        switch_prob=args.switch_prob,
-        missing_prob=args.missing_prob,
-        seed=args.seed,
-        planted=planted,
-        signal_scale=args.signal_scale,
-        calibrate=args.calibrate,
-        target_lo=args.bayes_lo,
-        target_hi=args.bayes_hi,
-    )
+    if args.signal_scale is not None and not math.isfinite(args.signal_scale):
+        raise ConfigError(f"--signal-scale must be finite, got {args.signal_scale}")
+    try:
+        truth = synth_mod.write_fixture(
+            out_dir=args.out,
+            n_companies=args.companies,
+            n_weeks=args.weeks,
+            switch_prob=args.switch_prob,
+            missing_prob=args.missing_prob,
+            seed=args.seed,
+            planted=synth_mod.default_planted(),
+            signal_scale=args.signal_scale,
+            calibrate=args.calibrate,
+            target_lo=args.bayes_lo,
+            target_hi=args.bayes_hi,
+        )
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: cannot write ({exc.strerror or exc})") from exc
     sys.stdout.write(
         f"wrote {truth['n_weeks']} membership weeks and "
         f"{truth['n_companies']} panels under {args.out}\n"
@@ -125,17 +131,17 @@ def _cmd_build(args) -> int:
     cfg = _load_pipeline_config(args)
     snapshots = pipeline.load_membership_dir(cfg.paths.membership_dir)
     panels = pipeline.discover_panels(cfg.paths.panels_dir, cfg.tickers)
-    out_dir = pipeline.make_output_dirs(cfg.paths.output_dir, "datasets") / "datasets"
+    out_dir = pipeline.make_output_dirs(cfg.paths.output_dir, "datasets")
     failed = False
     for ticker, path in sorted(panels.items()):
         try:
             dataset, info = pipeline.build_from_file(ticker, path, snapshots, cfg)
+            pipeline.write_dataset(out_dir, dataset, info)
         except PricedirError as exc:
             # fail soft, as the pipeline does: report it and build the rest
             print(f"error: {ticker}: {exc}", file=sys.stderr)
             failed = True
             continue
-        pipeline.write_dataset(out_dir, dataset, info)
         sys.stdout.write(f"built {ticker}: {dataset.n_rows} rows\n")
     return 2 if failed else 0
 
@@ -170,10 +176,13 @@ def _cmd_train(args) -> int:
         features = [f.strip() for f in args.features.split(",")]
     train_ds, _ = pipeline.split_features(dataset, features, cfg.dataset.train_fraction)
     seeds = pipeline.company_seeds(mlp_cfg.seed, dataset.ticker)
-    model, losses = mlp_mod.train(
-        mlp_mod.init_network([len(features), *mlp_cfg.hidden_sizes, 1], seeds["init"]),
-        train_ds, mlp_cfg.epochs, mlp_cfg.learning_rate, mlp_cfg.batch_size, seeds["train"],
+    model = mlp_mod.init_network([len(features), *mlp_cfg.hidden_sizes, 1], seeds["init"])
+    (losses,) = mlp_mod.train_stack(
+        [model], [train_ds], mlp_cfg.epochs, mlp_cfg.learning_rate, mlp_cfg.batch_size,
+        [seeds["train"]],
     )
+    if isinstance(losses, TrainingDivergedError):
+        raise losses
     doc = pipeline.model_document(model, dataset.ticker, seeds, mlp_cfg, losses[-1], features)
     _emit(doc, args.out)
     sys.stdout.write(f"trained {dataset.ticker}: final loss {losses[-1]:.6f}\n")

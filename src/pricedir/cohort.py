@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeficientGroupError, ValidationError
+from .errors import DataError, ValidationError
 from .ingest import MembershipSnapshot
 
 N_GROUPS = 5
@@ -88,7 +88,7 @@ def sample_cohort(
     """Sample ``per_group`` tickers without replacement from each group.
 
     Deterministic for a fixed seed (PCG64 over the sorted member list).
-    A group smaller than ``per_group`` raises DeficientGroupError unless
+    A group smaller than ``per_group`` raises DataError unless
     ``allow_deficient`` is set, in which case all its members are taken.
     """
     if per_group < 1:
@@ -99,9 +99,8 @@ def sample_cohort(
         members = sorted(group.members)
         if len(members) < per_group:
             if not allow_deficient:
-                raise DeficientGroupError(
-                    f"group {group.group_index} has {len(members)} members, "
-                    f"need {per_group}"
+                raise DataError(
+                    f"group {group.group_index} has {len(members)} members, need {per_group}"
                 )
             sample.update(members)
             continue

@@ -18,14 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyColumnError,
-    EmptyTimespanError,
-    InsufficientHistoryError,
-    InvalidSplitError,
-    UncoveredDateError,
-    ValidationError,
-)
+from .errors import DataError, ValidationError
 from .ingest import (
     MAX_FALLBACK_DAYS,
     CompanyPanel,
@@ -103,7 +96,7 @@ def attach_membership_indicator(
 
     Each row date must fall inside exactly one snapshot week
     [requested - 6 days, requested]; rows outside every week raise
-    UncoveredDateError listing the offending dates.
+    DataError listing the offending dates.
     """
     if not snapshots:
         raise ValidationError("attach_membership_indicator needs snapshots")
@@ -118,9 +111,7 @@ def attach_membership_indicator(
     covered = (days <= requested[week]) & (days >= requested[week] - MAX_FALLBACK_DAYS)
     if not covered.all():
         uncovered = [panel.dates[t].isoformat() for t in np.flatnonzero(~covered)]
-        raise UncoveredDateError(
-            f"panel {panel.ticker}: no snapshot week covers {uncovered}"
-        )
+        raise DataError(f"panel {panel.ticker}: no snapshot week covers {uncovered}")
     return panel.with_columns({MEMBERSHIP_COLUMN: member[week].astype(float)})
 
 
@@ -140,7 +131,7 @@ def attach_direction_label(panel: CompanyPanel, price_column: str) -> np.ndarray
     now, before = prices[1:], prices[:-1]
     labels[1:] = np.where(np.isnan(now) | np.isnan(before), np.nan, now > before)
     if np.isnan(labels).all():
-        raise InsufficientHistoryError(
+        raise DataError(
             f"panel {panel.ticker}: fewer than 2 consecutive usable prices "
             f"in {price_column!r}"
         )
@@ -176,16 +167,14 @@ def trim_timespan(panel: CompanyPanel, required: Sequence[str]) -> CompanyPanel:
     candidate runs; each run is then trimmed so it starts and ends on a
     row where all required columns are present (interior gaps stay, for
     imputation).  The longest trimmed run wins, ties going to the more
-    recent one.  No fully-present row anywhere raises EmptyTimespanError.
+    recent one.  No fully-present row anywhere raises DataError.
     """
     if not required:
         raise ValidationError("trim_timespan needs at least one required column")
     missing = np.isnan(np.column_stack([panel.column(name) for name in required]))
     anchors = np.flatnonzero(~missing.any(axis=1))
     if not anchors.size:
-        raise EmptyTimespanError(
-            f"panel {panel.ticker}: no row has all of {list(required)} present"
-        )
+        raise DataError(f"panel {panel.ticker}: no row has all of {list(required)} present")
     # Anchors with the same count of void rows before them share a run.
     run = np.cumsum(missing.all(axis=1))[anchors]
     new_run = np.r_[True, run[1:] != run[:-1]]
@@ -208,7 +197,7 @@ def normalize_column(values: Sequence[float]) -> tuple[np.ndarray, float, float]
     values = np.asarray(values, dtype=float)
     observed = values[~np.isnan(values)]
     if not observed.size:
-        raise EmptyColumnError("cannot normalize a column with no observed values")
+        raise DataError("cannot normalize a column with no observed values")
     if not np.isfinite(observed).all():
         raise ValidationError("cannot normalize non-finite values")
     raw_min = float(observed.min())
@@ -231,7 +220,7 @@ def impute_missing(values: Sequence[float]) -> tuple[np.ndarray, float, int]:
     missing = np.isnan(values)
     observed = values[~missing]
     if not observed.size:
-        raise EmptyColumnError("cannot impute a column with no observed values")
+        raise DataError("cannot impute a column with no observed values")
     mean_used = float(np.cumsum(observed)[-1] / observed.size)
     return np.where(missing, mean_used, values), mean_used, int(missing.sum())
 
@@ -292,7 +281,7 @@ def chronological_split(
         raise ValidationError(f"dataset {ds.ticker}: need at least 5 rows, have {n}")
     n_train = math.ceil(Fraction(str(train_fraction)) * n)
     if n_train <= 0 or n_train >= n:
-        raise InvalidSplitError(
+        raise ValidationError(
             f"dataset {ds.ticker}: split {n_train}/{n - n_train} leaves a part empty"
         )
 

@@ -1,8 +1,14 @@
 """Exception types shared across the pipeline.
 
-The CLI maps these onto exit codes: configuration and argument problems
-exit 1, unusable input data exits 2, and a run where no company
-succeeded exits 3.
+The CLI picks the exit code from the base class:
+
+- ``ConfigError``: configuration file, flag, option or output path; exit 1.
+- ``ValidationError``: an argument or value breaks a documented contract; exit 1.
+- ``DataError``: unusable input data; exit 2.
+- ``ParseError``: a ``DataError`` located in a file; exit 2.
+- ``TrainingDivergedError``: a network's loss turned non-finite; exit 2.
+- ``PipelineError``: a run where no company succeeded; exit 3.
+- ``PricedirError``: the base of them all; exit 2.
 """
 
 import functools
@@ -46,38 +52,6 @@ class ParseError(DataError):
             type(self), source=self.source, line=self.line, column=self.column
         )
         return rebuild, (self.message,)
-
-
-class DataValidationError(DataError):
-    """Well-formed file whose content breaks a data invariant."""
-
-
-class UncoveredDateError(DataError):
-    """Panel rows fall outside every membership snapshot week."""
-
-
-class InsufficientHistoryError(DataError):
-    """Too few consecutive usable prices to derive any direction label."""
-
-
-class EmptyColumnError(DataError):
-    """A column has no observed values to normalize or impute."""
-
-
-class EmptyTimespanError(DataError):
-    """No row has all required columns present."""
-
-
-class DeficientGroupError(DataError):
-    """A cohort group holds fewer members than the requested sample size."""
-
-
-class InvalidSplitError(ValidationError):
-    """A chronological split would leave the train or test part empty."""
-
-
-class SingularDesignError(PricedirError):
-    """Information matrix stayed singular even after the ridge retry."""
 
 
 class TrainingDivergedError(PricedirError):

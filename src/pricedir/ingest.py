@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataValidationError, ParseError, ValidationError
+from .errors import DataError, ParseError, ValidationError
 
 # A nominal week is the requested day plus the six days before it, so a
 # fallback can never reach into the previous week's snapshot.
@@ -114,13 +114,12 @@ class CompanyPanel:
         return CompanyPanel(self.ticker, self.dates, kept)
 
 
-def _as_text(content, source: str) -> str:
-    """Return the text of bytes, a str, or a readable stream, decoded as UTF-8."""
-    data = content if isinstance(content, (bytes, str)) else content.read()
-    if isinstance(data, str):
-        return data
+def _as_text(content: bytes | str, source: str) -> str:
+    """Return ``content`` as text, decoding bytes as UTF-8."""
+    if isinstance(content, str):
+        return content
     try:
-        return data.decode("utf-8")
+        return content.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text (byte {exc.start})", source=source) from None
 
@@ -131,14 +130,14 @@ def parse_membership_file(
     """Parse one weekly constituent file into a MembershipSnapshot.
 
     Args:
-        content: bytes, text, or a readable stream with the file body.
+        content: bytes or text with the file body.
         requested_date: the nominal day this snapshot was requested for.
         source: file name used in error messages.
 
     Raises:
         ParseError: content that is not UTF-8, or a malformed header or
             ticker row.
-        DataValidationError: empty file, duplicate ticker, or an
+        DataError: empty file, duplicate ticker, or an
             effective date outside the weekly window.
     """
     # rows end at "\n" only (str.splitlines would also break them at form
@@ -147,7 +146,7 @@ def parse_membership_file(
     if lines[-1] == "":
         lines.pop()  # the final newline ends a row, it does not start one
     if not lines:
-        raise DataValidationError(f"{source}: empty membership file")
+        raise DataError(f"{source}: empty membership file")
     header = lines[0]
     if not header.startswith(EFFECTIVE_DATE_PREFIX):
         raise ParseError(
@@ -170,15 +169,13 @@ def parse_membership_file(
             )
         ticker = words[0]
         if ticker in seen:
-            raise DataValidationError(
-                f"{source}, line {lineno}: duplicate ticker {ticker!r}"
-            )
+            raise DataError(f"{source}, line {lineno}: duplicate ticker {ticker!r}")
         seen.add(ticker)
 
     try:
         return MembershipSnapshot(requested_date, effective, frozenset(seen))
     except ValidationError as exc:
-        raise DataValidationError(f"{source}: {exc}") from exc
+        raise DataError(f"{source}: {exc}") from exc
 
 
 def membership_file_text(snapshot: MembershipSnapshot) -> str:
@@ -197,12 +194,12 @@ def parse_company_panel(content, ticker: str, source: str = "<panel>") -> Compan
 
     Rows are re-sorted ascending by date.  Empty cells become NaN.
     Raises ParseError on content that is not UTF-8 and, with row/column
-    context, on malformed cells; DataValidationError on duplicate dates.
+    context, on malformed cells; DataError on duplicate dates.
     """
     reader = csv.reader(io.StringIO(_as_text(content, source)))
     rows = list(reader)
     if not rows:
-        raise DataValidationError(f"{source}: empty panel file")
+        raise DataError(f"{source}: empty panel file")
     header = rows[0]
     if not header or header[0] != "date":
         raise ParseError("first column must be 'date'", source=source, line=1)
@@ -249,9 +246,7 @@ def parse_company_panel(content, ticker: str, source: str = "<panel>") -> Compan
 
     if len(set(dates)) != len(dates):
         dupes = sorted({d for d in dates if dates.count(d) > 1})
-        raise DataValidationError(
-            f"{source}: duplicate dates {[d.isoformat() for d in dupes]}"
-        )
+        raise DataError(f"{source}: duplicate dates {[d.isoformat() for d in dupes]}")
     order = sorted(range(len(dates)), key=dates.__getitem__)
     table = np.array(cells, dtype=float).reshape(len(dates), len(names))[order].T.copy()
     return CompanyPanel(ticker, [dates[t] for t in order], dict(zip(names, table)))

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import LogitConfig
-from .errors import SingularDesignError, ValidationError
+from .errors import DataError, ValidationError
 
 RIDGE = 1e-8
 # Any coefficient this large means the likelihood is running off to a
@@ -79,11 +79,9 @@ def _solve_information(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         x = np.linalg.solve(ridged, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularDesignError(
-            "information matrix singular even with ridge term"
-        ) from exc
+        raise DataError("information matrix singular even with ridge term") from exc
     if not np.all(np.isfinite(x)):
-        raise SingularDesignError("information matrix singular even with ridge term")
+        raise DataError("information matrix singular even with ridge term")
     return x
 
 
@@ -111,7 +109,7 @@ def fit_logit(
 
     Raises:
         ValidationError: non-finite X, non-binary y, or n <= m + 1.
-        SingularDesignError: information matrix unusable even with ridge.
+        DataError: information matrix unusable even with ridge.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()

@@ -313,28 +313,6 @@ def _pack(models) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
     return params, grads, net, _stack_views(grads, widths, sizes)
 
 
-def train(
-    model: NetworkModel,
-    train_ds: LabeledDataset,
-    epochs: int,
-    learning_rate: float,
-    batch_size: int,
-    seed: int,
-) -> tuple[NetworkModel, list[float]]:
-    """Mini-batch gradient descent; mutates and returns the given model.
-
-    Each epoch shuffles the row order with the seeded generator, walks
-    batches of ``batch_size`` (last one may be short), and steps against
-    the batch-averaged gradient.  ``loss_history`` holds the mean
-    full-training-set loss after each epoch.  Deterministic per seed.
-    This is ``train_stack`` on a stack of one.
-    """
-    (result,) = train_stack([model], [train_ds], epochs, learning_rate, batch_size, [seed])
-    if isinstance(result, TrainingDivergedError):
-        raise result
-    return model, result
-
-
 def train_stack(
     models: list[NetworkModel],
     datasets,
@@ -347,7 +325,9 @@ def train_stack(
 
     ``datasets[c]`` (anything with ``X`` (n, width_c) and ``y`` (n,)
     arrays, such as a LabeledDataset) trains ``models[c]`` with the
-    shuffle generator seeded by ``seeds[c]``.  Input widths may differ;
+    shuffle generator seeded by ``seeds[c]``: each epoch reshuffles the
+    rows, walks batches of ``batch_size`` and steps against the
+    batch-mean gradient, the same bits for a seed.  Input widths may differ;
     the layer sizes after the input must match.  Equal row counts put
     every company's batch boundaries in the same place, short last
     batch included, so the stack needs no padding and no mask.

@@ -254,11 +254,12 @@ def logit_result_dict(ticker: str, fit: logit_mod.LogitFit, selected: list[str])
     }
 
 
-def write_dataset(datasets_dir: Path, dataset: ds_mod.LabeledDataset, info: dict) -> None:
-    """Write ``<ticker>.csv`` and ``<ticker>.meta.json`` for one built dataset
-    into ``datasets_dir``, which ``make_output_dirs`` has made."""
+def write_dataset(out_dir: Path, dataset: ds_mod.LabeledDataset, info: dict) -> None:
+    """Write one built dataset's ``datasets/<ticker>.csv`` and
+    ``datasets/<ticker>.meta.json`` under ``out_dir`` (``make_output_dirs``
+    makes ``datasets/``)."""
     ticker = dataset.ticker
-    write_atomic(datasets_dir / f"{ticker}.csv", ds_mod.dataset_csv_text(dataset))
+    write_output(out_dir, f"datasets/{ticker}.csv", ds_mod.dataset_csv_text(dataset))
     meta = {
         "ticker": ticker,
         "dropped_columns": info["dropped_columns"],
@@ -275,12 +276,23 @@ def write_dataset(datasets_dir: Path, dataset: ds_mod.LabeledDataset, info: dict
             for name, m in dataset.column_meta.items()
         },
     }
-    write_json(datasets_dir / f"{ticker}.meta.json", meta)
+    write_output(out_dir, f"datasets/{ticker}.meta.json", json_text(meta))
 
 
-def write_json(path: Path, doc) -> None:
-    """Write ``doc`` as indented JSON with a final newline, atomically."""
-    write_atomic(path, json.dumps(doc, indent=2) + "\n")
+def json_text(doc) -> str:
+    """``doc`` as indented JSON with a final newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def write_output(out_dir: Path, name: str, text: str) -> None:
+    """Write ``text`` to ``out_dir / name`` (``write_atomic``); a file that
+    cannot be written is a ConfigError naming ``paths.output_dir`` and ``name``."""
+    try:
+        write_atomic(out_dir / name, text)
+    except OSError as exc:
+        raise ConfigError(
+            f"paths.output_dir {out_dir}: cannot write {name} ({exc.strerror})"
+        ) from exc
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -334,9 +346,9 @@ def _prepare(
             )
     train_ds, test_ds = split_features(dataset, mlp_features, cfg.dataset.train_fraction)
 
-    write_dataset(out_dir / "datasets", dataset, build_info)
+    write_dataset(out_dir, dataset, build_info)
     logit_doc = logit_result_dict(ticker, fit, selected)
-    write_json(out_dir / "logit" / f"{ticker}.json", logit_doc)
+    write_output(out_dir, f"logit/{ticker}.json", json_text(logit_doc))
     fields = {
         "ticker": ticker,
         "status": "ok",
@@ -364,7 +376,7 @@ def _finish(
     model_doc = model_document(
         model, ticker, fields["seeds"], cfg.mlp, loss_history[-1], fields["mlp_features"]
     )
-    write_json(out_dir / "models" / f"{ticker}.json", model_doc)
+    write_output(out_dir, f"models/{ticker}.json", json_text(model_doc))
     return {
         **fields,
         "hyperparameters": {
@@ -504,12 +516,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "config": cfg.to_dict(),
     }
     for name, fmt in (("report.json", "json"), ("report.txt", "text")):
-        try:
-            write_atomic(out_dir / name, render_report(report, fmt))
-        except OSError as exc:
-            raise ConfigError(
-                f"paths.output_dir {out_dir}: cannot write {name} ({exc.strerror})"
-            ) from exc
+        write_output(out_dir, name, render_report(report, fmt))
     return report
 
 
@@ -527,7 +534,7 @@ def render_report(report: dict, fmt: str) -> str:
         table = _report_table(report)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"not a pipeline report ({exc!r})") from exc
-    return json.dumps(report, indent=2) + "\n" if fmt == "json" else table
+    return json_text(report) if fmt == "json" else table
 
 
 def _report_table(report: dict) -> str:

@@ -26,7 +26,7 @@ from pricedir.dataset import (
     impute_missing,
     normalize_column,
 )
-from pricedir.errors import DataValidationError
+from pricedir.errors import DataError
 from pricedir.logit import fit_logit, select_features
 from pricedir.mlp import backprop_gradients, bce_loss, forward, init_network
 from pricedir import pipeline as pipeline_mod
@@ -236,7 +236,7 @@ class TestAcceptance:
         (tmp_path / "constituents_2004-04-09.csv").write_text(
             "# effective_date=2004-04-01\nticker\nAAA\n"
         )
-        with pytest.raises(DataValidationError, match="max 6"):
+        with pytest.raises(DataError, match=r"8 days before requested date 2004-04-09 \(max 6\)"):
             pipeline_mod.load_membership_dir(tmp_path)
 
     def test_normalization_and_imputation_suite(self):

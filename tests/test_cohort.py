@@ -11,7 +11,7 @@ from pricedir.cohort import (
     partition_into_fifths,
     sample_cohort,
 )
-from pricedir.errors import DeficientGroupError, ValidationError
+from pricedir.errors import DataError, ValidationError
 
 from conftest import make_snapshots
 
@@ -115,7 +115,7 @@ class TestSampleCohort:
     def test_deficient_group_error_names_group(self):
         groups = ten_by_five()
         groups[3].members = {"a", "b", "c", "d"}
-        with pytest.raises(DeficientGroupError, match="group 3"):
+        with pytest.raises(DataError, match="group 3 has 4 members, need 10"):
             sample_cohort(groups, per_group=10, seed=1)
 
     def test_allow_deficient_takes_all(self):

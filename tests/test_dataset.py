@@ -20,14 +20,7 @@ from pricedir.dataset import (
     read_dataset_csv,
     trim_timespan,
 )
-from pricedir.errors import (
-    EmptyColumnError,
-    EmptyTimespanError,
-    InsufficientHistoryError,
-    InvalidSplitError,
-    UncoveredDateError,
-    ValidationError,
-)
+from pricedir.errors import DataError, ValidationError
 
 from pricedir.ingest import MAX_FALLBACK_DAYS, CompanyPanel, MembershipSnapshot
 
@@ -57,7 +50,7 @@ class TestMembershipIndicator:
     def test_uncovered_date_error_lists_dates(self):
         panel = make_panel(ticker="A", n=2, start=date(2010, 1, 1), price=[1.0, 2.0])
         snaps = make_snapshots([{"A"}])
-        with pytest.raises(UncoveredDateError, match="2010-01-01"):
+        with pytest.raises(DataError, match="2010-01-01"):
             attach_membership_indicator(panel, snaps)
 
     def test_uncovered_dates_listed_in_row_order(self):
@@ -71,7 +64,7 @@ class TestMembershipIndicator:
         days = [weeks[0], weeks[1], weeks[2] + timedelta(days=3), weeks[3], weeks[4],
                 weeks[4] + timedelta(days=1)]
         panel = CompanyPanel("A", days, {"price": [1.0] * len(days)})
-        with pytest.raises(UncoveredDateError) as info:
+        with pytest.raises(DataError, match="no snapshot week covers") as info:
             attach_membership_indicator(panel, snaps)
         assert str(info.value) == (
             "panel A: no snapshot week covers "
@@ -95,8 +88,8 @@ class TestMembershipIndicator:
         panel = CompanyPanel("A", days, {"price": [1.0] * len(days)})
         try:
             want = reference_indicator(panel, snaps)
-        except UncoveredDateError as exc:
-            with pytest.raises(UncoveredDateError) as info:
+        except DataError as exc:
+            with pytest.raises(DataError, match="no snapshot week covers") as info:
                 attach_membership_indicator(panel, snaps)
             assert str(info.value) == str(exc)
         else:
@@ -118,7 +111,7 @@ def reference_indicator(panel, snapshots):
         elif panel.ticker in ordered[i].constituents:
             indicator[t] = 1.0
     if uncovered:
-        raise UncoveredDateError(
+        raise DataError(
             f"panel {panel.ticker}: no snapshot week covers "
             f"{[d.isoformat() for d in uncovered]}"
         )
@@ -153,7 +146,7 @@ class TestDirectionLabel:
         np.testing.assert_array_equal(labels, [np.nan, np.nan, np.nan, 1])
 
     def test_insufficient_history(self):
-        with pytest.raises(InsufficientHistoryError):
+        with pytest.raises(DataError, match="fewer than 2 consecutive usable prices in 'price'"):
             attach_direction_label(make_panel(price=[10.0, None, 11.0]), "price")
 
     def test_unknown_column(self):
@@ -248,7 +241,7 @@ class TestTrimTimespan:
         np.testing.assert_array_equal(out.column("a"), [2.0, 3.0])
 
     def test_no_usable_row(self):
-        with pytest.raises(EmptyTimespanError):
+        with pytest.raises(DataError, match=r"no row has all of \['a'\] present"):
             trim_timespan(make_panel(a=[None, None]), ["a"])
 
     def test_empty_required_rejected(self):
@@ -277,7 +270,7 @@ class TestNormalizeColumn:
         assert lo == hi == 3.0
 
     def test_all_missing_rejected(self):
-        with pytest.raises(EmptyColumnError):
+        with pytest.raises(DataError, match="cannot normalize a column with no observed values"):
             normalize_column([None, None])
 
     def test_non_finite_values_rejected(self):
@@ -324,7 +317,7 @@ class TestImputeMissing:
         assert count == 2
 
     def test_all_missing_rejected(self):
-        with pytest.raises(EmptyColumnError):
+        with pytest.raises(DataError, match="cannot impute a column with no observed values"):
             impute_missing([None])
 
     def test_mean_summed_left_to_right(self):
@@ -453,7 +446,7 @@ class TestChronologicalSplit:
             chronological_split(self.build(4), 0.8)
 
     def test_empty_part_rejected(self):
-        with pytest.raises(InvalidSplitError):
+        with pytest.raises(ValidationError, match="split 5/0 leaves a part empty"):
             chronological_split(self.build(5), 0.9)
 
     def test_fraction_range_checked(self):
@@ -469,7 +462,8 @@ class TestChronologicalSplit:
 
         try:
             train, test = chronological_split(self.build(n), frac)
-        except InvalidSplitError:
+        except ValidationError as exc:
+            assert "leaves a part empty" in str(exc)
             assert math.ceil(Fraction(str(frac)) * n) >= n
             return
         assert train.n_rows == math.ceil(Fraction(str(frac)) * n)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pricedir.errors import (
-    DataValidationError,
+    DataError,
     ParseError,
     ValidationError,
 )
@@ -35,7 +35,7 @@ def reference_ticker_rows(lines, source):
         if not ticker or "," in ticker or any(c.isspace() for c in ticker):
             return ParseError(f"malformed ticker row {raw!r}", source=source, line=lineno)
         if ticker in seen:
-            return DataValidationError(f"{source}, line {lineno}: duplicate ticker {ticker!r}")
+            return DataError(f"{source}, line {lineno}: duplicate ticker {ticker!r}")
         seen.add(ticker)
     return frozenset(seen)
 
@@ -69,11 +69,11 @@ class TestParseMembershipFile:
 
     def test_duplicate_ticker_rejected(self):
         text = membership_text("2002-01-04", ["AAA", "AAA"])
-        with pytest.raises(DataValidationError, match="duplicate ticker"):
+        with pytest.raises(DataError, match="duplicate ticker"):
             parse_membership_file(text, date(2002, 1, 4))
 
     def test_empty_content_rejected(self):
-        with pytest.raises(DataValidationError, match="empty"):
+        with pytest.raises(DataError, match="empty"):
             parse_membership_file("", date(2002, 1, 4))
 
     def test_zero_tickers_is_a_valid_small_index_week(self):
@@ -110,12 +110,12 @@ class TestParseMembershipFile:
 
     def test_effective_after_requested_rejected(self):
         text = membership_text("2002-01-11", ["AAA"])
-        with pytest.raises(DataValidationError):
+        with pytest.raises(DataError, match="effective date 2002-01-11 is after requested date"):
             parse_membership_file(text, date(2002, 1, 4))
 
     def test_effective_gap_beyond_window_rejected(self):
         text = membership_text("2002-01-04", ["AAA"])
-        with pytest.raises(DataValidationError):
+        with pytest.raises(DataError, match=r"7 days before requested date 2002-01-11 \(max 6\)"):
             parse_membership_file(text, date(2002, 1, 11))
 
     def test_accepts_bytes(self):
@@ -176,7 +176,7 @@ class TestParseCompanyPanel:
 
     def test_duplicate_date_rejected(self):
         text = "date,price\n2002-01-04,10.0\n2002-01-04,10.5\n"
-        with pytest.raises(DataValidationError, match="duplicate dates"):
+        with pytest.raises(DataError, match="duplicate dates"):
             parse_company_panel(text, "TST")
 
     def test_non_numeric_cell_located(self):

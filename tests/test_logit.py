@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from pricedir.errors import SingularDesignError, ValidationError
+from pricedir.errors import DataError, ValidationError
 from pricedir.logit import (
     _two_sided_pvalues,
     fit_logit,
@@ -135,7 +135,7 @@ class TestFitLogit:
         from pricedir.logit import _solve_information
 
         H = np.full((2, 2), np.nan)
-        with pytest.raises(SingularDesignError):
+        with pytest.raises(DataError, match="information matrix singular even with ridge term"):
             _solve_information(H, np.ones(2))
 
     def test_validation_errors(self):

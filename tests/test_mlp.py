@@ -18,7 +18,6 @@ from pricedir.mlp import (
     init_network,
     model_from_dict,
     model_to_dict,
-    train,
     train_stack,
 )
 
@@ -253,8 +252,8 @@ class TestTrain:
             model, X, y.astype(float), epochs=6, learning_rate=0.7,
             batch_size=batch_size, seed=n + 1,
         )
-        model, losses = train(model, make_ds(X, y), epochs=6, learning_rate=0.7,
-                              batch_size=batch_size, seed=n + 1)
+        (losses,) = train_stack([model], [make_ds(X, y)], epochs=6, learning_rate=0.7,
+                                batch_size=batch_size, seeds=[n + 1])
         assert losses == ref_losses
         for got, want in zip(model.weights + model.biases, ref_w + ref_b):
             # as bits: np.array_equal takes -0.0 for 0.0
@@ -264,23 +263,23 @@ class TestTrain:
         ds = self.planted_ds()
         model = init_network([3, 4, 1], seed=1)
         before = [w.copy() for w in model.weights]
-        model, _ = train(model, ds, epochs=3, learning_rate=0.0, batch_size=16, seed=5)
+        train_stack([model], [ds], epochs=3, learning_rate=0.0, batch_size=16, seeds=[5])
         for w0, w1 in zip(before, model.weights):
             assert np.array_equal(w0, w1)
 
     def test_full_batch_loss_strictly_decreasing(self):
         ds = self.planted_ds()
         model = init_network([3, 4, 1], seed=2)
-        _, losses = train(model, ds, epochs=50, learning_rate=0.05,
-                          batch_size=ds.n_rows, seed=3)
+        (losses,) = train_stack([model], [ds], epochs=50, learning_rate=0.05,
+                                batch_size=ds.n_rows, seeds=[3])
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_deterministic_history(self):
         ds = self.planted_ds()
         m1 = init_network([3, 4, 1], seed=4)
         m2 = init_network([3, 4, 1], seed=4)
-        m1, h1 = train(m1, ds, epochs=5, learning_rate=0.1, batch_size=32, seed=9)
-        m2, h2 = train(m2, ds, epochs=5, learning_rate=0.1, batch_size=32, seed=9)
+        (h1,) = train_stack([m1], [ds], epochs=5, learning_rate=0.1, batch_size=32, seeds=[9])
+        (h2,) = train_stack([m2], [ds], epochs=5, learning_rate=0.1, batch_size=32, seeds=[9])
         assert h1 == h2
         for w1, w2 in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
@@ -291,7 +290,7 @@ class TestTrain:
         y = (X[:, 0] + X[:, 1] > 1.0).astype(int)
         ds = make_ds(X, y)
         model = init_network([2, 8, 1], seed=17)
-        model, _ = train(model, ds, epochs=500, learning_rate=0.5, batch_size=32, seed=18)
+        train_stack([model], [ds], epochs=500, learning_rate=0.5, batch_size=32, seeds=[18])
         report = evaluate(model, ds, 0.5)
         assert report.accuracy >= 0.95
 
@@ -300,17 +299,20 @@ class TestTrain:
         model = init_network([2, 1], seed=0)
         model.weights[0][:] = [np.inf, -np.inf]  # inf - inf -> NaN activations
         with np.errstate(invalid="ignore"):
-            with pytest.raises(TrainingDivergedError, match="epoch 1"):
-                train(model, ds, epochs=2, learning_rate=0.0, batch_size=4, seed=0)
+            (error,) = train_stack([model], [ds], epochs=2, learning_rate=0.0, batch_size=4,
+                                   seeds=[0])
+        assert isinstance(error, TrainingDivergedError)
+        assert str(error) == "non-finite loss at epoch 1"
 
     def test_hyperparameter_validation(self):
         ds = self.planted_ds(n=10)
         model = init_network([3, 1], seed=0)
-        with pytest.raises(ValidationError):
-            train(model, ds, epochs=0, learning_rate=0.1, batch_size=4, seed=0)
+        with pytest.raises(ValidationError, match="epochs and batch_size must be positive"):
+            train_stack([model], [ds], epochs=0, learning_rate=0.1, batch_size=4, seeds=[0])
         for learning_rate in (-0.1, np.nan, np.inf, -np.inf):
             with pytest.raises(ValidationError, match="learning_rate"):
-                train(model, ds, epochs=1, learning_rate=learning_rate, batch_size=4, seed=0)
+                train_stack([model], [ds], epochs=1, learning_rate=learning_rate, batch_size=4,
+                            seeds=[0])
 
 
 class TestStepPlan:
@@ -326,7 +328,7 @@ class TestStepPlan:
 
 
 class TestTrainStack:
-    """A stack must give every company the bits that solo ``train`` gives it."""
+    """A stack must give every company the bits that a stack of one gives it."""
 
     def company(self, width, n, seed, hidden, scale=1.0):
         rng = np.random.default_rng(seed)
@@ -349,8 +351,8 @@ class TestTrainStack:
         pytest.param(97, 10, 1e4, id="saturated"),  # hidden sigmoids at exactly 0.0
     ])
     def test_matches_solo_train(self, hidden, n, batch_size, scale):
-        """The stack runs batched (C, ...) products and solo ``train`` the
-        2-D ones of a stack of one: the same bits either way."""
+        """The stack runs batched (C, ...) products and a stack of one the
+        2-D ones: the same bits either way."""
         companies = [self.company(w, n, 10 + w, hidden, scale) for w in (1, 4, 6)]
         stacked = [init_network(sizes, seed=w) for (_, sizes), w in zip(companies, (1, 4, 6))]
         if hidden and scale != 1.0:
@@ -361,8 +363,9 @@ class TestTrainStack:
         for (ds, sizes), model, losses, w, seed in zip(
             companies, stacked, results, (1, 4, 6), (3, 4, 5)
         ):
-            solo, solo_losses = train(init_network(sizes, seed=w), ds, epochs=5,
-                                      learning_rate=0.7, batch_size=batch_size, seed=seed)
+            solo = init_network(sizes, seed=w)
+            (solo_losses,) = train_stack([solo], [ds], epochs=5, learning_rate=0.7,
+                                         batch_size=batch_size, seeds=[seed])
             assert losses == solo_losses
             self.assert_same_bits(model, solo)
 
@@ -373,15 +376,18 @@ class TestTrainStack:
         with np.errstate(over="ignore", invalid="ignore"):
             results = train_stack(stacked, [ds for ds, _ in companies], epochs=4,
                                   learning_rate=0.5, batch_size=16, seeds=[7, 8, 9])
-            with pytest.raises(TrainingDivergedError, match="epoch 1") as solo_error:
-                train(init_network(companies[1][1], seed=1), companies[1][0], epochs=4,
-                      learning_rate=0.5, batch_size=16, seed=8)
+            (solo_error,) = train_stack([init_network(companies[1][1], seed=1)],
+                                        [companies[1][0]], epochs=4, learning_rate=0.5,
+                                        batch_size=16, seeds=[8])
+        assert isinstance(solo_error, TrainingDivergedError)
+        assert str(solo_error) == "non-finite loss at epoch 1"
         assert isinstance(results[1], TrainingDivergedError)
-        assert str(results[1]) == str(solo_error.value)
+        assert str(results[1]) == str(solo_error)
         for i in (0, 2):
             ds, sizes = companies[i]
-            solo, solo_losses = train(init_network(sizes, seed=i), ds, epochs=4,
-                                      learning_rate=0.5, batch_size=16, seed=7 + i)
+            solo = init_network(sizes, seed=i)
+            (solo_losses,) = train_stack([solo], [ds], epochs=4, learning_rate=0.5,
+                                         batch_size=16, seeds=[7 + i])
             assert results[i] == solo_losses
             self.assert_same_bits(stacked[i], solo)
 

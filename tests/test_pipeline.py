@@ -587,7 +587,7 @@ class TestCli:
         ])
         assert code == 1
 
-    def test_data_error_exits_2(self, tmp_path, capsys):
+    def test_data_error_exits_2(self, fixture, tmp_path, capsys):
         code = main(["logit", "--dataset", str(tmp_path / "missing.csv")])
         assert code == 2
         bad_report = tmp_path / "report.json"
@@ -604,6 +604,31 @@ class TestCli:
         not_utf8.write_bytes(b"date,y,a\n2002-01-04,1,0.5\xff\n")
         assert main(["logit", "--dataset", str(not_utf8)]) == 2
         assert str(not_utf8) in capsys.readouterr().err
+        # a cohort group smaller than the sample, without --allow-deficient
+        root, _ = fixture
+        assert main(["cohort", "--membership-dir", str(root / "membership"),
+                     "--per-group", "10"]) == 2
+        assert capsys.readouterr().err == "error: group 0 has 1 members, need 10\n"
+
+    def test_diverging_train_exits_2(self, tmp_path, capsys):
+        """A loss that turns non-finite exits 2 naming the epoch, and writes no model."""
+        rng = np.random.default_rng(2)
+        X = rng.random((60, 4))
+        y = (rng.random(60) < X.mean(axis=1)).astype(int)
+        X = (X - 0.5) * 1e200  # signed and huge: the sigmoids saturate and the loss turns NaN
+        dataset = tmp_path / "BIG.csv"
+        dataset.write_text("date,y,f0,f1,f2,f3\n" + "".join(
+            f"{day},{label},{','.join(map(repr, row))}\n"
+            for day, label, row in zip(weekly_dates(60), y, X.tolist())
+        ))
+        model = tmp_path / "model.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--dataset", str(dataset), "--out", str(model),
+                         "--mlp.hidden_sizes", "[]", "--mlp.batch_size", "16",
+                         "--mlp.learning_rate", "0.5", "--mlp.epochs", "4"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: non-finite loss at epoch 1\n"
+        assert not model.exists()
 
     def test_pipeline_error_exits_3(self, fixture, tmp_path, capsys):
         root, _ = fixture
@@ -812,6 +837,41 @@ class TestCli:
         assert blocker.is_dir() if blocked.endswith("/") else blocker.read_text() == "in the way"
         assert not [f for f in tmp_path.rglob("*") if f.name.endswith(".tmp")]
 
+    @pytest.mark.parametrize("blocked", [
+        "datasets/C000.csv", "datasets/C000.meta.json", "logit/C000.json", "models/C000.json",
+    ])
+    def test_blocked_company_file_fails_that_company(self, fixture, tmp_path, capfd, blocked):
+        """A directory in place of one company's output file fails that company
+        with a message naming ``paths.output_dir`` and the file, and no
+        traceback; the other company runs, and the directory stays."""
+        root, _ = fixture
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        base = [
+            "--paths.membership_dir", str(root / "membership"),
+            "--paths.panels_dir", str(root / "panels"),
+            "--paths.output_dir", str(out),
+            "--mlp.epochs", "2",
+            "--tickers", "C000,C001",
+        ]
+        problem = (
+            f"paths.output_dir {out}: cannot write {blocked} (exists and is not a regular file)"
+        )
+        assert main(["pipeline", *base]) == 0
+        assert "Traceback" not in capfd.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        c000, c001 = report["companies"]
+        assert (c000["status"], c000["error"]) == ("failed", problem)
+        assert c001["status"] == "ok"
+        assert (out / blocked).is_dir()
+        if blocked.startswith("datasets/"):
+            assert main(["build", *base]) == 2
+            captured = capfd.readouterr()
+            assert captured.err == f"error: C000: {problem}\n"
+            assert captured.out == f"built C001: {c001['n_rows']} rows\n"
+            assert (out / blocked).is_dir()
+        assert not [f for f in out.rglob("*") if f.name.endswith(".tmp")]
+
     def test_build_and_pipeline_write_identical_datasets(self, fixture, tmp_path, capsys):
         root, _ = fixture
         base = [
@@ -920,6 +980,20 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "fx" / "truth.json").is_file()
         assert len(list((tmp_path / "fx" / "membership").glob("*.csv"))) == 30
+
+    def test_synth_refuses_a_file_as_out_and_a_non_finite_scale(self, tmp_path, capsys):
+        """Each exits 1 naming the flag, with no traceback, and writes nothing."""
+        taken = tmp_path / "taken"
+        taken.write_text("in the way")
+        small = ["--companies", "2", "--weeks", "30"]
+        assert main(["synth", "--out", str(taken), *small]) == 1
+        assert capsys.readouterr().err == f"error: --out {taken}: cannot write (Not a directory)\n"
+        assert taken.read_text() == "in the way"
+        for scale in ("nan", "inf", "-inf"):
+            assert main(["synth", "--out", str(tmp_path / "fx"), *small,
+                         f"--signal-scale={scale}"]) == 1
+            assert capsys.readouterr().err == f"error: --signal-scale must be finite, got {scale}\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["taken"]
 
     @settings(max_examples=60, deadline=None)
     @given(
