@@ -136,7 +136,7 @@ def _cmd_build(args) -> int:
     for ticker, path in sorted(panels.items()):
         try:
             dataset, info = pipeline.build_from_file(ticker, path, snapshots, cfg)
-            pipeline.write_dataset(out_dir, dataset, info)
+            pipeline.write_outputs(out_dir, pipeline.dataset_files(dataset, info))
         except PricedirError as exc:
             # fail soft, as the pipeline does: report it and build the rest
             print(f"error: {ticker}: {exc}", file=sys.stderr)

@@ -23,17 +23,36 @@ RIDGE = 1e-8
 SEPARATION_BOUND = 30.0
 
 
-def sigmoid(eta):
-    """Numerically stable logistic function, elementwise.
+# 0-d float64 operands: a ufunc converts a Python scalar on every call.
+_ZERO = np.array(0.0)
+_ONE = np.array(1.0)
+_MINUS_ONE = np.array(-1.0)
 
-    ``1 / (1 + exp(-eta))`` for ``eta >= 0`` and ``exp(eta) / (1 + exp(eta))``
-    below, both written through ``e = exp(-|eta|)`` so that no element is
+
+def sigmoid_into(z: np.ndarray, out: np.ndarray) -> None:
+    """Numerically stable logistic function of ``z``, elementwise, into ``out``.
+
+    ``1 / (1 + exp(-z))`` for ``z >= 0`` and ``exp(z) / (1 + exp(z))``
+    below, both written through ``e = exp(-|z|)`` so that no element is
     gathered or scattered by a mask.  ``e`` lies in [0, 1], so the
-    numerator ``max(e, eta >= 0)`` is exactly 1 or ``e`` (NaN stays NaN).
+    numerator ``max(e, z >= 0)`` is exactly 1 or ``e`` (NaN stays NaN).
+    ``out`` holds ``e`` on the way (``copysign`` sets the sign bit, as
+    ``-abs`` does).  ``z`` is overwritten by the mask as 0.0/1.0, so that
+    the max runs float/float, and then by the numerator.
     """
-    eta = np.asarray(eta, dtype=float)
-    e = np.exp(-np.abs(eta))
-    out = np.maximum(e, eta >= 0) / (1.0 + e)
+    np.copysign(z, _MINUS_ONE, out=out)
+    np.exp(out, out=out)
+    np.greater_equal(z, _ZERO, out=z)
+    np.maximum(out, z, out=z)
+    np.add(_ONE, out, out=out)
+    np.divide(z, out, out=out)
+
+
+def sigmoid(eta):
+    """``sigmoid_into`` on a copy of ``eta``: a new array, or a float for a scalar."""
+    eta = np.array(eta, dtype=float)
+    out = np.empty_like(eta)
+    sigmoid_into(eta, out)
     return out if out.ndim else float(out)
 
 

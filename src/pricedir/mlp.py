@@ -17,15 +17,14 @@ import numpy as np
 from .config import MlpConfig
 from .dataset import LabeledDataset
 from .errors import TrainingDivergedError, ValidationError
+from .logit import sigmoid_into
 
 # Keeps log(yhat) finite when an output saturates at 0 or 1.
 OUTPUT_EPS = 1e-12
 # 0-d float64 operands: a ufunc converts a Python scalar on every call.
-_ZERO = np.array(0.0)
 _ONE = np.array(1.0)
 _LOW = np.array(OUTPUT_EPS)
 _HIGH = np.array(1.0 - OUTPUT_EPS)
-_MINUS_ONE = np.array(-1.0)
 
 
 @dataclass
@@ -118,22 +117,6 @@ def _stack_pairs(models, net):
         yield from zip(model.weights + model.biases, weights + biases)
 
 
-def _sigmoid_into(z: np.ndarray, out: np.ndarray) -> None:
-    """Write ``logit.sigmoid(z)`` into ``out`` through the same IEEE operations.
-
-    ``out`` holds ``e = exp(-|z|)`` on the way (``copysign`` only sets the
-    sign bit, as ``-abs`` does).  ``z`` is overwritten: it takes the
-    ``z >= 0`` mask as 0.0/1.0, so that the max runs float/float, and
-    then the numerator ``max(e, mask)``.
-    """
-    np.copysign(z, _MINUS_ONE, out=out)
-    np.exp(out, out=out)
-    np.greater_equal(z, _ZERO, out=z)
-    np.maximum(out, z, out=z)
-    np.add(_ONE, out, out=out)
-    np.divide(z, out, out=out)
-
-
 def _kernel(m: int):
     """The matrix product for 2-D operands with ``m`` rows.
 
@@ -144,45 +127,12 @@ def _kernel(m: int):
     return np.matmul if m == 1 else np.dot
 
 
-def _forward_plan(w0Ts, z0s, wTs, biases, Z, A, dot0, dot):
-    """Return ``forward(Xs)``, the forward pass into bound buffers.
-
-    ``Xs`` holds one (m, width_c) input per company.  Layer 0 runs per
-    company: ``dot0(Xs[c], w0Ts[c])`` goes into ``z0s[c]``, a view of
-    ``Z[0]``.  Every later layer is ``dot(A[l - 1], wTs[l])`` into
-    ``Z[l]``, for one company's (m, size) buffers or a stack's
-    (C, m, size) ones.  ``A[l]`` takes the activations; the final output
-    is clamped open.
-    """
-    n_layers = len(biases)
-
-    def forward(Xs) -> None:
-        for X, w0T, z in zip(Xs, w0Ts, z0s):
-            dot0(X, w0T, out=z)
-        for layer in range(n_layers):
-            if layer:
-                dot(A[layer - 1], wTs[layer], out=Z[layer])
-            np.add(Z[layer], biases[layer], out=Z[layer])
-            _sigmoid_into(Z[layer], A[layer])
-        # np.clip in place, without its Python-level argument handling
-        np.maximum(A[-1], _LOW, out=A[-1])
-        np.minimum(A[-1], _HIGH, out=A[-1])
-
-    return forward
-
-
-def _company_forward(weights, biases, Z, A):
-    """``_forward_plan`` for one network's (out, in) weights into (n, size) buffers."""
-    dot = _kernel(len(Z[0]))
-    return _forward_plan([weights[0].T], [Z[0]], [w.T for w in weights], biases, Z, A, dot, dot)
-
-
 def _forward(model: NetworkModel, X: np.ndarray) -> list[np.ndarray]:
     """The (n, size) activations of every layer for the rows of ``X``."""
-    Z = [np.empty((len(X), size)) for size in model.layer_sizes[1:]]
-    A = [np.empty_like(z) for z in Z]
-    _company_forward(model.weights, model.biases, Z, A)([X])
-    return A
+    _, _, net, grad_net = _pack([model])
+    forward, _, A = _step_plan(net, grad_net, 1, len(X))
+    forward([X])
+    return [a[0] for a in A]
 
 
 def forward(model: NetworkModel, x) -> tuple[float, list[np.ndarray]]:
@@ -201,52 +151,26 @@ def bce_loss(y: float, yhat: float) -> float:
     return -(y * math.log(yhat) + (1.0 - y) * math.log(1.0 - yhat))
 
 
-def _loss_plan(net, Xs, ys):
-    """Return ``loss(c)``: company c's mean cross-entropy over all its rows.
-
-    The companies of a stack share their row count n, so one set of
-    (n, size) activation buffers and two (n,) temporaries serve them
-    all, bound here with each company's ``1 - y``.  Each element goes
-    through the operations of ``-mean(y * log(yhat) + (1 - y) *
-    log(1 - yhat))`` in that order.
-    """
-    n = len(ys[0])
-    Z = [np.empty((n, b.shape[2])) for b in net[1]]
-    A = [np.empty_like(z) for z in Z]
-    passes = [_company_forward(*_company(net, c), Z, A) for c in range(len(ys))]
-    not_ys = [np.subtract(_ONE, y) for y in ys]
-    yhat, log_yes, log_no = A[-1][:, 0], np.empty(n), np.empty(n)
-
-    def loss(c: int) -> float:
-        passes[c]([Xs[c]])
-        np.log(yhat, out=log_yes)
-        np.multiply(ys[c], log_yes, out=log_yes)
-        np.subtract(_ONE, yhat, out=log_no)
-        np.log(log_no, out=log_no)
-        np.multiply(not_ys[c], log_no, out=log_no)
-        np.add(log_yes, log_no, out=log_yes)
-        return -(float(np.add.reduce(log_yes)) / n)
-
-    return loss
-
-
 def _step_plan(net, grad_net, n_companies: int, m: int):
-    """Return ``gradients(Xs, Y)`` for batches of ``m`` rows of a stack of C companies.
+    """Return ``(forward, gradients, A)``, every pass of the network over
+    ``m`` rows of each company of a stack of C.
 
-    ``gradients`` takes one (m, width_c) batch per company and the
-    targets as a (C, m, 1) array, or (m, 1) for a stack of one.  It
-    writes each company's cross-entropy gradients, summed over the batch
-    rows, into ``grad_net``, a (weights, biases) pair of views shaped
-    like ``net``; dividing by ``m`` gives the batch mean.  The buffers
-    and the transposed weight views are bound here, once, so a step
-    allocates nothing and every ufunc writes ``out=``.
+    ``forward(Xs)`` takes one (m, width_c) input per company and writes
+    every layer's activations into ``A``, one (C, m, size) buffer per
+    layer; the final output is clamped open.  ``gradients(Xs, Y)`` runs
+    ``forward``, takes the targets as a (C, m, 1) array, or (m, 1) for a
+    stack of one, and writes each company's cross-entropy gradients,
+    summed over the rows, into ``grad_net``, a (weights, biases) pair of
+    views shaped like ``net``.  The buffers and the transposed weight
+    views are bound here, once, so a pass allocates nothing and every
+    ufunc writes ``out=``.
 
     Layer 0 runs per company on 2-D views.  A stack of one binds 2-D
     ``[0]`` views for every other layer too, so that each product is a
     plain 2-D BLAS call (``_kernel``); a larger stack runs batched
     (C, ...) ``np.matmul``.  The kernels give the same bits, and each
     element goes through the same operations in the same order, so a
-    company's gradients do not depend on the stack it is in.
+    company's outputs and gradients do not depend on the stack it is in.
     """
     weights, biases = net
     grad_weights, grad_biases = grad_net
@@ -254,6 +178,7 @@ def _step_plan(net, grad_net, n_companies: int, m: int):
     Z = [np.empty((n_companies, m, b.shape[2])) for b in biases]
     A = [np.empty_like(z) for z in Z]  # activation
     D = [np.empty_like(z) for z in Z]  # delta
+    activations = A  # (C, m, size) even where the kernels take 2-D views
     z0s, d0Ts, w0Ts = list(Z[0]), [d.T for d in D[0]], [w.T for w in weights[0]]
     Ws, Bs, GWs, GBs = [None] + weights[1:], biases, [None] + grad_weights[1:], grad_biases
     dot0 = _kernel(m)
@@ -266,8 +191,19 @@ def _step_plan(net, grad_net, n_companies: int, m: int):
         dot = np.matmul
     wTs = [w if w is None else w.swapaxes(-1, -2) for w in Ws]
     dTs = [d.swapaxes(-1, -2) for d in D]
-    forward = _forward_plan(w0Ts, z0s, wTs, Bs, Z, A, dot0, dot)
     n_layers = len(biases)
+
+    def forward(Xs) -> None:
+        for X, w0T, z in zip(Xs, w0Ts, z0s):
+            dot0(X, w0T, out=z)
+        for layer in range(n_layers):
+            if layer:
+                dot(A[layer - 1], wTs[layer], out=Z[layer])
+            np.add(Z[layer], Bs[layer], out=Z[layer])
+            sigmoid_into(Z[layer], A[layer])
+        # np.clip in place, without its Python-level argument handling
+        np.maximum(A[-1], _LOW, out=A[-1])
+        np.minimum(A[-1], _HIGH, out=A[-1])
 
     def gradients(Xs, Y) -> None:
         forward(Xs)
@@ -286,7 +222,7 @@ def _step_plan(net, grad_net, n_companies: int, m: int):
         for X, d0T, grad_w in zip(Xs, d0Ts, grad_weights[0]):
             dot0(d0T, X, out=grad_w)
 
-    return gradients
+    return forward, gradients, activations
 
 
 def backprop_gradients(model: NetworkModel, x, y: float):
@@ -296,7 +232,8 @@ def backprop_gradients(model: NetworkModel, x, y: float):
     if not 0.0 <= y <= 1.0:
         raise ValidationError("target must lie in [0, 1]")
     _, _, net, grad_net = _pack([model])
-    _step_plan(net, grad_net, 1, 1)([x.reshape(1, -1)], np.asarray([[float(y)]]))
+    _, gradients, _ = _step_plan(net, grad_net, 1, 1)
+    gradients([x.reshape(1, -1)], np.asarray([[float(y)]]))
     return _company(grad_net, 0)
 
 
@@ -334,13 +271,14 @@ def train_stack(
 
     All parameters live in one flat vector and the gradients in a
     matching one, so the update is three numpy calls for the whole
-    stack.  The gradients come from a step plan (``_step_plan``) per
-    batch size, built when the stack is packed: at most two, for the
-    full batches and the short last one.  The per-epoch loss comes from
-    a loss plan (``_loss_plan``), built then too.  Each element sees
-    the same IEEE operations as in a company-by-company loop, so a
-    company's weights and losses do not depend on which companies share
-    its stack.
+    stack.  Every pass runs through a step plan (``_step_plan``) per
+    row count, built when the stack is packed: at most three, for the
+    full batches, the short last one and the per-epoch loss over all
+    ``n`` rows, which is one forward pass for the whole stack (when
+    ``batch_size >= n`` the batch and the loss share one plan).  Each
+    element sees the same IEEE operations as in a company-by-company
+    loop, so a company's weights and losses do not depend on which
+    companies share its stack.
 
     Mutates the models and returns one entry per company: its loss
     history (the mean full-training-set loss after each epoch), or the
@@ -379,19 +317,24 @@ def train_stack(
     while live and epoch < epochs:
         stack = [models[c] for c in live]
         params, grads, net, grad_net = _pack(stack)
-        losses = _loss_plan(net, [Xs[c] for c in live], [ys[c] for c in live])
+        plans = {
+            m: _step_plan(net, grad_net, len(stack), m)
+            for m in {stop - start for start, stop in batches} | {n}
+        }
         # each epoch's shuffled rows, and every batch's views into them
         X_epoch = [np.empty(Xs[c].shape) for c in live]
         Y_epoch = np.empty((len(stack), n, 1))
         Y_plan = Y_epoch[0] if len(stack) == 1 else Y_epoch  # the targets' shape in a plan
-        plans = {
-            m: (_step_plan(net, grad_net, len(stack), m), np.array(float(m)))
-            for m in {stop - start for start, stop in batches}
-        }
         steps = [
-            ([X[start:stop] for X in X_epoch], Y_plan[..., start:stop, :], *plans[stop - start])
+            ([X[start:stop] for X in X_epoch], Y_plan[..., start:stop, :], plans[stop - start][1],
+             np.array(float(stop - start)))
             for start, stop in batches
         ]
+        # the loss, -mean(y * log(yhat) + (1 - y) * log(1 - yhat)), over all n rows in order
+        forward, _, A = plans[n]
+        X_all, y_all = [Xs[c] for c in live], np.array([ys[c] for c in live])
+        not_y, yhat = np.subtract(_ONE, y_all), A[-1][..., 0]
+        log_yes, log_no = np.empty_like(y_all), np.empty_like(y_all)
         try:
             while epoch < epochs:
                 epoch += 1
@@ -404,9 +347,16 @@ def train_stack(
                     np.divide(grads, m, out=grads)
                     np.multiply(grads, lr, out=grads)
                     np.subtract(params, grads, out=params)
+                forward(X_all)
+                np.log(yhat, out=log_yes)
+                np.multiply(y_all, log_yes, out=log_yes)
+                np.subtract(_ONE, yhat, out=log_no)
+                np.log(log_no, out=log_no)
+                np.multiply(not_y, log_no, out=log_no)
+                np.add(log_yes, log_no, out=log_yes)
                 diverged = False
-                for i, c in enumerate(live):
-                    loss = losses(i)
+                for c, log_likelihoods in zip(live, log_yes):
+                    loss = -(float(np.add.reduce(log_likelihoods)) / n)
                     if math.isfinite(loss):
                         results[c].append(loss)
                     else:

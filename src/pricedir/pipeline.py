@@ -254,12 +254,10 @@ def logit_result_dict(ticker: str, fit: logit_mod.LogitFit, selected: list[str])
     }
 
 
-def write_dataset(out_dir: Path, dataset: ds_mod.LabeledDataset, info: dict) -> None:
-    """Write one built dataset's ``datasets/<ticker>.csv`` and
-    ``datasets/<ticker>.meta.json`` under ``out_dir`` (``make_output_dirs``
-    makes ``datasets/``)."""
+def dataset_files(dataset: ds_mod.LabeledDataset, info: dict) -> dict[str, str]:
+    """One built dataset's ``datasets/<ticker>.csv`` and
+    ``datasets/<ticker>.meta.json``, name to text, for ``write_outputs``."""
     ticker = dataset.ticker
-    write_output(out_dir, f"datasets/{ticker}.csv", ds_mod.dataset_csv_text(dataset))
     meta = {
         "ticker": ticker,
         "dropped_columns": info["dropped_columns"],
@@ -276,7 +274,10 @@ def write_dataset(out_dir: Path, dataset: ds_mod.LabeledDataset, info: dict) -> 
             for name, m in dataset.column_meta.items()
         },
     }
-    write_output(out_dir, f"datasets/{ticker}.meta.json", json_text(meta))
+    return {
+        f"datasets/{ticker}.csv": ds_mod.dataset_csv_text(dataset),
+        f"datasets/{ticker}.meta.json": json_text(meta),
+    }
 
 
 def json_text(doc) -> str:
@@ -284,15 +285,19 @@ def json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def write_output(out_dir: Path, name: str, text: str) -> None:
-    """Write ``text`` to ``out_dir / name`` (``write_atomic``); a file that
-    cannot be written is a ConfigError naming ``paths.output_dir`` and ``name``."""
-    try:
-        write_atomic(out_dir / name, text)
-    except OSError as exc:
-        raise ConfigError(
-            f"paths.output_dir {out_dir}: cannot write {name} ({exc.strerror})"
-        ) from exc
+def write_outputs(out_dir: Path, files: dict[str, str]) -> None:
+    """Write each ``name: text`` of ``files`` under ``out_dir`` (``write_atomic``).
+    A file that cannot be written is a ConfigError naming ``paths.output_dir``
+    and ``name``, raised once the files written before it are removed."""
+    for i, (name, text) in enumerate(files.items()):
+        try:
+            write_atomic(out_dir / name, text)
+        except OSError as exc:
+            for written in list(files)[:i]:
+                (out_dir / written).unlink(missing_ok=True)
+            raise ConfigError(
+                f"paths.output_dir {out_dir}: cannot write {name} ({exc.strerror})"
+            ) from exc
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -346,9 +351,10 @@ def _prepare(
             )
     train_ds, test_ds = split_features(dataset, mlp_features, cfg.dataset.train_fraction)
 
-    write_dataset(out_dir, dataset, build_info)
     logit_doc = logit_result_dict(ticker, fit, selected)
-    write_output(out_dir, f"logit/{ticker}.json", json_text(logit_doc))
+    write_outputs(out_dir, {
+        **dataset_files(dataset, build_info), f"logit/{ticker}.json": json_text(logit_doc),
+    })
     fields = {
         "ticker": ticker,
         "status": "ok",
@@ -370,13 +376,14 @@ def _finish(
     fields: dict, test_ds: ds_mod.LabeledDataset, model: mlp_mod.NetworkModel,
     loss_history: list[float], cfg: PipelineConfig, out_dir: Path,
 ) -> dict:
-    """Evaluate one trained company, write its ``models/`` file and return its report entry."""
+    """Evaluate one trained company, write its ``models/`` file and return its
+    report entry.  A company that fails here keeps its ``_prepare`` files."""
     report = mlp_mod.evaluate(model, test_ds, cfg.mlp.threshold)
     ticker = fields["ticker"]
     model_doc = model_document(
         model, ticker, fields["seeds"], cfg.mlp, loss_history[-1], fields["mlp_features"]
     )
-    write_output(out_dir, f"models/{ticker}.json", json_text(model_doc))
+    write_outputs(out_dir, {f"models/{ticker}.json": json_text(model_doc)})
     return {
         **fields,
         "hyperparameters": {
@@ -474,8 +481,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     The ticker-sorted companies are dealt out once to one worker process
     per CPU, at most one per company: worker ``i`` of ``w`` gets
     ``panels[i::w]`` and takes it from panel file to report entry
-    (``_run_share``); one worker runs in this process.  Per-company
-    failures are recorded and skipped; zero successes raises
+    (``_run_share``).  A single worker runs in this process; more are
+    forked, and this process only waits for them and writes the report.
+    Per-company failures are recorded and skipped; zero successes raises
     PipelineError, and an output directory that cannot be made or
     written raises ConfigError.  Returns the report document (also
     written as report.json and report.txt under the output directory).
@@ -516,7 +524,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "config": cfg.to_dict(),
     }
     for name, fmt in (("report.json", "json"), ("report.txt", "text")):
-        write_output(out_dir, name, render_report(report, fmt))
+        write_outputs(out_dir, {name: render_report(report, fmt)})
     return report
 
 

@@ -5,12 +5,11 @@ import pytest
 
 from pricedir.dataset import LabeledDataset
 from pricedir.errors import TrainingDivergedError, ValidationError
-from pricedir.logit import sigmoid
+from pricedir.logit import sigmoid, sigmoid_into
 from pricedir.mlp import (
     OUTPUT_EPS,
     EvalReport,
     NetworkModel,
-    _sigmoid_into,
     backprop_gradients,
     bce_loss,
     evaluate,
@@ -62,17 +61,19 @@ def numeric_gradients(model, x, y, h=1e-5):
     return grads_w, grads_b
 
 
+def sig(eta):
+    """The sigmoid as first written: one formula per sign, picked by a mask."""
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    e = np.exp(eta[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def reference_train(model, X, y, epochs, learning_rate, batch_size, seed):
     """The training loop as first written, layer by layer: masked sigmoid,
     fancy-indexed batches, ``delta.mean`` and ``w -= lr * g``."""
-
-    def sig(eta):
-        out = np.empty_like(eta)
-        pos = eta >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-        e = np.exp(eta[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
 
     def activations(batch):
         acts = [batch]
@@ -317,14 +318,20 @@ class TestTrain:
 
 class TestStepPlan:
     def test_sigmoid_into_matches_logit_sigmoid(self):
-        """The plan's in-place sigmoid (float mask, 0-d constants) gives
-        ``logit.sigmoid``'s bits, NaN payloads and signed zeros included."""
+        """The plan's in-place sigmoid (float mask, 0-d constants) and
+        ``logit.sigmoid`` give the bits of the two-branch ``sig``, signed
+        zeros included, and exact values at the extremes; NaN stays NaN."""
         special = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan])
+        exact = np.array([0.5, 0.5, 1.0, 0.0, 0.5, 0.5, 1.0, 0.0, np.nan])
         random = np.random.default_rng(5).normal(scale=30.0, size=(257, 7))
-        for eta in (special, random):
+        for eta, want in ((special, exact), (random, sig(random))):
             z, a = eta.copy(), np.empty_like(eta)
-            _sigmoid_into(z, a)
-            np.testing.assert_array_equal(a.view(np.uint64), sigmoid(eta).view(np.uint64))
+            sigmoid_into(z, a)
+            nan = np.isnan(want)
+            for got in (a, sigmoid(eta)):
+                np.testing.assert_array_equal(np.isnan(got), nan)
+                np.testing.assert_array_equal(got[~nan].view(np.uint64),
+                                              want[~nan].view(np.uint64))
 
 
 class TestTrainStack:
@@ -349,6 +356,7 @@ class TestTrainStack:
         pytest.param(45, 64, 1.0, id="45-64"),  # batch larger than the training set
         pytest.param(65, 32, 1.0, id="65-32"),  # short last batch of one row
         pytest.param(97, 10, 1e4, id="saturated"),  # hidden sigmoids at exactly 0.0
+        pytest.param(1600, 32, 1.0, id="fixture-size"),  # the loss's BLAS kernels at 1600 rows
     ])
     def test_matches_solo_train(self, hidden, n, batch_size, scale):
         """The stack runs batched (C, ...) products and a stack of one the

@@ -843,7 +843,9 @@ class TestCli:
     def test_blocked_company_file_fails_that_company(self, fixture, tmp_path, capfd, blocked):
         """A directory in place of one company's output file fails that company
         with a message naming ``paths.output_dir`` and the file, and no
-        traceback; the other company runs, and the directory stays."""
+        traceback; the other company runs, and the directory stays.  A
+        company that fails before training leaves no other file; one that
+        fails on its model file keeps its ``datasets/`` and ``logit/`` files."""
         root, _ = fixture
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
@@ -871,6 +873,15 @@ class TestCli:
             assert captured.out == f"built C001: {c001['n_rows']} rows\n"
             assert (out / blocked).is_dir()
         assert not [f for f in out.rglob("*") if f.name.endswith(".tmp")]
+        c000_files = sorted(
+            str(f.relative_to(out)) for d in ("datasets", "logit") for f in (out / d).glob("C000*")
+        )
+        if blocked == "models/C000.json":
+            assert c000_files == [
+                "datasets/C000.csv", "datasets/C000.meta.json", "logit/C000.json"
+            ]
+        else:
+            assert c000_files == [blocked]
 
     def test_build_and_pipeline_write_identical_datasets(self, fixture, tmp_path, capsys):
         root, _ = fixture
