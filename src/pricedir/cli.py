@@ -20,14 +20,7 @@ from . import mlp as mlp_mod
 from . import pipeline
 from . import synth as synth_mod
 from .cohort import cohort_report
-from .config import (
-    ENV_CONFIG_VAR,
-    TOP_LEVEL_FIELDS,
-    PipelineConfig,
-    _SECTIONS,
-    apply_overrides,
-    load_config,
-)
+from .config import ENV_CONFIG_VAR, FIELDS, PipelineConfig, apply_overrides, load_config
 from .errors import (
     ConfigError,
     DataError,
@@ -40,11 +33,7 @@ from .synth import derive_seed
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    """Register --config, --seed, and one dotted flag per config field.
-
-    The mapping from argparse dest back to the dotted name is stored as
-    the parser's ``dotted`` default.
-    """
+    """Register --config, --seed, and one dotted flag per config field."""
     parser.add_argument(
         "--config",
         help=f"JSON config file (default: ${ENV_CONFIG_VAR} if set)",
@@ -54,29 +43,14 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         help="master seed; derives the mlp seed",
     )
-    dotted_by_dest: dict[str, str] = {}
-    for section, cls in _SECTIONS.items():
-        for fld in dataclasses.fields(cls):
-            dotted = f"{section}.{fld.name}"
-            dest = f"set__{section}__{fld.name}"
-            parser.add_argument(f"--{dotted}", dest=dest, metavar="VALUE")
-            dotted_by_dest[dest] = dotted
-    for name in TOP_LEVEL_FIELDS:
-        dest = f"set__{name}"
-        parser.add_argument(f"--{name}", dest=dest, metavar="VALUE")
-        dotted_by_dest[dest] = name
-    parser.set_defaults(dotted=dotted_by_dest)
+    for dotted in FIELDS:
+        parser.add_argument(f"--{dotted}", dest=dotted, metavar="VALUE")
 
 
 def _load_pipeline_config(args) -> PipelineConfig:
     path = args.config or os.environ.get(ENV_CONFIG_VAR)
     cfg = load_config(path) if path else PipelineConfig()
-    overrides = {}
-    for dest, dotted in args.dotted.items():
-        value = getattr(args, dest)
-        if value is not None:
-            overrides[dotted] = value
-    apply_overrides(cfg, overrides)
+    apply_overrides(cfg, {d: getattr(args, d) for d in FIELDS if getattr(args, d) is not None})
     if args.seed is not None:
         cfg.mlp.seed = derive_seed(args.seed, "mlp")
     return cfg.validate()

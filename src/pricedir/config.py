@@ -91,6 +91,17 @@ class PipelineConfig:
             raise ConfigError(
                 f"target_mode must be '{TARGET_DIRECTION}' or '{TARGET_MEMBERSHIP}'"
             )
+        if self.tickers == []:
+            raise ConfigError("tickers must name at least one company (null for all)")
+        for dotted, names in (
+            ("tickers", self.tickers or []),
+            ("dataset.lag_features", ds.lag_features),
+            ("dataset.price_column", [ds.price_column]),
+        ):
+            if "" in names or len(set(names)) != len(names):
+                raise ConfigError(
+                    f"{dotted} must hold distinct non-empty names, got {names!r}"
+                )
         paths = [self.paths.membership_dir, self.paths.panels_dir, self.paths.output_dir]
         if len({str(Path(p)) for p in paths}) != len(paths):
             raise ConfigError("membership_dir, panels_dir, output_dir must be distinct")
@@ -101,13 +112,17 @@ class PipelineConfig:
 
 
 _SECTIONS = {
-    "paths": PathsConfig,
-    "dataset": DatasetConfig,
-    "logit": LogitConfig,
-    "mlp": MlpConfig,
+    name: hint for name, hint in typing.get_type_hints(PipelineConfig).items()
+    if dataclasses.is_dataclass(hint)
 }
-# Fields of PipelineConfig itself rather than of a section.
-TOP_LEVEL_FIELDS = ("target_mode", "tickers")
+# Every settable field by its dotted name (a flag's and an error's name for
+# it), mapped to the dataclass that declares it.
+FIELDS = {
+    **{f"{key}.{f.name}": cls
+       for key, cls in _SECTIONS.items() for f in dataclasses.fields(cls)},
+    **{f.name: PipelineConfig
+       for f in dataclasses.fields(PipelineConfig) if f.name not in _SECTIONS},
+}
 
 
 def _has_type(value, hint) -> bool:
@@ -158,6 +173,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(path.read_text("utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: cannot read ({exc.strerror or exc})") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data).validate()
@@ -170,6 +187,8 @@ def parse_flag_value(cls, name: str, text: str):
     the annotation check that config files get; ValueError if it fails.
     """
     hint = typing.get_type_hints(cls)[name]
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]: a flag always gives an X
+        (hint,) = [h for h in typing.get_args(hint) if h is not type(None)]
     if typing.get_origin(hint) is list:
         if text.startswith("["):
             value = json.loads(text)
@@ -188,17 +207,12 @@ def parse_flag_value(cls, name: str, text: str):
 def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> PipelineConfig:
     """Apply ``{"mlp.epochs": "250", ...}`` style dotted overrides in place."""
     for dotted, text in overrides.items():
-        section, _, name = dotted.partition(".")
+        if dotted not in FIELDS:
+            raise ConfigError(f"unknown config field {dotted!r}")
+        section, _, name = dotted.rpartition(".")
         try:
-            if section in _SECTIONS and name in typing.get_type_hints(_SECTIONS[section]):
-                value = parse_flag_value(_SECTIONS[section], name, text)
-                setattr(getattr(config, section), name, value)
-            elif dotted == "tickers":
-                config.tickers = [t.strip() for t in text.split(",")]
-            elif dotted == "target_mode":
-                config.target_mode = text
-            else:
-                raise ConfigError(f"unknown config field {dotted!r}")
+            value = parse_flag_value(FIELDS[dotted], name, text)
         except ValueError as exc:
             raise ConfigError(f"bad value for {dotted!r}: {text!r} ({exc})") from exc
+        setattr(getattr(config, section) if section else config, name, value)
     return config

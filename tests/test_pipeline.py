@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -9,9 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from pricedir import cli
 from pricedir.cli import main
 from pricedir.cohort import cohort_report
-from pricedir.config import PipelineConfig, apply_overrides, config_from_dict, load_config
+from pricedir.config import (
+    ENV_CONFIG_VAR,
+    FIELDS,
+    PipelineConfig,
+    apply_overrides,
+    config_from_dict,
+    load_config,
+)
 from pricedir.errors import (
     ConfigError,
     DataError,
@@ -75,6 +85,39 @@ FRACTION = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.floats()).map(r
 TINY_MODEL = {"layer_sizes": [2, 1], "weights": [[[0.5, 0.5]]], "biases": [[0.0]], "metadata": {}}
 WIDE_MODEL = {**TINY_MODEL, "layer_sizes": [3, 1], "weights": [[[0.5, 0.5, 0.5]]]}
 EVALUATE = ["evaluate", "--dataset", "{data}", "--model", "{model}"]
+BUILD = ["build", "--paths.membership_dir", "{membership}", "--paths.panels_dir", "{panels}",
+         "--paths.output_dir", "{built}"]
+
+# A value other than the default for every config field, as a config file holds it.
+NON_DEFAULT = {
+    "paths.membership_dir": "m",
+    "paths.panels_dir": "p",
+    "paths.output_dir": "o",
+    "dataset.price_column": "close",
+    "dataset.lag_features": ["total_return", "volume"],
+    "dataset.max_missing_fraction": 0.25,
+    "dataset.train_fraction": 0.7,
+    "logit.alpha": 0.1,
+    "logit.tol": 1e-06,
+    "logit.max_iter": 50,
+    "mlp.hidden_sizes": [4, 2],
+    "mlp.epochs": 7,
+    "mlp.learning_rate": 0.2,
+    "mlp.batch_size": 16,
+    "mlp.seed": 3,
+    "mlp.threshold": 0.6,
+    "target_mode": "membership",
+    "tickers": ["C001", "C000"],
+}
+
+# Any text for a config flag, with no "/" (so a path field stays under the
+# test's working directory) and none of what an argv cannot hold (NUL, or
+# a surrogate that no byte decodes to).
+FLAG_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="/\x00"), max_size=12),
+    st.sampled_from(["", "[]", "null", "C000", "C000,", "C000,C000", '["C000"]', "-1", "0",
+                     "nan", "1e400", "[1, 2]", "price", "in_index", "date", "membership"]),
+)
 
 
 def mostly(good):
@@ -172,6 +215,14 @@ class TestConfig:
         cfg.paths.panels_dir = cfg.paths.membership_dir
         with pytest.raises(ConfigError):
             cfg.validate()
+        for doc, field in (
+            ({"tickers": []}, "tickers"),
+            ({"tickers": ["C000", "C000"]}, "tickers"),
+            ({"dataset": {"lag_features": [""]}}, "dataset.lag_features"),
+            ({"dataset": {"price_column": ""}}, "dataset.price_column"),
+        ):
+            with pytest.raises(ConfigError, match=field):
+                config_from_dict(doc).validate()
         # NaN compares false with everything, so a plain range check lets it pass
         for dotted in ("mlp.learning_rate", "logit.tol"):
             for text in ("nan", "inf"):
@@ -179,13 +230,49 @@ class TestConfig:
                 with pytest.raises(ConfigError):
                     cfg.validate()
 
-    def test_missing_file(self, tmp_path):
+    def test_missing_file(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
         not_utf8 = tmp_path / "latin1.json"
         not_utf8.write_bytes(b'{"mlp": {}}\xff')
         with pytest.raises(ConfigError):
             load_config(not_utf8)
+        # a file that exists but whose read fails, as a device file's may
+        def unreadable(self, *args, **kwargs):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        assert main(["build", "--config", str(not_utf8)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {not_utf8}: cannot read (Input/output error)\n"
+        )
+
+    def test_every_field_is_the_same_by_flag_and_by_file(self, tmp_path, monkeypatch):
+        """Each field of ``FIELDS`` set by its flag, in both list forms,
+        gives the config that a file setting it gives; and ``build`` has
+        exactly one flag per field."""
+        monkeypatch.delenv(ENV_CONFIG_VAR, raising=False)
+        parser = cli.build_parser()
+
+        def config(*argv):
+            return cli._load_pipeline_config(parser.parse_args(["build", *argv])).to_dict()
+
+        assert set(NON_DEFAULT) == set(FIELDS)
+        file = tmp_path / "config.json"
+        for dotted, value in NON_DEFAULT.items():
+            section, _, name = dotted.rpartition(".")
+            file.write_text(json.dumps({section: {name: value}} if section else {name: value}))
+            by_file = config("--config", str(file))
+            assert by_file != PipelineConfig().to_dict(), dotted
+            forms = [json.dumps(value), ",".join(map(str, value))] if isinstance(value, list) \
+                else [str(value)]
+            for text in forms:
+                assert config(f"--{dotted}", text) == by_file, (dotted, text)
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = [flag for action in subparsers.choices["build"]._actions
+                 for flag in action.option_strings
+                 if flag not in ("-h", "--help", "--config", "--seed")]
+        assert sorted(flags) == sorted(f"--{dotted}" for dotted in FIELDS)
 
 
 class TestBuildCompanyDataset:
@@ -761,11 +848,20 @@ class TestCli:
                      "logit.tol", id="logit-tol-nan"),
         pytest.param(["logit", "--dataset", "{data}", "--logit.max_iter", "0"], TINY_MODEL,
                      "logit.max_iter", id="logit-max-iter-0"),
+        *(pytest.param([*BUILD, f"--{dotted}={text}"], TINY_MODEL, f"{dotted} must",
+                       id=f"build-{dotted}={text!r}")
+          for dotted, text in (
+              ("tickers", ""), ("tickers", "[]"), ("tickers", "C000,"),
+              ("tickers", "C000,C000"), ("dataset.lag_features", ""),
+              ("dataset.lag_features", "total_return,total_return"),
+              ("dataset.price_column", ""),
+          )),
     ])
     def test_malformed_input_exits_1_naming_it(
         self, fixture, tiny_dataset, tmp_path, capsys, argv, model, named
     ):
-        """A malformed model file, a bad ``logit.*`` value or an unwritable
+        """A malformed model file, a bad ``logit.*`` value, an empty or
+        repeated name (ticker, lag feature, price column) or an unwritable
         ``--out`` (a missing directory, or a directory in the file's
         place) exits 1 with a message that names it, and leaves no file
         behind."""
@@ -776,6 +872,8 @@ class TestCli:
             "missing": tmp_path / "no_such_dir" / "out.json",
             "taken": tmp_path / "taken",
             "membership": root / "membership",
+            "panels": root / "panels",
+            "built": tmp_path / "built",
         }
         paths["model"].write_text(json.dumps(model))
         paths["taken"].mkdir()
@@ -1030,6 +1128,28 @@ class TestCli:
         assert code in (0, 1, 2)
         if not code:
             assert model_path.is_file() and out.startswith("trained TINY")
+
+    @settings(max_examples=60, deadline=None)
+    @given(dotted=st.sampled_from(sorted(FIELDS)), text=FLAG_TEXT)
+    def test_any_config_flag_exits_cleanly(self, fixture, tmp_path_factory, dotted, text):
+        """``build`` with any text for any config flag ends in exit 0 to 3,
+        with ``error:`` and no traceback."""
+        root, _ = fixture
+        workdir = tmp_path_factory.getbasetemp() / "any_config_flag"
+        workdir.mkdir(exist_ok=True)
+        cwd = os.getcwd()
+        os.chdir(workdir)  # where a relative path field points
+        try:
+            code, out, _ = run_quietly([
+                "build", "--paths.membership_dir", str(root / "membership"),
+                "--paths.panels_dir", str(root / "panels"), "--paths.output_dir", "out",
+                "--tickers", "C000", f"--{dotted}={text}",
+            ])
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2, 3)
+        if not code:
+            assert out.startswith("built C000")
 
     @settings(max_examples=60, deadline=None)
     @given(
