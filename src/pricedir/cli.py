@@ -70,6 +70,8 @@ def _emit(doc: dict, out: str | None) -> None:
 def _cmd_synth(args) -> int:
     if args.signal_scale is not None and not math.isfinite(args.signal_scale):
         raise ConfigError(f"--signal-scale must be finite, got {args.signal_scale}")
+    if args.signal_scale is not None and args.calibrate:
+        raise ConfigError("--signal-scale and --calibrate exclude each other")
     try:
         truth = synth_mod.write_fixture(
             out_dir=args.out,
@@ -81,8 +83,6 @@ def _cmd_synth(args) -> int:
             planted=synth_mod.default_planted(),
             signal_scale=args.signal_scale,
             calibrate=args.calibrate,
-            target_lo=args.bayes_lo,
-            target_hi=args.bayes_hi,
         )
     except OSError as exc:
         raise ConfigError(f"--out {args.out}: cannot write ({exc.strerror or exc})") from exc
@@ -208,13 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--missing-prob", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--signal-scale", type=float, default=None)
-    p.add_argument(
-        "--calibrate",
-        action="store_true",
-        help="binary-search the signal scale to a pooled Bayes accuracy window",
-    )
-    p.add_argument("--bayes-lo", type=float, default=0.73)
-    p.add_argument("--bayes-hi", type=float, default=0.77)
+    p.add_argument("--calibrate", action="store_true", help="binary-search the signal "
+                   f"scale to a pooled Bayes accuracy in {list(synth_mod.BAYES_WINDOW)}")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("cohort", help="group companies by membership count and sample")

@@ -8,7 +8,7 @@ number of tickers is sampled from each bin with a seeded generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
 
 import numpy as np
 
@@ -21,66 +21,42 @@ N_GROUPS = 5
 GENERATOR_NAME = "numpy-pcg64"
 
 
-@dataclass(frozen=True)
-class MembershipCount:
-    ticker: str
-    count: int
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValidationError(f"negative membership count for {self.ticker}")
-
-
-@dataclass
-class GroupAssignment:
-    group_index: int
-    members: set[str]
-
-
-def membership_counts(snapshots: list[MembershipSnapshot]) -> list[MembershipCount]:
-    """Count, per ticker ever observed, the snapshots containing it."""
+def membership_counts(snapshots: list[MembershipSnapshot]) -> dict[str, int]:
+    """Ticker -> number of snapshots containing it, for every ticker observed."""
     if not snapshots:
         raise ValidationError("membership_counts needs at least one snapshot")
-    counts: dict[str, int] = {}
-    for snapshot in snapshots:
-        for ticker in snapshot.constituents:
-            counts[ticker] = counts.get(ticker, 0) + 1
-    return [MembershipCount(t, counts[t]) for t in sorted(counts)]
+    counts = Counter(t for snapshot in snapshots for t in snapshot.constituents)
+    return dict(sorted(counts.items()))
 
 
-def group_boundaries(counts: list[MembershipCount]) -> list[float]:
+def group_boundaries(counts: dict[str, int]) -> list[float]:
     """The six bin edges lo + k*(hi-lo)/5 for k = 0..5."""
     if not counts:
         raise ValidationError("group_boundaries needs at least one count")
-    lo = min(c.count for c in counts)
-    hi = max(c.count for c in counts)
+    lo, hi = min(counts.values()), max(counts.values())
     return [lo + k * (hi - lo) / N_GROUPS for k in range(N_GROUPS + 1)]
 
 
-def partition_into_fifths(counts: list[MembershipCount]) -> list[GroupAssignment]:
-    """Assign each ticker to one of five equal-width bins of the count range.
+def partition_into_fifths(counts: dict[str, int]) -> list[set[str]]:
+    """Split the tickers into five equal-width bins of the count range.
 
     A count c lands in group min(floor((c - lo) / w), 4) with
     w = (hi - lo) / 5, so the maximum count closes the top bin.  A
-    degenerate range (hi == lo) puts everything in group 0.
+    degenerate range (hi == lo) puts everything in group 0.  The group
+    index is the position in the returned list.
     """
     if not counts:
         raise ValidationError("partition_into_fifths needs at least one count")
-    lo = min(c.count for c in counts)
-    hi = max(c.count for c in counts)
-    groups = [GroupAssignment(k, set()) for k in range(N_GROUPS)]
-    if hi == lo:
-        groups[0].members = {c.ticker for c in counts}
-        return groups
-    width = (hi - lo) / N_GROUPS
-    for item in counts:
-        k = min(math.floor((item.count - lo) / width), N_GROUPS - 1)
-        groups[k].members.add(item.ticker)
+    lo, hi = min(counts.values()), max(counts.values())
+    width = (hi - lo) / N_GROUPS or 1.0  # a degenerate range: every (c - lo) is 0
+    groups: list[set[str]] = [set() for _ in range(N_GROUPS)]
+    for ticker, count in counts.items():
+        groups[min(math.floor((count - lo) / width), N_GROUPS - 1)].add(ticker)
     return groups
 
 
 def sample_cohort(
-    groups: list[GroupAssignment],
+    groups: list[set[str]],
     per_group: int,
     seed: int,
     allow_deficient: bool = False,
@@ -93,15 +69,15 @@ def sample_cohort(
     """
     if per_group < 1:
         raise ValidationError("per_group must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     sample: set[str] = set()
-    for group in sorted(groups, key=lambda g: g.group_index):
-        members = sorted(group.members)
+    for index, group in enumerate(groups):
+        members = sorted(group)
         if len(members) < per_group:
             if not allow_deficient:
-                raise DataError(
-                    f"group {group.group_index} has {len(members)} members, need {per_group}"
-                )
+                raise DataError(f"group {index} has {len(members)} members, need {per_group}")
             sample.update(members)
             continue
         picks = rng.permutation(len(members))[:per_group]
@@ -122,12 +98,8 @@ def cohort_report(
     return {
         "group_boundaries": group_boundaries(counts),
         "groups": [
-            {
-                "index": g.group_index,
-                "size": len(g.members),
-                "members": sorted(g.members),
-            }
-            for g in groups
+            {"index": index, "size": len(group), "members": sorted(group)}
+            for index, group in enumerate(groups)
         ],
         "sample": sorted(sample),
         "per_group": per_group,

@@ -28,6 +28,8 @@ from .ingest import (
 
 MEMBERSHIP_COLUMN = "in_index"
 LAG_SUFFIX = "_lag1w"
+# The label's column in a dataset file, after ``date`` and before the features.
+LABEL_COLUMN = "y"
 
 
 @dataclass
@@ -78,6 +80,9 @@ class LabeledDataset:
         missing = [n for n in names if n not in self.feature_names]
         if missing:
             raise ValidationError(f"dataset {self.ticker}: unknown columns {missing}")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValidationError(f"dataset {self.ticker}: repeated columns {repeated}")
         idx = [self.feature_names.index(n) for n in names]
         return LabeledDataset(
             self.ticker,
@@ -245,6 +250,10 @@ def assemble_dataset(
         raise ValidationError(
             f"panel {panel.ticker}: {len(labels)} labels for {panel.n_rows} rows"
         )
+    if LABEL_COLUMN in feature_names:
+        raise DataError(
+            f"panel {panel.ticker}: feature column {LABEL_COLUMN!r} is the dataset file's label"
+        )
     filled: dict[str, np.ndarray] = {}
     meta: dict[str, ColumnMeta] = {}
     for name in feature_names:
@@ -302,7 +311,7 @@ def dataset_csv_text(ds: LabeledDataset) -> str:
     """Serialize a labeled dataset as ``date,y,<feature...>`` CSV."""
     out = io.StringIO()
     # Feature names may need quoting; dates and float reprs never do.
-    csv.writer(out, lineterminator="\n").writerow(["date", "y"] + ds.feature_names)
+    csv.writer(out, lineterminator="\n").writerow(["date", LABEL_COLUMN] + ds.feature_names)
     for day, label, row in zip(ds.dates, ds.y.tolist(), ds.X.tolist()):
         out.write(",".join([day.isoformat(), str(int(label)), *map(repr, row)]) + "\n")
     return out.getvalue()
@@ -311,11 +320,11 @@ def dataset_csv_text(ds: LabeledDataset) -> str:
 def read_dataset_csv(content, ticker: str, source: str = "<dataset>") -> LabeledDataset:
     """Read back a ``date,y,<feature...>`` CSV written by dataset_csv_text."""
     panel = parse_company_panel(content, ticker, source=source)
-    if "y" not in panel.columns:
-        raise ValidationError(f"{source}: missing 'y' column")
-    labels = panel.column("y")
+    if LABEL_COLUMN not in panel.columns:
+        raise ValidationError(f"{source}: missing {LABEL_COLUMN!r} column")
+    labels = panel.column(LABEL_COLUMN)
     if not np.isin(labels, (0.0, 1.0)).all():
-        raise ValidationError(f"{source}: 'y' must contain only 0 and 1")
-    names = [n for n in panel.feature_names if n != "y"]
+        raise ValidationError(f"{source}: {LABEL_COLUMN!r} must contain only 0 and 1")
+    names = [n for n in panel.feature_names if n != LABEL_COLUMN]
     X = _matrix([panel.columns[n] for n in names], panel.n_rows)
     return LabeledDataset(ticker, panel.dates, names, X, labels.astype(int), {})

@@ -40,6 +40,9 @@ INITIAL_PRICE = 100.0
 UP_STEP = 1.01
 DOWN_STEP = 0.99
 
+# Where --calibrate puts the pooled Bayes accuracy: the acceptance suite's band.
+BAYES_WINDOW = (0.73, 0.77)
+
 
 def derive_seed(master: int, *parts) -> int:
     """Mix a master seed with string/int parts into a fresh 63-bit seed.
@@ -76,9 +79,6 @@ class PlantedModel:
     @property
     def feature_names(self) -> list[str]:
         return list(self.beta_true) + list(self.noise_features)
-
-    def coefficient(self, name: str) -> float:
-        return self.beta_true.get(name, 0.0)
 
     def scaled(self, factor: float) -> "PlantedModel":
         return PlantedModel(
@@ -142,9 +142,13 @@ class SyntheticCompany:
     def label_dates(self) -> list[date]:
         return self.panel.dates[1:]
 
+    @property
+    def bayes_hits(self) -> int:
+        """Weeks on which the optimal call matches the realized label."""
+        return sum(p == t for p, t in zip(self.bayes_pred, self.true_labels))
+
     def bayes_accuracy(self) -> float:
-        hits = sum(p == t for p, t in zip(self.bayes_pred, self.true_labels))
-        return hits / len(self.true_labels)
+        return self.bayes_hits / len(self.true_labels)
 
 
 def _base_columns(planted: PlantedModel) -> list[str]:
@@ -238,11 +242,8 @@ def bayes_accuracy(
 def calibrate_signal_scale(
     planted: PlantedModel,
     companies: list[tuple[str, list[date], list[int], int]],
-    target_lo: float = 0.73,
-    target_hi: float = 0.77,
-    max_iter: int = 60,
 ) -> tuple[float, float]:
-    """Binary-search a coefficient scale hitting a pooled Bayes-accuracy window.
+    """Binary-search a coefficient scale whose pooled Bayes accuracy is in BAYES_WINDOW.
 
     ``companies`` holds (ticker, dates, in_index, seed) tuples; every
     candidate scale replays the same seeds, so accuracy is a monotone
@@ -252,23 +253,21 @@ def calibrate_signal_scale(
     """
     if not companies:
         raise ValidationError("need at least one company to calibrate against")
-    if not 0.5 < target_lo < target_hi < 1.0:
-        raise ValidationError("need 0.5 < target_lo < target_hi < 1")
+    target_lo, target_hi = BAYES_WINDOW
 
     def pooled(scale: float) -> float:
         model = planted.scaled(scale)
-        hits = 0
-        total = 0
+        hits = total = 0
         for ticker, dates, in_index, seed in companies:
             company = generate_company_panel(model, ticker, dates, in_index, 0.0, seed)
-            hits += sum(p == t for p, t in zip(company.bayes_pred, company.true_labels))
+            hits += company.bayes_hits
             total += len(company.true_labels)
         return hits / total
 
     lo, hi = 0.0, 1.0
     while pooled(hi) < target_hi and hi < 2.0**20:
         lo, hi = hi, hi * 2.0
-    for _ in range(max_iter):
+    for _ in range(60):
         mid = (lo + hi) / 2.0
         acc = pooled(mid)
         if target_lo <= acc <= target_hi:
@@ -307,8 +306,6 @@ def write_fixture(
     planted: PlantedModel,
     signal_scale: float | None = None,
     calibrate: bool = False,
-    target_lo: float = 0.73,
-    target_hi: float = 0.77,
 ) -> dict:
     """Write a complete synthetic fixture under ``out_dir``.
 
@@ -329,12 +326,9 @@ def write_fixture(
     ]
 
     if calibrate:
-        scale, pooled = calibrate_signal_scale(
-            planted, company_inputs, target_lo, target_hi
-        )
+        scale, _ = calibrate_signal_scale(planted, company_inputs)
     else:
         scale = 1.0 if signal_scale is None else signal_scale
-        pooled = None
     model = planted.scaled(scale)
 
     membership_dir = out / "membership"
@@ -348,8 +342,7 @@ def write_fixture(
         (membership_dir / name).write_text(membership_file_text(snapshot), "utf-8")
 
     companies = []
-    hits = 0
-    total = 0
+    hits = total = 0
     for ticker, dts, vector, company_seed in company_inputs:
         company = generate_company_panel(
             model, ticker, dts, vector, missing_prob, company_seed
@@ -365,7 +358,7 @@ def write_fixture(
             )
         )
         (truth_dir / f"{ticker}.csv").write_text("\n".join(lines) + "\n", "utf-8")
-        hits += sum(p == t for p, t in zip(company.bayes_pred, company.true_labels))
+        hits += company.bayes_hits
         total += len(company.true_labels)
         companies.append(
             {
@@ -383,7 +376,8 @@ def write_fixture(
         "missing_prob": missing_prob,
         "signal_scale": scale,
         "calibrated": calibrate,
-        "pooled_bayes_accuracy": pooled if pooled is not None else hits / total,
+        # missingness is drawn after the labels, so this is the calibrated value
+        "pooled_bayes_accuracy": hits / total,
         "planted": {
             "intercept": model.intercept_true,
             "beta": dict(model.beta_true),

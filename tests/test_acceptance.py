@@ -13,12 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pricedir.cohort import (
-    MembershipCount,
-    group_boundaries,
-    partition_into_fifths,
-    sample_cohort,
-)
+from pricedir.cohort import group_boundaries, partition_into_fifths, sample_cohort
 from pricedir.config import PipelineConfig
 from pricedir.dataset import (
     attach_direction_label,
@@ -328,16 +323,16 @@ class TestAcceptance:
         assert (train7.n_rows, test7.n_rows) == (6, 1)
 
     def test_cohort_partition_and_sampling(self):
-        counts = [MembershipCount(f"T{c:04d}", c) for c in range(0, 1041)]
+        counts = {f"T{c:04d}": c for c in range(0, 1041)}
         boundaries = group_boundaries(counts)
         expected = [0.0 + k * (1040.0 - 0.0) / 5 for k in range(6)]
         groups = partition_into_fifths(counts)
         union = set()
         disjoint = True
         for g in groups:
-            disjoint = disjoint and not (union & g.members)
-            union |= g.members
-        partition_ok = disjoint and union == {c.ticker for c in counts}
+            disjoint = disjoint and not (union & g)
+            union |= g
+        partition_ok = disjoint and union == set(counts)
         sample = sample_cohort(groups, per_group=10, seed=1040)
         ok = boundaries == expected and partition_ok and len(sample) == 50
         report_line(

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pricedir.cohort import (
-    GroupAssignment,
-    MembershipCount,
     group_boundaries,
     membership_counts,
     partition_into_fifths,
@@ -16,24 +14,18 @@ from pricedir.errors import DataError, ValidationError
 from conftest import make_snapshots
 
 
-def counts_of(pairs):
-    return [MembershipCount(t, c) for t, c in pairs]
-
-
 class TestMembershipCounts:
     def test_full_presence(self):
         snaps = make_snapshots([{"A"}, {"A"}, {"A"}])
-        assert membership_counts(snaps) == [MembershipCount("A", 3)]
+        assert membership_counts(snaps) == {"A": 3}
 
     def test_only_observed_tickers_counted(self):
         snaps = make_snapshots([{"A"}, {"A"}])
-        tickers = {c.ticker for c in membership_counts(snaps)}
-        assert "Z" not in tickers
+        assert "Z" not in membership_counts(snaps)
 
     def test_enumerated_counts(self):
         snaps = make_snapshots([{"A", "B"}, {"A"}, {"A", "C"}])
-        got = {c.ticker: c.count for c in membership_counts(snaps)}
-        assert got == {"A": 3, "B": 1, "C": 1}
+        assert membership_counts(snaps) == {"A": 3, "B": 1, "C": 1}
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValidationError):
@@ -42,69 +34,66 @@ class TestMembershipCounts:
 
 class TestPartitionIntoFifths:
     def test_equal_width_boundaries(self):
-        counts = counts_of([("z", 0), ("h", 100), ("m", 40)])
+        counts = {"z": 0, "h": 100, "m": 40}
         groups = partition_into_fifths(counts)
-        assert "z" in groups[0].members
-        assert "h" in groups[4].members
-        assert "m" in groups[2].members
+        assert "z" in groups[0]
+        assert "h" in groups[4]
+        assert "m" in groups[2]
 
     def test_degenerate_range_all_group_zero(self):
-        counts = counts_of([("a", 7), ("b", 7), ("c", 7)])
+        counts = {"a": 7, "b": 7, "c": 7}
         groups = partition_into_fifths(counts)
-        assert groups[0].members == {"a", "b", "c"}
-        assert all(not g.members for g in groups[1:])
+        assert groups[0] == {"a", "b", "c"}
+        assert all(not g for g in groups[1:])
 
     def test_wide_range_example(self):
         # lo=1, hi=1040, w=207.8; floor((c-1)/207.8) puts these in 0..4
         values = [1, 259, 520, 781, 1040]
         for c, expected in zip(values, range(5)):
             assert min(math.floor((c - 1) / 207.8), 4) == expected
-        counts = counts_of([(f"t{c}", c) for c in values])
+        counts = {f"t{c}": c for c in values}
         groups = partition_into_fifths(counts)
         for c, expected in zip(values, range(5)):
-            assert f"t{c}" in groups[expected].members
+            assert f"t{c}" in groups[expected]
 
     def test_boundaries_formula(self):
-        counts = counts_of([("a", 0), ("b", 1040)])
+        counts = {"a": 0, "b": 1040}
         assert group_boundaries(counts) == [0.0, 208.0, 416.0, 624.0, 832.0, 1040.0]
 
     @given(
         values=st.lists(st.integers(min_value=0, max_value=1040), min_size=1, max_size=200)
     )
     def test_partition_property(self, values):
-        counts = counts_of([(f"t{i}", c) for i, c in enumerate(values)])
+        counts = {f"t{i}": c for i, c in enumerate(values)}
         groups = partition_into_fifths(counts)
-        sizes = sum(len(g.members) for g in groups)
+        sizes = sum(len(g) for g in groups)
         assert sizes == len(counts)
         union = set()
         for g in groups:
-            assert not (union & g.members)
-            union |= g.members
-        assert union == {c.ticker for c in counts}
+            assert not (union & g)
+            union |= g
+        assert union == set(counts)
 
     @given(
         values=st.lists(st.integers(min_value=0, max_value=2000), min_size=2, max_size=200)
     )
     def test_group_edges_property(self, values):
-        counts = counts_of([(f"t{i}", c) for i, c in enumerate(values)])
+        counts = {f"t{i}": c for i, c in enumerate(values)}
         lo, hi = min(values), max(values)
         if hi == lo:
             return
         w = (hi - lo) / 5
         groups = partition_into_fifths(counts)
-        count_by_ticker = {c.ticker: c.count for c in counts}
-        for g in groups:
-            for t in g.members:
-                c = count_by_ticker[t]
-                assert lo + g.group_index * w <= c or math.isclose(lo + g.group_index * w, c)
+        for k, g in enumerate(groups):
+            for t in g:
+                c = counts[t]
+                assert lo + k * w <= c or math.isclose(lo + k * w, c)
                 if c != hi:
-                    assert c < lo + (g.group_index + 1) * w
+                    assert c < lo + (k + 1) * w
 
 
 def ten_by_five():
-    return [
-        GroupAssignment(k, {f"g{k}m{i}" for i in range(10)}) for k in range(5)
-    ]
+    return [{f"g{k}m{i}" for i in range(10)} for k in range(5)]
 
 
 class TestSampleCohort:
@@ -114,30 +103,34 @@ class TestSampleCohort:
 
     def test_deficient_group_error_names_group(self):
         groups = ten_by_five()
-        groups[3].members = {"a", "b", "c", "d"}
+        groups[3] = {"a", "b", "c", "d"}
         with pytest.raises(DataError, match="group 3 has 4 members, need 10"):
             sample_cohort(groups, per_group=10, seed=1)
 
     def test_allow_deficient_takes_all(self):
         groups = ten_by_five()
-        groups[3].members = {"a", "b", "c", "d"}
+        groups[3] = {"a", "b", "c", "d"}
         sample = sample_cohort(groups, per_group=10, seed=1, allow_deficient=True)
         assert {"a", "b", "c", "d"} <= sample
         assert len(sample) == 44
 
     def test_seed_determinism(self):
-        groups = [GroupAssignment(k, {f"g{k}m{i}" for i in range(30)}) for k in range(5)]
+        groups = [{f"g{k}m{i}" for i in range(30)} for k in range(5)]
         assert sample_cohort(groups, 10, seed=42) == sample_cohort(groups, 10, seed=42)
 
     def test_different_seeds_usually_differ(self):
-        groups = [GroupAssignment(k, {f"g{k}m{i}" for i in range(30)}) for k in range(5)]
+        groups = [{f"g{k}m{i}" for i in range(30)} for k in range(5)]
         assert sample_cohort(groups, 10, seed=1) != sample_cohort(groups, 10, seed=2)
 
     def test_without_replacement_size(self):
-        groups = [GroupAssignment(k, {f"g{k}m{i}" for i in range(25)}) for k in range(5)]
+        groups = [{f"g{k}m{i}" for i in range(25)} for k in range(5)]
         sample = sample_cohort(groups, 7, seed=9)
         assert len(sample) == 35  # 5 * 7 distinct tickers
 
     def test_per_group_must_be_positive(self):
         with pytest.raises(ValidationError):
             sample_cohort(ten_by_five(), 0, seed=1)
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValidationError, match=r"seed must be >= 0, got -1"):
+            sample_cohort(ten_by_five(), 10, seed=-1)

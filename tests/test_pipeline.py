@@ -413,13 +413,18 @@ class TestRunPipeline:
         panels.joinpath("C000.csv").write_text(good)
         panels.joinpath("BAD.csv").write_text("date,foo\n2002-01-04,1.0\n2002-01-11,2.0\n")
         panels.joinpath("LATIN1.csv").write_bytes(good.encode("utf-8") + b"\xff\xfe\n")
+        # a feature column named like the dataset file's label column
+        panels.joinpath("YCOL.csv").write_text(good.replace(",noise_a,", ",y,", 1))
         cfg = small_config(root, "out_failsoft")
         cfg.paths.panels_dir = str(panels)
         report = run_pipeline(cfg)
         status = {c["ticker"]: c["status"] for c in report["companies"]}
-        assert status == {"BAD": "failed", "C000": "ok", "LATIN1": "failed"}
-        assert report["n_failed"] == 2
+        assert status == {"BAD": "failed", "C000": "ok", "LATIN1": "failed", "YCOL": "failed"}
+        assert report["n_failed"] == 3
         assert "LATIN1.csv: not UTF-8" in report["companies"][2]["error"]
+        assert report["companies"][3]["error"] == (
+            "panel YCOL: feature column 'y' is the dataset file's label"
+        )
 
     def test_all_failures_raise_pipeline_error(self, fixture, tmp_path):
         root, _ = fixture
@@ -826,6 +831,14 @@ class TestCli:
         pytest.param(["cohort", "--membership-dir", "{membership}", "--per-group", "1",
                       "--allow-deficient", "--out", "{taken}"],
                      TINY_MODEL, "--out {taken}", id="cohort-out"),
+        pytest.param(["cohort", "--membership-dir", "{membership}", "--per-group", "1",
+                      "--allow-deficient", "--seed", "-1"],
+                     TINY_MODEL, "seed must be >= 0, got -1", id="cohort-negative-seed"),
+        pytest.param(["train", "--dataset", "{data}", "--mlp.epochs", "1", "--features", "f0,f0",
+                      "--out", "{taken}/model.json"],
+                     TINY_MODEL, "dataset TINY: repeated columns ['f0']", id="train-features-repeat"),
+        pytest.param(EVALUATE, {**TINY_MODEL, "metadata": {"features": ["f0", "f0"]}},
+                     "dataset TINY: repeated columns ['f0']", id="evaluate-features-repeat"),
         pytest.param(EVALUATE, {**TINY_MODEL, "weights": [[[float("nan"), 0.5]]]}, "'weights'",
                      id="weights-not-finite"),
         pytest.param(EVALUATE, {**TINY_MODEL, "biases": [[float("inf")]]}, "'biases'",
@@ -861,10 +874,10 @@ class TestCli:
         self, fixture, tiny_dataset, tmp_path, capsys, argv, model, named
     ):
         """A malformed model file, a bad ``logit.*`` value, an empty or
-        repeated name (ticker, lag feature, price column) or an unwritable
-        ``--out`` (a missing directory, or a directory in the file's
-        place) exits 1 with a message that names it, and leaves no file
-        behind."""
+        repeated name (ticker, lag feature, price column, network feature),
+        a negative cohort seed or an unwritable ``--out`` (a missing
+        directory, or a directory in the file's place) exits 1 with a
+        message that names it, and leaves no file behind."""
         root, _ = fixture
         paths = {
             "data": tiny_dataset,
@@ -1006,6 +1019,10 @@ class TestCli:
                 (root / "panels" / f"{ticker}.csv").read_bytes()
             )
         panels.joinpath("C001.csv").write_text("date,foo\n2002-01-04,1.0\n2002-01-11,2.0\n")
+        # a feature column named like the dataset file's label column
+        panels.joinpath("C003.csv").write_text(
+            (root / "panels" / "C003.csv").read_text().replace(",noise_a,", ",y,", 1)
+        )
         out = tmp_path / "out"
         code = main([
             "build",
@@ -1016,6 +1033,9 @@ class TestCli:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: C001: ")
+        assert captured.err.endswith(
+            "error: C003: panel C003: feature column 'y' is the dataset file's label\n"
+        )
         assert "built C000" in captured.out and "built C002" in captured.out
         built = sorted(p.name for p in (out / "datasets").iterdir())
         assert built == ["C000.csv", "C000.meta.json", "C002.csv", "C002.meta.json"]
@@ -1091,7 +1111,8 @@ class TestCli:
         assert len(list((tmp_path / "fx" / "membership").glob("*.csv"))) == 30
 
     def test_synth_refuses_a_file_as_out_and_a_non_finite_scale(self, tmp_path, capsys):
-        """Each exits 1 naming the flag, with no traceback, and writes nothing."""
+        """Each exits 1 naming the flag (both, for a scale given with
+        ``--calibrate``), with no traceback, and writes nothing."""
         taken = tmp_path / "taken"
         taken.write_text("in the way")
         small = ["--companies", "2", "--weeks", "30"]
@@ -1102,6 +1123,9 @@ class TestCli:
             assert main(["synth", "--out", str(tmp_path / "fx"), *small,
                          f"--signal-scale={scale}"]) == 1
             assert capsys.readouterr().err == f"error: --signal-scale must be finite, got {scale}\n"
+        assert main(["synth", "--out", str(tmp_path / "fx"), *small,
+                     "--calibrate", "--signal-scale", "9"]) == 1
+        assert capsys.readouterr().err == "error: --signal-scale and --calibrate exclude each other\n"
         assert [f.name for f in tmp_path.iterdir()] == ["taken"]
 
     @settings(max_examples=60, deadline=None)

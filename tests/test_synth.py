@@ -190,7 +190,7 @@ class TestBayesAccuracy:
     def test_calibration_lands_in_window(self):
         snaps, dates, vector = series_inputs(n_weeks=2001)
         companies = [(ticker_name(0), dates, vector, derive_seed(21, "panel", "C000"))]
-        scale, acc = calibrate_signal_scale(default_planted(), companies, 0.73, 0.77)
+        scale, acc = calibrate_signal_scale(default_planted(), companies)
         assert 0.73 <= acc <= 0.77
         assert scale > 0
 
@@ -244,3 +244,28 @@ class TestWriteFixture:
         truth_rows = (tmp_path / "truth" / "C000.csv").read_text().splitlines()
         assert truth_rows[0] == "date,true_label,bayes_pred"
         assert len(truth_rows) == 30  # header + 29 labeled weeks
+
+    def test_calibrated_pooled_accuracy_is_the_written_tally(self, tmp_path):
+        """With missing cells, the truth document's scale and pooled accuracy
+        are what the calibration returns, and the pooled accuracy is the hit
+        rate of the written ``truth/`` rows."""
+        truth = write_fixture(
+            tmp_path, n_companies=3, n_weeks=300, switch_prob=0.05,
+            missing_prob=0.2, seed=31, planted=default_planted(), calibrate=True,
+        )
+        snaps = generate_membership_series(300, 3, 0.05, derive_seed(31, "membership"))
+        dates = [s.requested_date for s in snaps]
+        companies = [
+            (t, dates, membership_vector(snaps, t), derive_seed(31, "panel", t))
+            for t in (ticker_name(i) for i in range(3))
+        ]
+        scale, pooled = calibrate_signal_scale(default_planted(), companies)
+        assert (truth["signal_scale"], truth["pooled_bayes_accuracy"]) == (scale, pooled)
+        hits = total = 0
+        for file in sorted((tmp_path / "truth").glob("*.csv")):
+            for row in file.read_text().splitlines()[1:]:
+                _, label, pred = row.split(",")
+                hits += label == pred
+                total += 1
+        assert total == 3 * 299
+        assert hits / total == pooled
