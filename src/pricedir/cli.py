@@ -41,7 +41,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
         type=int,
-        help="master seed; derives the mlp seed",
+        help="master seed; derives the mlp seed (not with --mlp.seed)",
     )
     for dotted in FIELDS:
         parser.add_argument(f"--{dotted}", dest=dotted, metavar="VALUE")
@@ -52,6 +52,8 @@ def _load_pipeline_config(args) -> PipelineConfig:
     cfg = load_config(path) if path else PipelineConfig()
     apply_overrides(cfg, {d: getattr(args, d) for d in FIELDS if getattr(args, d) is not None})
     if args.seed is not None:
+        if getattr(args, "mlp.seed") is not None:
+            raise ConfigError("--seed and --mlp.seed exclude each other")
         cfg.mlp.seed = derive_seed(args.seed, "mlp")
     return cfg.validate()
 

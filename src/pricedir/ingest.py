@@ -193,11 +193,14 @@ def parse_company_panel(content, ticker: str, source: str = "<panel>") -> Compan
     """Parse a company history CSV into a CompanyPanel.
 
     Rows are re-sorted ascending by date.  Empty cells become NaN.
-    Raises ParseError on content that is not UTF-8 and, with row/column
-    context, on malformed cells; DataError on duplicate dates.
+    Raises ParseError on content that is not UTF-8 or not CSV and, with
+    row/column context, on malformed cells; DataError on duplicate dates.
     """
     reader = csv.reader(io.StringIO(_as_text(content, source)))
-    rows = list(reader)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a bare "\r" inside a line, say
+        raise ParseError(str(exc), source=source, line=reader.line_num) from None
     if not rows:
         raise DataError(f"{source}: empty panel file")
     header = rows[0]

@@ -135,22 +135,6 @@ def _forward(model: NetworkModel, X: np.ndarray) -> list[np.ndarray]:
     return [a[0] for a in A]
 
 
-def forward(model: NetworkModel, x) -> tuple[float, list[np.ndarray]]:
-    """Single-sample forward pass returning (output, cached activations)."""
-    x = np.asarray(x, dtype=float).ravel()
-    _check_width(model, len(x), "the input")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("input contains non-finite values")
-    acts = _forward(model, x.reshape(1, -1))
-    return float(acts[-1][0, 0]), [x] + [a[0] for a in acts]
-
-
-def bce_loss(y: float, yhat: float) -> float:
-    """Binary cross-entropy with the output clamp applied."""
-    yhat = min(max(yhat, OUTPUT_EPS), 1.0 - OUTPUT_EPS)
-    return -(y * math.log(yhat) + (1.0 - y) * math.log(1.0 - yhat))
-
-
 def _step_plan(net, grad_net, n_companies: int, m: int):
     """Return ``(forward, gradients, A)``, every pass of the network over
     ``m`` rows of each company of a stack of C.
@@ -223,18 +207,6 @@ def _step_plan(net, grad_net, n_companies: int, m: int):
             dot0(d0T, X, out=grad_w)
 
     return forward, gradients, activations
-
-
-def backprop_gradients(model: NetworkModel, x, y: float):
-    """Exact loss gradients for one sample (target may be fractional)."""
-    x = np.asarray(x, dtype=float).ravel()
-    _check_width(model, len(x), "the input")
-    if not 0.0 <= y <= 1.0:
-        raise ValidationError("target must lie in [0, 1]")
-    _, _, net, grad_net = _pack([model])
-    _, gradients, _ = _step_plan(net, grad_net, 1, 1)
-    gradients([x.reshape(1, -1)], np.asarray([[float(y)]]))
-    return _company(grad_net, 0)
 
 
 def _pack(models) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:

@@ -54,15 +54,6 @@ from .synth import derive_seed
 
 MEMBERSHIP_FILE_RE = re.compile(r"^constituents_(\d{4}-\d{2}-\d{2})\.csv$")
 
-# Default strong-feature set used when significance selection comes back
-# empty; a network with zero inputs is meaningless.
-CANONICAL_FALLBACK_FEATURES = [
-    ds_mod.MEMBERSHIP_COLUMN,
-    "total_return" + ds_mod.LAG_SUFFIX,
-    "sentiment",
-    "trades",
-]
-
 
 def read_input(path: Path) -> bytes:
     """The bytes of an input file; one that cannot be read (a directory
@@ -340,15 +331,8 @@ def _prepare(
     network's (train, test) split."""
     dataset, build_info = build_from_file(ticker, path, snapshots, cfg)
     fit, selected = fit_and_select(dataset, cfg.logit)
-    mlp_features = selected
-    if not selected:
-        fallback = set(CANONICAL_FALLBACK_FEATURES)
-        mlp_features = [f for f in dataset.feature_names if f in fallback]
-        if not mlp_features:
-            raise DataError(
-                f"{ticker}: no significant features and no canonical fallback "
-                f"columns present"
-            )
+    # an empty selection trains on every column, as ``train`` without ``--features``
+    mlp_features = selected or dataset.feature_names
     train_ds, test_ds = split_features(dataset, mlp_features, cfg.dataset.train_fraction)
 
     logit_doc = logit_result_dict(ticker, fit, selected)

@@ -224,21 +224,6 @@ def generate_company_panel(
     )
 
 
-def bayes_accuracy(
-    planted: PlantedModel, design: dict[str, np.ndarray], labels
-) -> float:
-    """Accuracy of the optimal rule sigmoid(eta) >= 0.5 on realized labels."""
-    labels = np.asarray(labels, dtype=int)
-    first = next(iter(design.values()))
-    eta = np.full(len(first), planted.intercept_true)
-    for name, coef in planted.beta_true.items():
-        eta += coef * np.asarray(design[name], dtype=float)
-    pred = (sigmoid(eta) >= 0.5).astype(int)
-    if len(pred) != len(labels):
-        raise ValidationError("design and labels are misaligned")
-    return float(np.mean(pred == labels))
-
-
 def calibrate_signal_scale(
     planted: PlantedModel,
     companies: list[tuple[str, list[date], list[int], int]],

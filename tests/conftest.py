@@ -1,7 +1,9 @@
+import math
 from datetime import date, timedelta
 
 import numpy as np
 
+from pricedir import mlp
 from pricedir.ingest import CompanyPanel, MembershipSnapshot
 
 
@@ -31,3 +33,26 @@ def make_snapshots(members_per_week, start=date(2002, 1, 4)):
         MembershipSnapshot(day, day, frozenset(members))
         for day, members in zip(weekly_dates(len(members_per_week), start), members_per_week)
     ]
+
+
+def forward(model, x):
+    """One row's network output and every layer's activations, the input
+    first, through the kernels that training runs."""
+    x = np.asarray(x, dtype=float).ravel()
+    acts = mlp._forward(model, x.reshape(1, -1))
+    return float(acts[-1][0, 0]), [x] + [a[0] for a in acts]
+
+
+def bce_loss(y, yhat):
+    """Binary cross-entropy with the network's output clamp applied."""
+    yhat = min(max(yhat, mlp.OUTPUT_EPS), 1.0 - mlp.OUTPUT_EPS)
+    return -(y * math.log(yhat) + (1.0 - y) * math.log(1.0 - yhat))
+
+
+def backprop_gradients(model, x, y):
+    """One row's loss gradients (the target may be fractional), as
+    (weights, biases), from a one-row step plan of a stack of one."""
+    _, _, net, grad_net = mlp._pack([model])
+    _, gradients, _ = mlp._step_plan(net, grad_net, 1, 1)
+    gradients([np.asarray(x, dtype=float).reshape(1, -1)], np.asarray([[float(y)]]))
+    return mlp._company(grad_net, 0)

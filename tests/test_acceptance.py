@@ -23,7 +23,7 @@ from pricedir.dataset import (
 )
 from pricedir.errors import DataError
 from pricedir.logit import fit_logit, select_features
-from pricedir.mlp import backprop_gradients, bce_loss, forward, init_network
+from pricedir.mlp import init_network
 from pricedir import pipeline as pipeline_mod
 from pricedir.pipeline import run_pipeline
 from pricedir.synth import (
@@ -37,7 +37,7 @@ from pricedir.synth import (
     write_fixture,
 )
 
-from conftest import make_panel
+from conftest import backprop_gradients, bce_loss, forward, make_panel
 
 
 def report_line(name, ok, detail=""):

@@ -10,17 +10,14 @@ from pricedir.mlp import (
     OUTPUT_EPS,
     EvalReport,
     NetworkModel,
-    backprop_gradients,
-    bce_loss,
     evaluate,
-    forward,
     init_network,
     model_from_dict,
     model_to_dict,
     train_stack,
 )
 
-from conftest import weekly_dates
+from conftest import backprop_gradients, bce_loss, forward, weekly_dates
 
 
 def make_ds(X, y):
@@ -177,13 +174,6 @@ class TestForward:
         m.biases[1][:] = 500.0
         out, _ = forward(m, [1.0, 1.0])
         assert 0.0 < out < 1.0
-
-    def test_dimension_and_finite_checks(self):
-        m = init_network([2, 2, 1], seed=0)
-        with pytest.raises(ValidationError):
-            forward(m, [1.0])
-        with pytest.raises(ValidationError):
-            forward(m, [1.0, np.nan])
 
 
 class TestBackprop:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from pricedir import cli
 from pricedir.cli import main
@@ -31,6 +31,7 @@ from pricedir.errors import (
 )
 from pricedir import mlp as mlp_mod
 from pricedir import pipeline as pipeline_mod
+from pricedir.dataset import read_dataset_csv
 from pricedir.ingest import parse_company_panel
 from pricedir.pipeline import (
     build_company_dataset,
@@ -118,6 +119,29 @@ FLAG_TEXT = st.one_of(
     st.sampled_from(["", "[]", "null", "C000", "C000,", "C000,C000", '["C000"]', "-1", "0",
                      "nan", "1e400", "[1, 2]", "price", "in_index", "date", "membership"]),
 )
+
+
+# One byte edit of a file: delete the byte at a position, insert a token
+# there, or cut the file short there (positions wrap around the length).
+BYTE_EDIT = st.one_of(
+    st.tuples(st.just("delete"), st.integers(min_value=0)),
+    st.tuples(st.just("insert"), st.integers(min_value=0),
+              st.sampled_from([b"\r", b"\x00", b"\xff", b'"', b"nan", b"1e309"])),
+    st.tuples(st.just("truncate"), st.integers(min_value=0)),
+)
+
+
+def edit_bytes(data, edits):
+    """``data`` with each ``BYTE_EDIT`` applied in turn."""
+    for kind, at, *token in edits:
+        at %= len(data) + 1
+        if kind == "delete":
+            data = data[:at] + data[at + 1:]
+        elif kind == "insert":
+            data = data[:at] + token[0] + data[at:]
+        else:
+            data = data[:at]
+    return data
 
 
 def mostly(good):
@@ -415,14 +439,22 @@ class TestRunPipeline:
         panels.joinpath("LATIN1.csv").write_bytes(good.encode("utf-8") + b"\xff\xfe\n")
         # a feature column named like the dataset file's label column
         panels.joinpath("YCOL.csv").write_text(good.replace(",noise_a,", ",y,", 1))
+        # a bare carriage return inside the third line
+        lines = good.split("\n")
+        lines[2] = lines[2].replace(",", ",\r", 1)
+        panels.joinpath("RETURN.csv").write_text("\n".join(lines), newline="")
         cfg = small_config(root, "out_failsoft")
         cfg.paths.panels_dir = str(panels)
         report = run_pipeline(cfg)
         status = {c["ticker"]: c["status"] for c in report["companies"]}
-        assert status == {"BAD": "failed", "C000": "ok", "LATIN1": "failed", "YCOL": "failed"}
-        assert report["n_failed"] == 3
+        assert status == {"BAD": "failed", "C000": "ok", "LATIN1": "failed",
+                          "RETURN": "failed", "YCOL": "failed"}
+        assert report["n_failed"] == 4
         assert "LATIN1.csv: not UTF-8" in report["companies"][2]["error"]
-        assert report["companies"][3]["error"] == (
+        assert report["companies"][3]["error"].startswith(
+            f"{panels / 'RETURN.csv'}, line 3: new-line character seen in unquoted field"
+        )
+        assert report["companies"][4]["error"] == (
             "panel YCOL: feature column 'y' is the dataset file's label"
         )
 
@@ -443,7 +475,7 @@ class TestRunPipeline:
         with pytest.raises(ConfigError):
             run_pipeline(cfg)
 
-    def test_empty_selection_falls_back_to_canonical_features(self, fixture):
+    def test_empty_selection_falls_back_to_every_dataset_column(self, fixture):
         root, _ = fixture
         cfg = small_config(root, "out_fallback")
         cfg.logit.alpha = 1e-12
@@ -452,10 +484,12 @@ class TestRunPipeline:
         company = report["companies"][0]
         assert company["fallback_used"]
         assert company["selected"] == []
-        # the canonical four, in the dataset's column order
-        assert company["mlp_features"] == [
-            "sentiment", "trades", "in_index", "total_return_lag1w"
-        ]
+        # what ``pricedir train`` builds without ``--features``
+        out = Path(cfg.paths.output_dir)
+        dataset = read_dataset_csv((out / "datasets" / "C000.csv").read_bytes(), "C000")
+        assert company["mlp_features"] == dataset.feature_names
+        model = json.loads((out / "models" / "C000.json").read_text())
+        assert model["layer_sizes"][0] == len(dataset.feature_names) > 4
 
 
 def output_tree(out: Path) -> dict[str, bytes]:
@@ -696,6 +730,12 @@ class TestCli:
         not_utf8.write_bytes(b"date,y,a\n2002-01-04,1,0.5\xff\n")
         assert main(["logit", "--dataset", str(not_utf8)]) == 2
         assert str(not_utf8) in capsys.readouterr().err
+        stray_return = tmp_path / "return.csv"
+        stray_return.write_bytes(b"date,y,a\n2002-01-04,1,0.5\r7\n")
+        assert main(["logit", "--dataset", str(stray_return)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {stray_return}, line 2: new-line character seen in unquoted field"
+        )
         # a cohort group smaller than the sample, without --allow-deficient
         root, _ = fixture
         assert main(["cohort", "--membership-dir", str(root / "membership"),
@@ -784,9 +824,11 @@ class TestCli:
         assert main(["evaluate", "--dataset", str(dataset), "--model", str(no_sizes)]) == 1
         assert "layer_sizes" in capsys.readouterr().err
 
-    def test_step_by_step_reproduces_pipeline(self, fixture, tmp_path, capsys):
-        """build, logit, train on logit's selection, evaluate, each given the
-        pipeline's own argv: the pipeline's files."""
+    @pytest.mark.parametrize("alpha", ["0.05", "1e-12"])
+    def test_step_by_step_reproduces_pipeline(self, fixture, tmp_path, capsys, alpha):
+        """build, logit, train on logit's selection (on every column, without
+        ``--features``, when it is empty), evaluate, each given the pipeline's
+        own argv: the pipeline's files."""
         root, _ = fixture
         config = [
             "--paths.membership_dir", str(root / "membership"),
@@ -796,6 +838,7 @@ class TestCli:
             "--mlp.epochs", "40",
             "--dataset.train_fraction", "0.75",
             "--mlp.hidden_sizes", "4,3",
+            "--logit.alpha", alpha,
         ]
         piped = tmp_path / "piped"
         assert main(["pipeline", *config, "--paths.output_dir", str(piped)]) == 0
@@ -806,9 +849,10 @@ class TestCli:
         )
         assert main(["logit", *config, "--dataset", dataset, "--out", str(logit_file)]) == 0
         selected = json.loads(logit_file.read_text())["selected"]
-        assert selected  # so the pipeline trains on it, not on the fallback
+        assert bool(selected) == (alpha == "0.05")
+        features = ["--features", ",".join(selected)] if selected else []
         assert main(["train", *config, "--dataset", dataset, "--out", str(model_file),
-                     "--features", ",".join(selected)]) == 0
+                     *features]) == 0
         assert main(["evaluate", *config, "--dataset", dataset, "--model", str(model_file),
                      "--out", str(eval_file)]) == 0
         assert logit_file.read_bytes() == (piped / "logit" / "C000.json").read_bytes()
@@ -861,6 +905,8 @@ class TestCli:
                      "logit.tol", id="logit-tol-nan"),
         pytest.param(["logit", "--dataset", "{data}", "--logit.max_iter", "0"], TINY_MODEL,
                      "logit.max_iter", id="logit-max-iter-0"),
+        pytest.param([*BUILD, "--seed", "5", "--mlp.seed", "7"], TINY_MODEL,
+                     "--seed and --mlp.seed exclude each other", id="seed-and-mlp-seed"),
         *(pytest.param([*BUILD, f"--{dotted}={text}"], TINY_MODEL, f"{dotted} must",
                        id=f"build-{dotted}={text!r}")
           for dotted, text in (
@@ -1199,3 +1245,16 @@ class TestCli:
         assert code in (0, 1)
         if not code:
             assert "\nTINY | " in out
+
+    @settings(max_examples=60, deadline=None)
+    @given(edits=st.lists(BYTE_EDIT, min_size=1, max_size=4))
+    @example(edits=[("insert", 20, b"\r")])  # inside the first row's date
+    def test_edited_dataset_file_exits_cleanly(self, tiny_dataset, edits):
+        """``logit`` on a byte-edited dataset file ends in exit 0, 1 or 2,
+        with ``error:`` and no traceback."""
+        edited = tiny_dataset.with_name("edited.csv")
+        edited.write_bytes(edit_bytes(tiny_dataset.read_bytes(), edits))
+        code, out, _ = run_quietly(["logit", "--dataset", str(edited)])
+        assert code in (0, 1, 2)
+        if not code:
+            assert json.loads(out)["ticker"] == "edited"

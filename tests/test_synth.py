@@ -7,10 +7,9 @@ import pytest
 from pricedir.dataset import attach_direction_label
 from pricedir.errors import ValidationError
 from pricedir.ingest import parse_company_panel, parse_membership_file
-from pricedir.logit import fit_logit
+from pricedir.logit import fit_logit, sigmoid
 from pricedir.synth import (
     PlantedModel,
-    bayes_accuracy,
     calibrate_signal_scale,
     default_planted,
     derive_seed,
@@ -22,6 +21,21 @@ from pricedir.synth import (
 )
 
 from conftest import assert_panels_equal
+
+
+def bayes_accuracy(
+    planted: PlantedModel, design: dict[str, np.ndarray], labels
+) -> float:
+    """Accuracy of the optimal rule sigmoid(eta) >= 0.5 on realized labels."""
+    labels = np.asarray(labels, dtype=int)
+    first = next(iter(design.values()))
+    eta = np.full(len(first), planted.intercept_true)
+    for name, coef in planted.beta_true.items():
+        eta += coef * np.asarray(design[name], dtype=float)
+    pred = (sigmoid(eta) >= 0.5).astype(int)
+    if len(pred) != len(labels):
+        raise ValidationError("design and labels are misaligned")
+    return float(np.mean(pred == labels))
 
 
 def flat_model(intercept=0.0, **betas):
