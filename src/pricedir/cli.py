@@ -29,19 +29,13 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from .synth import derive_seed
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    """Register --config, --seed, and one dotted flag per config field."""
+    """Register --config and one dotted flag per config field."""
     parser.add_argument(
         "--config",
         help=f"JSON config file (default: ${ENV_CONFIG_VAR} if set)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        help="master seed; derives the mlp seed (not with --mlp.seed)",
     )
     for dotted in FIELDS:
         parser.add_argument(f"--{dotted}", dest=dotted, metavar="VALUE")
@@ -51,10 +45,6 @@ def _load_pipeline_config(args) -> PipelineConfig:
     path = args.config or os.environ.get(ENV_CONFIG_VAR)
     cfg = load_config(path) if path else PipelineConfig()
     apply_overrides(cfg, {d: getattr(args, d) for d in FIELDS if getattr(args, d) is not None})
-    if args.seed is not None:
-        if getattr(args, "mlp.seed") is not None:
-            raise ConfigError("--seed and --mlp.seed exclude each other")
-        cfg.mlp.seed = derive_seed(args.seed, "mlp")
     return cfg.validate()
 
 
@@ -159,7 +149,7 @@ def _cmd_train(args) -> int:
     )
     if isinstance(losses, TrainingDivergedError):
         raise losses
-    doc = pipeline.model_document(model, dataset.ticker, seeds, mlp_cfg, losses[-1], features)
+    doc = pipeline.model_document(model, dataset.ticker, seeds, cfg, losses[-1], features)
     _emit(doc, args.out)
     sys.stdout.write(f"trained {dataset.ticker}: final loss {losses[-1]:.6f}\n")
     return 0
@@ -170,8 +160,11 @@ def _cmd_evaluate(args) -> int:
     dataset = _read_dataset(args.dataset)
     model_doc = _read_json(args.model, "model")
     model = mlp_mod.model_from_dict(model_doc)
-    features = model_doc.get("metadata", {}).get("features") or dataset.feature_names
-    _, test_ds = pipeline.split_features(dataset, features, cfg.dataset.train_fraction)
+    metadata = model_doc.get("metadata", {})
+    features = metadata.get("features") or dataset.feature_names
+    # the model's own split, so its training rows stay out of the test part
+    fraction = metadata.get("train_fraction", cfg.dataset.train_fraction)
+    _, test_ds = pipeline.split_features(dataset, features, fraction)
     report = mlp_mod.evaluate(model, test_ds, cfg.mlp.threshold)
     _emit(dataclasses.asdict(report), args.out)
     sys.stdout.write(f"{dataset.ticker} | {report.accuracy * 100:.2f}%\n")

@@ -321,10 +321,10 @@ def read_dataset_csv(content, ticker: str, source: str = "<dataset>") -> Labeled
     """Read back a ``date,y,<feature...>`` CSV written by dataset_csv_text."""
     panel = parse_company_panel(content, ticker, source=source)
     if LABEL_COLUMN not in panel.columns:
-        raise ValidationError(f"{source}: missing {LABEL_COLUMN!r} column")
+        raise DataError(f"{source}: missing {LABEL_COLUMN!r} column")
     labels = panel.column(LABEL_COLUMN)
     if not np.isin(labels, (0.0, 1.0)).all():
-        raise ValidationError(f"{source}: {LABEL_COLUMN!r} must contain only 0 and 1")
+        raise DataError(f"{source}: {LABEL_COLUMN!r} must contain only 0 and 1")
     names = [n for n in panel.feature_names if n != LABEL_COLUMN]
     X = _matrix([panel.columns[n] for n in names], panel.n_rows)
     return LabeledDataset(ticker, panel.dates, names, X, labels.astype(int), {})

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, ParseError, ValidationError
+from .errors import DataError, ValidationError
 
 # A nominal week is the requested day plus the six days before it, so a
 # fallback can never reach into the previous week's snapshot.
@@ -121,7 +121,7 @@ def _as_text(content: bytes | str, source: str) -> str:
     try:
         return content.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text (byte {exc.start})", source=source) from None
+        raise DataError(f"{source}: not UTF-8 text (byte {exc.start})") from None
 
 
 def parse_membership_file(
@@ -135,10 +135,9 @@ def parse_membership_file(
         source: file name used in error messages.
 
     Raises:
-        ParseError: content that is not UTF-8, or a malformed header or
-            ticker row.
-        DataError: empty file, duplicate ticker, or an
-            effective date outside the weekly window.
+        DataError: content that is not UTF-8, an empty file, a malformed
+            header or ticker row, a duplicate ticker, or an effective
+            date outside the weekly window.
     """
     # rows end at "\n" only (str.splitlines would also break them at form
     # feeds and other separators); one "\r" before it is part of the ending
@@ -149,24 +148,20 @@ def parse_membership_file(
         raise DataError(f"{source}: empty membership file")
     header = lines[0]
     if not header.startswith(EFFECTIVE_DATE_PREFIX):
-        raise ParseError(
-            f"expected {EFFECTIVE_DATE_PREFIX!r} header", source=source, line=1
-        )
+        raise DataError(f"{source}, line 1: expected {EFFECTIVE_DATE_PREFIX!r} header")
     try:
         effective = date.fromisoformat(header[len(EFFECTIVE_DATE_PREFIX):].strip())
     except ValueError:
-        raise ParseError("invalid effective date", source=source, line=1) from None
+        raise DataError(f"{source}, line 1: invalid effective date") from None
     if len(lines) < 2 or lines[1].strip() != "ticker":
-        raise ParseError("expected 'ticker' column header", source=source, line=2)
+        raise DataError(f"{source}, line 2: expected 'ticker' column header")
 
     seen: set[str] = set()
     for lineno, raw in enumerate(lines[2:], start=3):
         # one whitespace-free token: not empty, no inner whitespace
         words = raw.split()
         if len(words) != 1 or "," in raw:
-            raise ParseError(
-                f"malformed ticker row {raw!r}", source=source, line=lineno
-            )
+            raise DataError(f"{source}, line {lineno}: malformed ticker row {raw!r}")
         ticker = words[0]
         if ticker in seen:
             raise DataError(f"{source}, line {lineno}: duplicate ticker {ticker!r}")
@@ -193,41 +188,40 @@ def parse_company_panel(content, ticker: str, source: str = "<panel>") -> Compan
     """Parse a company history CSV into a CompanyPanel.
 
     Rows are re-sorted ascending by date.  Empty cells become NaN.
-    Raises ParseError on content that is not UTF-8 or not CSV and, with
-    row/column context, on malformed cells; DataError on duplicate dates.
+    Raises DataError on content that is not UTF-8 or not CSV, on a
+    malformed header or cell (naming its line and column) and on
+    duplicate dates.
     """
     reader = csv.reader(io.StringIO(_as_text(content, source)))
     try:
         rows = list(reader)
     except csv.Error as exc:  # a bare "\r" inside a line, say
-        raise ParseError(str(exc), source=source, line=reader.line_num) from None
+        raise DataError(f"{source}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{source}: empty panel file")
     header = rows[0]
     if not header or header[0] != "date":
-        raise ParseError("first column must be 'date'", source=source, line=1)
+        raise DataError(f"{source}, line 1: first column must be 'date'")
     names = header[1:]
     if not names:
-        raise ParseError("panel needs at least one feature column", source=source, line=1)
+        raise DataError(f"{source}, line 1: panel needs at least one feature column")
     if len(set(names)) != len(names):
-        raise ParseError("duplicate column names in header", source=source, line=1)
+        raise DataError(f"{source}, line 1: duplicate column names in header")
     if any(not n for n in names):
-        raise ParseError("empty column name in header", source=source, line=1)
+        raise DataError(f"{source}, line 1: empty column name in header")
 
     dates: list[date] = []
     cells: list[float] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} cells, found {len(row)}",
-                source=source,
-                line=lineno,
+            raise DataError(
+                f"{source}, line {lineno}: expected {len(header)} cells, found {len(row)}"
             )
         try:
             dates.append(date.fromisoformat(row[0]))
         except ValueError:
-            raise ParseError(
-                f"invalid date {row[0]!r}", source=source, line=lineno, column="date"
+            raise DataError(
+                f"{source}, line {lineno}, column 'date': invalid date {row[0]!r}"
             ) from None
         for name, cell in zip(names, row[1:]):
             if cell == "":
@@ -239,11 +233,8 @@ def parse_company_panel(content, ticker: str, source: str = "<panel>") -> Compan
                 value = math.nan
             if not math.isfinite(value):
                 # also catches literal "inf"/"nan" cells, which float() accepts
-                raise ParseError(
-                    f"non-numeric cell {cell!r}",
-                    source=source,
-                    line=lineno,
-                    column=name,
+                raise DataError(
+                    f"{source}, line {lineno}, column {name!r}: non-numeric cell {cell!r}"
                 )
             cells.append(value)
 

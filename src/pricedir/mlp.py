@@ -423,7 +423,8 @@ def model_from_dict(data: dict) -> NetworkModel:
 
     ``layer_sizes`` must be a list of positive integers, and every weight
     and bias a finite JSON number.  ``metadata``, when present, must be an
-    object, and its ``features`` a list of column names.
+    object, its ``features`` a list of column names and its
+    ``train_fraction`` a number in (0, 1).
     """
     if not isinstance(data, dict):
         raise ValidationError("model document must be a JSON object")
@@ -441,4 +442,7 @@ def model_from_dict(data: dict) -> NetworkModel:
     features = metadata.get("features", [])
     if not (isinstance(features, list) and all(isinstance(f, str) for f in features)):
         raise ValidationError("model metadata key 'features' must be a list of strings")
+    fraction = metadata.get("train_fraction", 0.5)  # absent: evaluate uses the config's
+    if not (isinstance(fraction, float) and 0 < fraction < 1):
+        raise ValidationError("model metadata key 'train_fraction' must be a number in (0, 1)")
     return model

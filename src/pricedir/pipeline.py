@@ -35,7 +35,7 @@ from . import cohort as cohort_mod
 from . import dataset as ds_mod
 from . import logit as logit_mod
 from . import mlp as mlp_mod
-from .config import TARGET_DIRECTION, LogitConfig, MlpConfig, PipelineConfig
+from .config import TARGET_DIRECTION, LogitConfig, PipelineConfig
 from .errors import (
     ConfigError,
     DataError,
@@ -199,7 +199,7 @@ def model_document(
     model: mlp_mod.NetworkModel,
     ticker: str,
     seeds: dict[str, int],
-    mlp_cfg: MlpConfig,
+    cfg: PipelineConfig,
     final_loss: float,
     features: list[str],
 ) -> dict:
@@ -210,9 +210,10 @@ def model_document(
             "ticker": ticker,
             "init_seed": seeds["init"],
             "shuffle_seed": seeds["train"],
-            "epochs": mlp_cfg.epochs,
-            "learning_rate": mlp_cfg.learning_rate,
-            "batch_size": mlp_cfg.batch_size,
+            "epochs": cfg.mlp.epochs,
+            "learning_rate": cfg.mlp.learning_rate,
+            "batch_size": cfg.mlp.batch_size,
+            "train_fraction": cfg.dataset.train_fraction,
             "final_loss": final_loss,
             "features": features,
         },
@@ -365,7 +366,7 @@ def _finish(
     report = mlp_mod.evaluate(model, test_ds, cfg.mlp.threshold)
     ticker = fields["ticker"]
     model_doc = model_document(
-        model, ticker, fields["seeds"], cfg.mlp, loss_history[-1], fields["mlp_features"]
+        model, ticker, fields["seeds"], cfg, loss_history[-1], fields["mlp_features"]
     )
     write_outputs(out_dir, {f"models/{ticker}.json": json_text(model_doc)})
     return {

@@ -1,9 +1,10 @@
-"""Every library name that the benchmark's workload and child scripts use
-still exists.
+"""Every library name that the benchmark's workload and child scripts use,
+and every attribute that its tracer wraps, still exists.
 
 ``benchmarks/test_bench.py`` runs outside this suite, so without this
 check a name deleted from ``pricedir`` would show only as a failed
-benchmark run.  The scripts are read with ``ast``, not imported.
+benchmark run, and a renamed traced attribute only as a layer that reads
+0.  The scripts are read with ``ast``, not imported.
 """
 
 import ast
@@ -44,3 +45,22 @@ def test_benchmark_uses_only_existing_names(script):
         if not hasattr(importlib.import_module(module), name)
     )
     assert not missing
+
+
+# Traced attributes that the library no longer has: ``mlp.train`` went when
+# every network trained in a stack, ``pipeline.run_company`` when the
+# workers began to prepare, train and finish companies in stages.
+KNOWN_ABSENT = {"pricedir.mlp.train", "pricedir.pipeline.run_company"}
+
+
+def test_tracer_wraps_only_existing_attributes():
+    tree = ast.parse((BENCHMARKS / "tracing.py").read_text())
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]]
+    wrapped = ast.literal_eval(table)
+    assert wrapped  # the tracer does wrap the library
+    missing = {
+        f"{module}.{name}" for module, name, _ in wrapped
+        if not hasattr(importlib.import_module(module), name)
+    }
+    assert not missing - KNOWN_ABSENT

@@ -1,3 +1,4 @@
+import csv
 import pickle
 from datetime import date, timedelta
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pricedir.dataset import read_dataset_csv
 from pricedir.errors import (
     DataError,
-    ParseError,
+    PricedirError,
     ValidationError,
 )
 from pricedir.ingest import (
@@ -33,7 +35,7 @@ def reference_ticker_rows(lines, source):
     for lineno, raw in enumerate(lines, start=3):
         ticker = raw.strip()
         if not ticker or "," in ticker or any(c.isspace() for c in ticker):
-            return ParseError(f"malformed ticker row {raw!r}", source=source, line=lineno)
+            return DataError(f"{source}, line {lineno}: malformed ticker row {raw!r}")
         if ticker in seen:
             return DataError(f"{source}, line {lineno}: duplicate ticker {ticker!r}")
         seen.add(ticker)
@@ -84,16 +86,16 @@ class TestParseMembershipFile:
 
     def test_malformed_row_has_line_number(self):
         text = membership_text("2002-01-04", ["AAA", "B B"])
-        with pytest.raises(ParseError, match="line 4"):
+        with pytest.raises(DataError, match="line 4"):
             parse_membership_file(text, date(2002, 1, 4))
 
     def test_rows_end_at_newline_only(self):
         # str.splitlines would break these rows at \x1c and at the form feed
         text = membership_text("2002-01-04", ["AAA", "AB\x1cCD"])
-        with pytest.raises(ParseError, match=r"line 4: malformed ticker row 'AB\\x1cCD'"):
+        with pytest.raises(DataError, match=r"line 4: malformed ticker row 'AB\\x1cCD'"):
             parse_membership_file(text, date(2002, 1, 4), source="m.csv")
         text = membership_text("2002-01-04", ["A\x0cB", "C D"])
-        with pytest.raises(ParseError, match=r"line 3: malformed ticker row 'A\\x0cB'"):
+        with pytest.raises(DataError, match=r"line 3: malformed ticker row 'A\\x0cB'"):
             parse_membership_file(text, date(2002, 1, 4), source="m.csv")
 
     def test_crlf_line_endings(self):
@@ -101,11 +103,11 @@ class TestParseMembershipFile:
         snap = parse_membership_file(text, date(2002, 1, 4))
         assert snap.constituents == frozenset({"AAA", "BBB"})
         text = membership_text("2002-01-04", ["AAA", "B B"]).replace("\n", "\r\n")
-        with pytest.raises(ParseError, match=r"line 4: malformed ticker row 'B B'$"):
+        with pytest.raises(DataError, match=r"line 4: malformed ticker row 'B B'$"):
             parse_membership_file(text, date(2002, 1, 4), source="m.csv")
 
     def test_bad_header_line(self):
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(DataError, match="line 1"):
             parse_membership_file("effective=2002-01-04\nticker\nAAA\n", date(2002, 1, 4))
 
     def test_effective_after_requested_rejected(self):
@@ -181,37 +183,36 @@ class TestParseCompanyPanel:
 
     def test_non_numeric_cell_located(self):
         text = "date,price,trades\n2002-01-04,10.0,abc\n"
-        with pytest.raises(ParseError, match="line 2.*'trades'"):
+        with pytest.raises(DataError, match="line 2.*'trades'"):
             parse_company_panel(text, "TST", source="x.csv")
 
     def test_non_finite_cells_rejected(self):
         for bad in ("inf", "-inf", "nan"):
             text = f"date,price\n2002-01-04,{bad}\n"
-            with pytest.raises(ParseError, match="'price'"):
+            with pytest.raises(DataError, match="'price'"):
                 parse_company_panel(text, "TST")
 
     def test_bad_date_located(self):
         text = "date,price\nnot-a-date,10.0\n"
-        with pytest.raises(ParseError, match="'date'"):
+        with pytest.raises(DataError, match="'date'"):
             parse_company_panel(text, "TST")
 
     def test_ragged_row_rejected(self):
         text = "date,price,trades\n2002-01-04,10.0\n"
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             parse_company_panel(text, "TST")
 
     def test_missing_feature_columns_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError):
             parse_company_panel("date\n2002-01-04\n", "TST")
 
     def test_parse_error_survives_pickling(self):
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(DataError) as info:
             parse_company_panel("date,price\n2002-01-04,x\n", "TST", source="p.csv")
         sent = info.value
         back = pickle.loads(pickle.dumps(sent))
-        assert type(back) is ParseError
+        assert type(back) is DataError
         assert str(back) == str(sent) == "p.csv, line 2, column 'price': non-numeric cell 'x'"
-        assert (back.source, back.line, back.column) == ("p.csv", 2, "price")
 
     @given(
         data=st.lists(
@@ -250,3 +251,51 @@ class TestCompanyPanel:
         panel = parse_company_panel(PANEL_TEXT, "TST")
         with pytest.raises(ValidationError):
             panel.column("nope")
+
+
+def csv_reader_error(text):
+    """The CSV reader's own text for what it refuses in ``text``."""
+    with pytest.raises(csv.Error) as info:
+        list(csv.reader([text]))
+    return str(info.value)
+
+
+MEMBERSHIP_HEAD = "# effective_date=2002-01-04\nticker\n"
+
+
+@pytest.mark.parametrize("read, content, message", [
+    ("membership", MEMBERSHIP_HEAD.encode() + b"AAA\n\xff\n",
+     "m.csv: not UTF-8 text (byte 39)"),
+    ("membership", "effective=2002-01-04\nticker\nAAA\n",
+     "m.csv, line 1: expected '# effective_date=' header"),
+    ("membership", "# effective_date=2002-13-01\nticker\nAAA\n",
+     "m.csv, line 1: invalid effective date"),
+    ("membership", "# effective_date=2002-01-04\ntickers\nAAA\n",
+     "m.csv, line 2: expected 'ticker' column header"),
+    ("membership", MEMBERSHIP_HEAD + "AAA\nB B\n", "m.csv, line 4: malformed ticker row 'B B'"),
+    ("panel", b"date,price\n2002-01-04,1.5\xff\n", "p.csv: not UTF-8 text (byte 25)"),
+    ("panel", b"date,price\n2002-01-04,1\r5\n",
+     "p.csv, line 2: " + csv_reader_error("1\r5")),
+    ("panel", "price,date\n1.5,2002-01-04\n", "p.csv, line 1: first column must be 'date'"),
+    ("panel", "date\n2002-01-04\n", "p.csv, line 1: panel needs at least one feature column"),
+    ("panel", "date,price,price\n", "p.csv, line 1: duplicate column names in header"),
+    ("panel", "date,price,\n", "p.csv, line 1: empty column name in header"),
+    ("panel", "date,price,trades\n2002-01-04,10.0\n", "p.csv, line 2: expected 3 cells, found 2"),
+    ("panel", "date,price\nnot-a-date,1.5\n",
+     "p.csv, line 2, column 'date': invalid date 'not-a-date'"),
+    ("panel", "date,price\n2002-01-04,x\n", "p.csv, line 2, column 'price': non-numeric cell 'x'"),
+    ("dataset", "date,x,a\n2002-01-04,1,0.5\n", "d.csv: missing 'y' column"),
+    ("dataset", "date,y,a\n2002-01-04,2,0.5\n", "d.csv: 'y' must contain only 0 and 1"),
+])
+def test_file_faults_name_their_place(read, content, message):
+    """Each malformed membership, panel or dataset file gives this exact
+    text, which names the file and, where it is known, the line and column
+    (the exit code of each is pinned by the CLI tests)."""
+    with pytest.raises(PricedirError) as info:
+        if read == "membership":
+            parse_membership_file(content, date(2002, 1, 4), source="m.csv")
+        elif read == "panel":
+            parse_company_panel(content, "TST", source="p.csv")
+        else:
+            read_dataset_csv(content, "TST", source="d.csv")
+    assert str(info.value) == message

@@ -40,7 +40,7 @@ from pricedir.pipeline import (
     run_pipeline,
     write_atomic,
 )
-from pricedir.synth import default_planted, derive_seed, write_fixture
+from pricedir.synth import default_planted, write_fixture
 
 from conftest import weekly_dates
 
@@ -295,7 +295,7 @@ class TestConfig:
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         flags = [flag for action in subparsers.choices["build"]._actions
                  for flag in action.option_strings
-                 if flag not in ("-h", "--help", "--config", "--seed")]
+                 if flag not in ("-h", "--help", "--config")]
         assert sorted(flags) == sorted(f"--{dotted}" for dotted in FIELDS)
 
 
@@ -666,13 +666,13 @@ class TestCli:
             "--paths.panels_dir", str(root / "panels"),
             "--paths.output_dir", str(out),
             "--mlp.epochs", "30",
-            "--seed", "5",
+            "--mlp.seed", "5",
         ])
         assert code == 0
         captured = capsys.readouterr()
         assert "Company Name | Accuracy" in captured.out
         report = json.loads((out / "report.json").read_text())
-        assert report["config"]["mlp"]["seed"] == derive_seed(5, "mlp")
+        assert report["config"]["mlp"]["seed"] == 5
 
     def test_config_file_via_env_var(self, fixture, tmp_path, monkeypatch, capsys):
         root, _ = fixture
@@ -736,6 +736,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"error: {stray_return}, line 2: new-line character seen in unquoted field"
         )
+        # a dataset file without its label column, or with a label other than 0 and 1
+        for name, text, problem in (("no_label.csv", "date,x,a", "missing 'y' column"),
+                                    ("label_2.csv", "date,y,a", "'y' must contain only 0 and 1")):
+            bad = tmp_path / name
+            bad.write_text(f"{text}\n2002-01-04,1,0.5\n2002-01-11,2,0.5\n")
+            for argv in (["logit"], ["train", "--out", str(tmp_path / "model.json")],
+                         ["evaluate", "--model", str(tmp_path / "model.json")]):
+                assert main([*argv, "--dataset", str(bad)]) == 2
+                assert capsys.readouterr().err == f"error: {bad}: {problem}\n"
         # a cohort group smaller than the sample, without --allow-deficient
         root, _ = fixture
         assert main(["cohort", "--membership-dir", str(root / "membership"),
@@ -824,6 +833,27 @@ class TestCli:
         assert main(["evaluate", "--dataset", str(dataset), "--model", str(no_sizes)]) == 1
         assert "layer_sizes" in capsys.readouterr().err
 
+    def test_evaluate_splits_at_the_models_train_fraction(self, tiny_dataset, tmp_path):
+        """A model trained at one ``dataset.train_fraction`` is tested on
+        the rows after its own training part, whatever the fraction given
+        to ``evaluate``; a model file without the key uses the config's."""
+        model_file, eval_file = tmp_path / "model.json", tmp_path / "eval.json"
+        data = ["--dataset", str(tiny_dataset)]
+        assert main(["train", *data, "--out", str(model_file), "--mlp.epochs", "1",
+                     "--dataset.train_fraction", "0.9"]) == 0
+        doc = json.loads(model_file.read_text())
+        assert doc["metadata"]["train_fraction"] == 0.9
+
+        def n_test(*flags):
+            assert main(["evaluate", *data, "--model", str(model_file),
+                         "--out", str(eval_file), *flags]) == 0
+            return json.loads(eval_file.read_text())["n_test"]
+
+        assert n_test() == n_test("--dataset.train_fraction", "0.7") == 2  # 18 rows trained
+        del doc["metadata"]["train_fraction"]
+        model_file.write_text(json.dumps(doc))
+        assert n_test() == 4 and n_test("--dataset.train_fraction", "0.9") == 2
+
     @pytest.mark.parametrize("alpha", ["0.05", "1e-12"])
     def test_step_by_step_reproduces_pipeline(self, fixture, tmp_path, capsys, alpha):
         """build, logit, train on logit's selection (on every column, without
@@ -834,7 +864,7 @@ class TestCli:
             "--paths.membership_dir", str(root / "membership"),
             "--paths.panels_dir", str(root / "panels"),
             "--tickers", "C000",
-            "--seed", "5",
+            "--mlp.seed", "5",
             "--mlp.epochs", "40",
             "--dataset.train_fraction", "0.75",
             "--mlp.hidden_sizes", "4,3",
@@ -866,6 +896,10 @@ class TestCli:
                      id="metadata-not-object"),
         pytest.param(EVALUATE, {**TINY_MODEL, "metadata": {"features": 7}}, "'features'",
                      id="features-not-names"),
+        *(pytest.param(EVALUATE, {**TINY_MODEL, "metadata": {"train_fraction": value}},
+                       "model metadata key 'train_fraction' must be a number in (0, 1)",
+                       id=f"train-fraction-{value!r}")
+          for value in (1.0, 0.0, -0.5, float("nan"), 1, True, "0.8", None)),
         pytest.param(["train", "--dataset", "{data}", "--mlp.epochs", "1", "--out", "{missing}"],
                      TINY_MODEL, "--out {missing}", id="train-out"),
         pytest.param(["logit", "--dataset", "{data}", "--out", "{taken}"],
@@ -905,8 +939,6 @@ class TestCli:
                      "logit.tol", id="logit-tol-nan"),
         pytest.param(["logit", "--dataset", "{data}", "--logit.max_iter", "0"], TINY_MODEL,
                      "logit.max_iter", id="logit-max-iter-0"),
-        pytest.param([*BUILD, "--seed", "5", "--mlp.seed", "7"], TINY_MODEL,
-                     "--seed and --mlp.seed exclude each other", id="seed-and-mlp-seed"),
         *(pytest.param([*BUILD, f"--{dotted}={text}"], TINY_MODEL, f"{dotted} must",
                        id=f"build-{dotted}={text!r}")
           for dotted, text in (
@@ -1250,11 +1282,54 @@ class TestCli:
     @given(edits=st.lists(BYTE_EDIT, min_size=1, max_size=4))
     @example(edits=[("insert", 20, b"\r")])  # inside the first row's date
     def test_edited_dataset_file_exits_cleanly(self, tiny_dataset, edits):
-        """``logit`` on a byte-edited dataset file ends in exit 0, 1 or 2,
-        with ``error:`` and no traceback."""
+        """``logit`` on a byte-edited dataset file ends in exit 0, 1 (too
+        few rows left for the fit) or 2, with ``error:`` and no traceback."""
         edited = tiny_dataset.with_name("edited.csv")
         edited.write_bytes(edit_bytes(tiny_dataset.read_bytes(), edits))
         code, out, _ = run_quietly(["logit", "--dataset", str(edited)])
         assert code in (0, 1, 2)
         if not code:
             assert json.loads(out)["ticker"] == "edited"
+
+    @settings(max_examples=60, deadline=None)
+    @given(edits=st.lists(BYTE_EDIT, min_size=1, max_size=4))
+    @example(edits=[("insert", 70, b"\r")])  # inside the first row's date
+    def test_edited_panel_file_exits_cleanly(self, fixture, tmp_path_factory, edits):
+        """``build`` on a byte-edited panel file ends in exit 0 to 3, with
+        ``error:`` and no traceback."""
+        root, _ = fixture
+        panels = tmp_path_factory.getbasetemp() / "edited_panels"
+        panels.mkdir(exist_ok=True)
+        original = (root / "panels" / "C000.csv").read_bytes()
+        (panels / "C000.csv").write_bytes(edit_bytes(original, edits))
+        code, out, _ = run_quietly([
+            "build", "--paths.membership_dir", str(root / "membership"),
+            "--paths.panels_dir", str(panels), "--paths.output_dir", str(panels / "out"),
+        ])
+        assert code in (0, 1, 2, 3)
+        if not code:
+            assert out.startswith("built C000")
+
+    @settings(max_examples=60, deadline=None)
+    @given(which=st.integers(min_value=0), edits=st.lists(BYTE_EDIT, min_size=1, max_size=4))
+    @example(which=0, edits=[("insert", 3, b"\xff")])  # not UTF-8, in the header
+    def test_edited_membership_file_exits_cleanly(self, fixture, tmp_path_factory, which,
+                                                  edits):
+        """``cohort --allow-deficient`` with one byte-edited membership file
+        ends in exit 0 to 3, with ``error:`` and no traceback."""
+        root, _ = fixture
+        membership = tmp_path_factory.getbasetemp() / "edited_membership"
+        if not membership.exists():
+            shutil.copytree(root / "membership", membership)
+        files = sorted(membership.iterdir())
+        file = files[which % len(files)]
+        original = file.read_bytes()
+        file.write_bytes(edit_bytes(original, edits))
+        try:
+            code, out, _ = run_quietly(["cohort", "--membership-dir", str(membership),
+                                        "--per-group", "1", "--allow-deficient"])
+        finally:
+            file.write_bytes(original)
+        assert code in (0, 1, 2, 3)
+        if not code:
+            assert len(json.loads(out)["groups"]) == 5
