@@ -287,10 +287,10 @@ def chronological_split(
         raise ValidationError("train_fraction must be in (0, 1)")
     n = ds.n_rows
     if n < 5:
-        raise ValidationError(f"dataset {ds.ticker}: need at least 5 rows, have {n}")
+        raise DataError(f"dataset {ds.ticker}: need at least 5 rows, have {n}")
     n_train = math.ceil(Fraction(str(train_fraction)) * n)
     if n_train <= 0 or n_train >= n:
-        raise ValidationError(
+        raise DataError(
             f"dataset {ds.ticker}: split {n_train}/{n - n_train} leaves a part empty"
         )
 

@@ -104,10 +104,6 @@ def _solve_information(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _covariance(H: np.ndarray) -> np.ndarray:
-    return _solve_information(H, np.eye(H.shape[0]))
-
-
 def fit_logit(
     X,
     y,
@@ -127,13 +123,11 @@ def fit_logit(
         y: length-n vector of 0/1 labels.
 
     Raises:
-        ValidationError: non-finite X, non-binary y, or n <= m + 1.
-        DataError: information matrix unusable even with ridge.
+        ValidationError: X not 2-D, non-finite X, or non-binary y.
+        DataError: n <= m + 1, or information matrix unusable even with ridge.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
     if X.ndim != 2:
         raise ValidationError("X must be a 2-D matrix")
     n, m = X.shape
@@ -144,7 +138,7 @@ def fit_logit(
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValidationError("y must contain only 0 and 1")
     if n <= m + 1:
-        raise ValidationError(f"need n > m + 1 rows, have n={n}, m={m}")
+        raise DataError(f"need n > m + 1 rows, have n={n}, m={m}")
     if feature_names is None:
         feature_names = [f"x{j + 1}" for j in range(m)]
     elif len(feature_names) != m:
@@ -203,7 +197,7 @@ def fit_logit(
     p = sigmoid(eta)
     weights = np.clip(p * (1.0 - p), 1e-300, None)
     H = Xd.T @ (weights[:, None] * Xd)
-    cov = _covariance(H)
+    cov = _solve_information(H, np.eye(H.shape[0]))
     variances = np.clip(np.diag(cov), 0.0, None)
     std_err = np.sqrt(variances)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -243,20 +243,23 @@ def train_stack(
 
     All parameters live in one flat vector and the gradients in a
     matching one, so the update is three numpy calls for the whole
-    stack.  Every pass runs through a step plan (``_step_plan``) per
-    row count, built when the stack is packed: at most three, for the
-    full batches, the short last one and the per-epoch loss over all
-    ``n`` rows, which is one forward pass for the whole stack (when
+    stack.  The models are packed once and every pass runs through a
+    step plan (``_step_plan``) per row count, built once: at most three,
+    for the full batches, the short last one and the per-epoch loss over
+    all ``n`` rows, which is one forward pass for the whole stack (when
     ``batch_size >= n`` the batch and the loss share one plan).  Each
     element sees the same IEEE operations as in a company-by-company
     loop, so a company's weights and losses do not depend on which
     companies share its stack.
 
-    Mutates the models and returns one entry per company: its loss
-    history (the mean full-training-set loss after each epoch), or the
-    TrainingDivergedError that stopped it.  A company whose loss turns
-    non-finite keeps its parameters from that epoch and leaves the
-    stack; the others go on from where they are.
+    Returns one entry per company: its loss history (the mean
+    full-training-set loss after each epoch), or the TrainingDivergedError
+    of its first non-finite loss.  A diverged company stays in the stack,
+    its non-finite values confined to its own slices, and its later
+    losses are not read; training stops early once every company has
+    diverged.  The trained parameters are copied into the models after
+    the last epoch, so a diverged company's parameters are unspecified,
+    and an exception during training leaves every model as it was.
     """
     if not models or not len(models) == len(datasets) == len(seeds):
         raise ValidationError("a stack needs one dataset and one seed per model")
@@ -283,63 +286,52 @@ def train_stack(
     rngs = [np.random.default_rng(seed) for seed in seeds]
     lr = np.array(float(learning_rate))
     batches = [(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
+    params, grads, net, grad_net = _pack(models)
+    plans = {
+        m: _step_plan(net, grad_net, len(models), m)
+        for m in {stop - start for start, stop in batches} | {n}
+    }
+    # each epoch's shuffled rows, and every batch's views into them
+    X_epoch = [np.empty(X.shape) for X in Xs]
+    Y_epoch = np.empty((len(models), n, 1))
+    Y_plan = Y_epoch[0] if len(models) == 1 else Y_epoch  # the targets' shape in a plan
+    steps = [
+        ([X[start:stop] for X in X_epoch], Y_plan[..., start:stop, :], plans[stop - start][1],
+         np.array(float(stop - start)))
+        for start, stop in batches
+    ]
+    # The loss over all n rows in order: for a 0/1 target, y * log(yhat) +
+    # (1 - y) * log(1 - yhat) is exactly log(yhat) or log(1 - yhat), as the
+    # other term is a signed zero (the clamp keeps both logs finite and nonzero).
+    forward, _, A = plans[n]
+    yhat, yes = A[-1][..., 0], np.array(ys) == 1
+    log_likelihoods = np.empty(yes.shape)
     results: list = [[] for _ in models]
-    live = list(range(len(models)))
-    epoch = 0
-    while live and epoch < epochs:
-        stack = [models[c] for c in live]
-        params, grads, net, grad_net = _pack(stack)
-        plans = {
-            m: _step_plan(net, grad_net, len(stack), m)
-            for m in {stop - start for start, stop in batches} | {n}
-        }
-        # each epoch's shuffled rows, and every batch's views into them
-        X_epoch = [np.empty(Xs[c].shape) for c in live]
-        Y_epoch = np.empty((len(stack), n, 1))
-        Y_plan = Y_epoch[0] if len(stack) == 1 else Y_epoch  # the targets' shape in a plan
-        steps = [
-            ([X[start:stop] for X in X_epoch], Y_plan[..., start:stop, :], plans[stop - start][1],
-             np.array(float(stop - start)))
-            for start, stop in batches
-        ]
-        # the loss, -mean(y * log(yhat) + (1 - y) * log(1 - yhat)), over all n rows in order
-        forward, _, A = plans[n]
-        X_all, y_all = [Xs[c] for c in live], np.array([ys[c] for c in live])
-        not_y, yhat = np.subtract(_ONE, y_all), A[-1][..., 0]
-        log_yes, log_no = np.empty_like(y_all), np.empty_like(y_all)
-        try:
-            while epoch < epochs:
-                epoch += 1
-                for c, X, Y in zip(live, X_epoch, Y_epoch):
-                    order = rngs[c].permutation(n)
-                    np.take(Xs[c], order, axis=0, out=X)
-                    np.take(ys[c], order, out=Y[:, 0])
-                for Xb, Yb, gradients, m in steps:
-                    gradients(Xb, Yb)
-                    np.divide(grads, m, out=grads)
-                    np.multiply(grads, lr, out=grads)
-                    np.subtract(params, grads, out=params)
-                forward(X_all)
-                np.log(yhat, out=log_yes)
-                np.multiply(y_all, log_yes, out=log_yes)
-                np.subtract(_ONE, yhat, out=log_no)
-                np.log(log_no, out=log_no)
-                np.multiply(not_y, log_no, out=log_no)
-                np.add(log_yes, log_no, out=log_yes)
-                diverged = False
-                for c, log_likelihoods in zip(live, log_yes):
-                    loss = -(float(np.add.reduce(log_likelihoods)) / n)
-                    if math.isfinite(loss):
-                        results[c].append(loss)
-                    else:
-                        results[c] = TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-                        diverged = True
-                if diverged:
-                    break
-        finally:
-            for mine, stacked in _stack_pairs(stack, net):
-                mine[...] = stacked
-        live = [c for c in live if isinstance(results[c], list)]
+    for epoch in range(1, epochs + 1):
+        for X, Y, rng, X_c, y_c in zip(X_epoch, Y_epoch, rngs, Xs, ys):
+            order = rng.permutation(n)
+            np.take(X_c, order, axis=0, out=X)
+            np.take(y_c, order, out=Y[:, 0])
+        for Xb, Yb, gradients, m in steps:
+            gradients(Xb, Yb)
+            np.divide(grads, m, out=grads)
+            np.multiply(grads, lr, out=grads)
+            np.subtract(params, grads, out=params)
+        forward(Xs)
+        np.subtract(_ONE, yhat, out=log_likelihoods)
+        np.copyto(log_likelihoods, yhat, where=yes)
+        np.log(log_likelihoods, out=log_likelihoods)
+        for c, row in enumerate(log_likelihoods):
+            if isinstance(results[c], list):  # a diverged company's losses are not read
+                loss = -(float(np.add.reduce(row)) / n)
+                if math.isfinite(loss):
+                    results[c].append(loss)
+                else:
+                    results[c] = TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+        if not any(isinstance(r, list) for r in results):
+            break
+    for mine, stacked in _stack_pairs(models, net):
+        mine[...] = stacked
     return results
 
 

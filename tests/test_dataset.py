@@ -442,11 +442,11 @@ class TestChronologicalSplit:
         assert train.dates + test.dates == self.build(20).dates
 
     def test_too_small_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DataError, match="need at least 5 rows, have 4"):
             chronological_split(self.build(4), 0.8)
 
     def test_empty_part_rejected(self):
-        with pytest.raises(ValidationError, match="split 5/0 leaves a part empty"):
+        with pytest.raises(DataError, match="split 5/0 leaves a part empty"):
             chronological_split(self.build(5), 0.9)
 
     def test_fraction_range_checked(self):
@@ -462,7 +462,7 @@ class TestChronologicalSplit:
 
         try:
             train, test = chronological_split(self.build(n), frac)
-        except ValidationError as exc:
+        except DataError as exc:
             assert "leaves a part empty" in str(exc)
             assert math.ceil(Fraction(str(frac)) * n) >= n
             return

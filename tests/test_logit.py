@@ -139,8 +139,11 @@ class TestFitLogit:
             _solve_information(H, np.ones(2))
 
     def test_validation_errors(self):
-        with pytest.raises(ValidationError):
-            fit_logit(np.ones((3, 2)), [0, 1, 1])  # n <= m + 1
+        # too few rows is a fault of the data, as a short dataset file is
+        with pytest.raises(DataError, match=r"need n > m \+ 1 rows, have n=3, m=2"):
+            fit_logit(np.ones((3, 2)), [0, 1, 1])
+        with pytest.raises(ValidationError, match="X must be a 2-D matrix"):
+            fit_logit(np.arange(4.0), [0, 1, 0, 1])
         with pytest.raises(ValidationError):
             fit_logit(np.array([[np.inf], [0.0], [1.0], [2.0]]), [0, 1, 0, 1])
         with pytest.raises(ValidationError):

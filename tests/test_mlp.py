@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pricedir.dataset import LabeledDataset
 from pricedir.errors import TrainingDivergedError, ValidationError
@@ -323,6 +324,24 @@ class TestStepPlan:
                 np.testing.assert_array_equal(got[~nan].view(np.uint64),
                                               want[~nan].view(np.uint64))
 
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 1.0]),
+                              st.floats(min_value=OUTPUT_EPS, max_value=1.0 - OUTPUT_EPS)),
+                    min_size=1, max_size=20))
+    @example([(y, yhat) for y in (0.0, 1.0) for yhat in (OUTPUT_EPS, 1.0 - OUTPUT_EPS, math.nan)])
+    def test_one_log_loss_is_the_cross_entropy(self, pairs):
+        """For a 0/1 target, the loss row of ``train_stack`` (``log(yhat)``
+        or ``log(1 - yhat)``, picked by ``copyto``) is
+        ``y * log(yhat) + (1 - y) * log(1 - yhat)`` bit for bit, over the
+        clamped range of ``yhat``, both bounds included; NaN stays NaN."""
+        y, yhat = np.array(pairs).T
+        want = y * np.log(yhat) + (1.0 - y) * np.log(1.0 - yhat)
+        got = np.subtract(1.0, yhat)
+        np.copyto(got, yhat, where=y == 1)
+        np.log(got, out=got)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
 
 class TestTrainStack:
     """A stack must give every company the bits that a stack of one gives it."""
@@ -385,6 +404,29 @@ class TestTrainStack:
             ds, sizes = companies[i]
             solo = init_network(sizes, seed=i)
             (solo_losses,) = train_stack([solo], [ds], epochs=4, learning_rate=0.5,
+                                         batch_size=16, seeds=[7 + i])
+            assert results[i] == solo_losses
+            self.assert_same_bits(stacked[i], solo)
+
+    def test_company_diverging_later_fails_alone(self):
+        """A company that diverges after epoch 1 stays in the stack for the
+        epochs after it, and its non-finite values reach no other company."""
+        companies = [self.company(3, 60, 1, []), self.company(4, 60, 2, [], scale=1e155),
+                     self.company(2, 60, 3, [])]
+        stacked = [init_network(sizes, seed=i) for i, (_, sizes) in enumerate(companies)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = train_stack(stacked, [ds for ds, _ in companies], epochs=8,
+                                  learning_rate=0.5, batch_size=16, seeds=[7, 8, 9])
+            (solo_error,) = train_stack([init_network(companies[1][1], seed=1)],
+                                        [companies[1][0]], epochs=8, learning_rate=0.5,
+                                        batch_size=16, seeds=[8])
+        assert str(solo_error) == "non-finite loss at epoch 4"
+        assert isinstance(results[1], TrainingDivergedError)
+        assert str(results[1]) == str(solo_error)
+        for i in (0, 2):
+            ds, sizes = companies[i]
+            solo = init_network(sizes, seed=i)
+            (solo_losses,) = train_stack([solo], [ds], epochs=8, learning_rate=0.5,
                                          batch_size=16, seeds=[7 + i])
             assert results[i] == solo_losses
             self.assert_same_bits(stacked[i], solo)

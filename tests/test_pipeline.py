@@ -85,6 +85,18 @@ FRACTION = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.floats()).map(r
 # A one-layer model for the 2-feature ``tiny_dataset``, and one 3 inputs wide.
 TINY_MODEL = {"layer_sizes": [2, 1], "weights": [[[0.5, 0.5]]], "biases": [[0.0]], "metadata": {}}
 WIDE_MODEL = {**TINY_MODEL, "layer_sizes": [3, 1], "weights": [[[0.5, 0.5, 0.5]]]}
+# A report document in the form ``pipeline`` writes, cut to the keys ``report``
+# reads, with one company ok and one failed.
+REPORT = {
+    "companies": [
+        {"ticker": "C000", "status": "ok", "eval": {"accuracy": 0.6875, "n_test": 32}},
+        {"ticker": "C001", "status": "failed", "error": "need n > m + 1 rows, have n=2, m=8"},
+    ],
+    "n_companies": 2,
+    "n_ok": 1,
+    "n_failed": 1,
+    "mean_accuracy": 0.6875,
+}
 EVALUATE = ["evaluate", "--dataset", "{data}", "--model", "{model}"]
 BUILD = ["build", "--paths.membership_dir", "{membership}", "--paths.panels_dir", "{panels}",
          "--paths.output_dir", "{built}"]
@@ -745,6 +757,17 @@ class TestCli:
                          ["evaluate", "--model", str(tmp_path / "model.json")]):
                 assert main([*argv, "--dataset", str(bad)]) == 2
                 assert capsys.readouterr().err == f"error: {bad}: {problem}\n"
+        # a dataset file with too few rows to fit the logit or to split
+        rows = ["2002-01-04,1,0.5,0.25", "2002-01-11,0,0.75,0.5"]
+        for n in (0, 1, 2):
+            short = tmp_path / f"short{n}.csv"
+            short.write_text("\n".join(["date,y,f0,f1", *rows[:n]]) + "\n")
+            assert main(["logit", "--dataset", str(short)]) == 2
+            assert capsys.readouterr().err == f"error: need n > m + 1 rows, have n={n}, m=2\n"
+            assert main(["train", "--dataset", str(short), "--out", str(tmp_path / "m.json")]) == 2
+            assert capsys.readouterr().err == (
+                f"error: dataset short{n}: need at least 5 rows, have {n}\n"
+            )
         # a cohort group smaller than the sample, without --allow-deficient
         root, _ = fixture
         assert main(["cohort", "--membership-dir", str(root / "membership"),
@@ -1262,7 +1285,8 @@ class TestCli:
     def test_logit_and_evaluate_flags_exit_cleanly(self, tiny_dataset, alpha, threshold,
                                                    train_fraction):
         """Any ``logit.alpha``, ``mlp.threshold`` or ``dataset.train_fraction``
-        ends in exit 0 or 1, with ``error:`` and no traceback."""
+        ends in exit 0 or 1, or 2 for a split of the 20 rows that leaves a
+        part empty, with ``error:`` and no traceback."""
         model_path = tiny_dataset.with_name("tiny_model.json")
         model_path.write_text(json.dumps(TINY_MODEL))
         data = ["--dataset", str(tiny_dataset)]
@@ -1270,11 +1294,11 @@ class TestCli:
         assert code in (0, 1)
         if not code:
             assert json.loads(out)["ticker"] == "TINY"
-        code, out, _ = run_quietly([
+        code, out, err = run_quietly([
             "evaluate", *data, "--model", str(model_path),
             f"--mlp.threshold={threshold}", f"--dataset.train_fraction={train_fraction}",
         ])
-        assert code in (0, 1)
+        assert code in (0, 1) or (code == 2 and err.endswith(" leaves a part empty\n"))
         if not code:
             assert "\nTINY | " in out
 
@@ -1282,8 +1306,9 @@ class TestCli:
     @given(edits=st.lists(BYTE_EDIT, min_size=1, max_size=4))
     @example(edits=[("insert", 20, b"\r")])  # inside the first row's date
     def test_edited_dataset_file_exits_cleanly(self, tiny_dataset, edits):
-        """``logit`` on a byte-edited dataset file ends in exit 0, 1 (too
-        few rows left for the fit) or 2, with ``error:`` and no traceback."""
+        """``logit`` on a byte-edited dataset file ends in exit 0, 1 (an
+        empty cell, which the fit refuses as a non-finite value) or 2, with
+        ``error:`` and no traceback."""
         edited = tiny_dataset.with_name("edited.csv")
         edited.write_bytes(edit_bytes(tiny_dataset.read_bytes(), edits))
         code, out, _ = run_quietly(["logit", "--dataset", str(edited)])
@@ -1333,3 +1358,24 @@ class TestCli:
         assert code in (0, 1, 2, 3)
         if not code:
             assert len(json.loads(out)["groups"]) == 5
+
+    @pytest.mark.parametrize("argv,document,made", [
+        pytest.param(["evaluate", "--dataset", "{data}", "--model", "{edited}"],
+                     {**TINY_MODEL, "metadata": {"features": ["f0", "f1"], "train_fraction": 0.8}},
+                     "\nTINY | ", id="model"),
+        pytest.param(["report", "--input", "{edited}"], REPORT, "Company Name | ", id="report"),
+        pytest.param(["logit", "--dataset", "{data}", "--config", "{edited}"],
+                     PipelineConfig().to_dict(), '"ticker": "TINY"', id="config"),
+    ])
+    @settings(max_examples=60, deadline=None)
+    @given(edits=st.lists(BYTE_EDIT, min_size=1, max_size=4))
+    def test_edited_json_file_exits_cleanly(self, tiny_dataset, argv, document, made, edits):
+        """``evaluate`` on a byte-edited model file, ``report`` on a report
+        file and ``logit`` with a config file end in exit 0 to 3, with
+        ``error:`` and no traceback."""
+        edited = tiny_dataset.with_name("edited.json")
+        edited.write_bytes(edit_bytes(json.dumps(document, indent=2).encode(), edits))
+        code, out, _ = run_quietly([arg.format(data=tiny_dataset, edited=edited) for arg in argv])
+        assert code in (0, 1, 2, 3)
+        if not code:
+            assert made in out
