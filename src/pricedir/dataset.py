@@ -1,9 +1,9 @@
-"""Per-company dataset construction.
+"""Per-company dataset construction, and the dataset file format.
 
-Turns a raw company panel plus the weekly membership snapshots into a
-normalized, imputed, labeled matrix: membership indicator, direction
-label, one-week lags, sparse-column removal, timespan trimming, min-max
-normalization, mean imputation, and the chronological train/test split.
+``build_company_dataset`` holds the build order, on one dict of the
+panel's columns.  Each step returns what it computes (a column, a dict
+of columns, a list of names or a row range); min-max normalization,
+mean imputation and the chronological train/test split follow.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import TARGET_DIRECTION, PipelineConfig
 from .errors import DataError, ValidationError
 from .ingest import (
     MAX_FALLBACK_DAYS,
@@ -94,17 +95,68 @@ class LabeledDataset:
         )
 
 
-def attach_membership_indicator(
+def build_company_dataset(
+    panel: CompanyPanel,
+    snapshots: list[MembershipSnapshot],
+    cfg: PipelineConfig,
+) -> tuple[LabeledDataset, dict]:
+    """Run the full dataset chain for one company: ``(dataset, info)``.
+
+    Order: membership indicator, lag columns, labels, sparse-column drop,
+    timespan trim, then normalize/impute/assemble.  The raw price column
+    is the label source and is never handed to the models; in membership
+    target mode the indicator becomes the label and is likewise excluded
+    from the features.
+    """
+    dcfg = cfg.dataset
+    # a panel whose columns dict is the build's own, to add columns to
+    panel = CompanyPanel(panel.ticker, panel.dates, panel.columns)
+    _add_columns(panel, {MEMBERSHIP_COLUMN: membership_indicator(panel, snapshots)})
+    _add_columns(panel, lagged_features(panel, dcfg.lag_features))
+
+    if cfg.target_mode == TARGET_DIRECTION:
+        labels = direction_labels(panel, dcfg.price_column)
+        exclude, required_price = {dcfg.price_column}, [dcfg.price_column]
+    else:
+        labels = panel.column(MEMBERSHIP_COLUMN)
+        exclude, required_price = {dcfg.price_column, MEMBERSHIP_COLUMN}, []
+
+    features = {n: v for n, v in panel.columns.items() if n not in exclude}
+    dropped = sparse_columns(features, dcfg.max_missing_fraction)
+    features = {n: v for n, v in features.items() if n not in dropped}
+    if not features:
+        raise DataError(f"panel {panel.ticker}: every feature column was dropped")
+
+    start, stop = trim_timespan(panel, [*features, *required_price])
+    kept = {name: values[start:stop] for name, values in features.items()}
+    trimmed = CompanyPanel(panel.ticker, panel.dates[start:stop], kept)
+    dataset = assemble_dataset(trimmed, labels[start:stop], list(features))
+    info = {
+        "dropped_columns": dropped,
+        "timespan": [trimmed.dates[0].isoformat(), trimmed.dates[-1].isoformat()],
+        "n_rows": dataset.n_rows,
+    }
+    return dataset, info
+
+
+def _add_columns(panel: CompanyPanel, new: dict[str, np.ndarray]) -> None:
+    for name, values in new.items():
+        if name in panel.columns:
+            raise ValidationError(f"panel {panel.ticker}: column {name!r} already exists")
+        panel.columns[name] = values
+
+
+def membership_indicator(
     panel: CompanyPanel, snapshots: list[MembershipSnapshot]
-) -> CompanyPanel:
-    """Add the 0/1 ``in_index`` column from the covering weekly snapshots.
+) -> np.ndarray:
+    """Each panel row's 0/1 ``in_index`` value, from the covering weekly snapshots.
 
     Each row date must fall inside exactly one snapshot week
     [requested - 6 days, requested]; rows outside every week raise
     DataError listing the offending dates.
     """
     if not snapshots:
-        raise ValidationError("attach_membership_indicator needs snapshots")
+        raise ValidationError("membership_indicator needs snapshots")
     ordered = sorted(snapshots, key=lambda s: s.requested_date)
     requested = _ordinals([s.requested_date for s in ordered])
     member = np.fromiter(
@@ -117,14 +169,14 @@ def attach_membership_indicator(
     if not covered.all():
         uncovered = [panel.dates[t].isoformat() for t in np.flatnonzero(~covered)]
         raise DataError(f"panel {panel.ticker}: no snapshot week covers {uncovered}")
-    return panel.with_columns({MEMBERSHIP_COLUMN: member[week].astype(float)})
+    return member[week].astype(float)
 
 
 def _ordinals(days: Sequence[date]) -> np.ndarray:
     return np.fromiter(map(date.toordinal, days), np.int64, len(days))
 
 
-def attach_direction_label(panel: CompanyPanel, price_column: str) -> np.ndarray:
+def direction_labels(panel: CompanyPanel, price_column: str) -> np.ndarray:
     """Week-over-week price direction labels aligned to the panel rows.
 
     label[t] is 1.0 when price rose from t-1 to t and 0.0 otherwise (a
@@ -143,30 +195,24 @@ def attach_direction_label(panel: CompanyPanel, price_column: str) -> np.ndarray
     return labels
 
 
-def attach_lagged_features(
-    panel: CompanyPanel, features: Sequence[str]
-) -> CompanyPanel:
-    """Add ``<f>_lag1w`` columns holding each feature's prior-week value."""
-    return panel.with_columns(
-        {name + LAG_SUFFIX: np.r_[np.nan, panel.column(name)[:-1]] for name in features}
-    )
+def lagged_features(panel: CompanyPanel, features: Sequence[str]) -> dict[str, np.ndarray]:
+    """``<f>_lag1w`` columns holding each feature's prior-week value."""
+    return {name + LAG_SUFFIX: np.r_[np.nan, panel.column(name)][:-1] for name in features}
 
 
-def drop_sparse_columns(
-    panel: CompanyPanel, max_missing_fraction: float
-) -> tuple[CompanyPanel, list[str]]:
-    """Remove columns whose missing fraction strictly exceeds the threshold."""
+def sparse_columns(columns: dict[str, np.ndarray], max_missing_fraction: float) -> list[str]:
+    """The names of the columns whose missing fraction strictly exceeds the threshold."""
     if not 0.0 <= max_missing_fraction <= 1.0:
         raise ValidationError("max_missing_fraction must be in [0, 1]")
-    if panel.n_rows == 0:
-        return panel, []
-    missing = {name: np.isnan(col).mean() for name, col in panel.columns.items()}
-    dropped = [name for name, share in missing.items() if share > max_missing_fraction]
-    return panel.without_columns(dropped), dropped
+    # a column without rows misses nothing (and the mean of no cells warns)
+    return [
+        name for name, values in columns.items()
+        if values.size and np.isnan(values).mean() > max_missing_fraction
+    ]
 
 
-def trim_timespan(panel: CompanyPanel, required: Sequence[str]) -> CompanyPanel:
-    """Cut the panel to its longest usable contiguous stretch of rows.
+def trim_timespan(panel: CompanyPanel, required: Sequence[str]) -> tuple[int, int]:
+    """The rows ``[start, stop)`` of the panel's longest usable contiguous stretch.
 
     Rows where every required column is missing split the panel into
     candidate runs; each run is then trimmed so it starts and ends on a
@@ -187,9 +233,7 @@ def trim_timespan(panel: CompanyPanel, required: Sequence[str]) -> CompanyPanel:
     stops = anchors[np.r_[new_run[1:], True]] + 1
     # the last of the longest runs, so ties go to the more recent one
     best = len(starts) - 1 - int(np.argmax((stops - starts)[::-1]))
-    start, stop = int(starts[best]), int(stops[best])
-    columns = {name: v[start:stop] for name, v in panel.columns.items()}
-    return CompanyPanel(panel.ticker, panel.dates[start:stop], columns)
+    return int(starts[best]), int(stops[best])
 
 
 def normalize_column(values: Sequence[float]) -> tuple[np.ndarray, float, float]:
@@ -318,7 +362,11 @@ def dataset_csv_text(ds: LabeledDataset) -> str:
 
 
 def read_dataset_csv(content, ticker: str, source: str = "<dataset>") -> LabeledDataset:
-    """Read back a ``date,y,<feature...>`` CSV written by dataset_csv_text."""
+    """Read back a ``date,y,<feature...>`` CSV written by dataset_csv_text.
+
+    Unlike a panel file, a dataset file has no missing values: an empty
+    cell is a DataError that names its line and column.
+    """
     panel = parse_company_panel(content, ticker, source=source)
     if LABEL_COLUMN not in panel.columns:
         raise DataError(f"{source}: missing {LABEL_COLUMN!r} column")
@@ -327,4 +375,13 @@ def read_dataset_csv(content, ticker: str, source: str = "<dataset>") -> Labeled
         raise DataError(f"{source}: {LABEL_COLUMN!r} must contain only 0 and 1")
     names = [n for n in panel.feature_names if n != LABEL_COLUMN]
     X = _matrix([panel.columns[n] for n in names], panel.n_rows)
+    if np.isnan(X).any():
+        # the parse sorted the rows by date: read the file again for the line
+        text = content if isinstance(content, str) else content.decode("utf-8")
+        rows = csv.reader(io.StringIO(text))
+        header = next(rows)
+        for lineno, row in enumerate(rows, start=2):
+            for name, cell in zip(header, row):
+                if cell == "":
+                    raise DataError(f"{source}, line {lineno}, column {name!r}: empty cell")
     return LabeledDataset(ticker, panel.dates, names, X, labels.astype(int), {})

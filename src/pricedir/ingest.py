@@ -13,7 +13,6 @@ import io
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Sequence
 
 import numpy as np
 
@@ -62,9 +61,9 @@ class CompanyPanel:
     Stored column-major: ``columns[name][t]`` is the value of ``name`` at
     ``dates[t]``.  Each column is a float64 array with NaN marking a
     missing cell; any float sequence is accepted and converted, ``None``
-    becoming NaN.  Rows are strictly increasing in date.  Treat instances
-    and their arrays as immutable; every operation on a panel returns a
-    new one.  ``==`` is identity: compare columns with ``np.array_equal``.
+    becoming NaN.  Rows are strictly increasing in date.  Each panel gets
+    a ``columns`` dict of its own, but may share its arrays: treat them
+    as read-only.  ``==`` is identity: compare columns with ``np.array_equal``.
     """
 
     ticker: str
@@ -98,20 +97,6 @@ class CompanyPanel:
         if name not in self.columns:
             raise ValidationError(f"panel {self.ticker}: unknown column {name!r}")
         return self.columns[name]
-
-    def with_columns(self, new: dict[str, np.ndarray]) -> "CompanyPanel":
-        """Return a panel with ``new`` columns appended (names must be fresh)."""
-        for name in new:
-            if name in self.columns:
-                raise ValidationError(
-                    f"panel {self.ticker}: column {name!r} already exists"
-                )
-        return CompanyPanel(self.ticker, self.dates, {**self.columns, **new})
-
-    def without_columns(self, names: Sequence[str]) -> "CompanyPanel":
-        drop = set(names)
-        kept = {n: v for n, v in self.columns.items() if n not in drop}
-        return CompanyPanel(self.ticker, self.dates, kept)
 
 
 def _as_text(content: bytes | str, source: str) -> str:

@@ -17,12 +17,11 @@ import numpy as np
 from .config import MlpConfig
 from .dataset import LabeledDataset
 from .errors import TrainingDivergedError, ValidationError
-from .logit import sigmoid_into
+from .logit import _ONE, sigmoid_into
 
 # Keeps log(yhat) finite when an output saturates at 0 or 1.
 OUTPUT_EPS = 1e-12
 # 0-d float64 operands: a ufunc converts a Python scalar on every call.
-_ONE = np.array(1.0)
 _LOW = np.array(OUTPUT_EPS)
 _HIGH = np.array(1.0 - OUTPUT_EPS)
 

@@ -5,15 +5,16 @@ features, significance selection, network training on the selected
 features only, held-out evaluation.  Each stage is one public function
 (``build_from_file``, ``fit_and_select``, ``split_features``,
 ``company_seeds``, ``model_document``) that the step-by-step
-subcommands call too.  The companies are dealt out once to one forked
-worker process per CPU.  Each worker takes its share from panel file to
-report entry, training its companies with one training-row count in
-one stack; the calling process writes only the report.  One bad
-company never aborts the batch; it becomes a failure entry in the
-report.  Output is fully deterministic for a fixed config and inputs,
-whatever the worker count (company order is stabilized by ticker, seeds
-are derived per company, a company's bits do not depend on which
-companies share its stack, no timestamps).
+subcommands call too; the dataset build itself, its order and its steps,
+is ``dataset.build_company_dataset``.  The companies are dealt out once
+to one forked worker process per CPU.  Each worker takes its share from
+panel file to report entry, training its companies with one
+training-row count in one stack; the calling process writes only the
+report.  One bad company never aborts the batch; it becomes a failure
+entry in the report.  Output is fully deterministic for a fixed config
+and inputs, whatever the worker count (company order is stabilized by
+ticker, seeds are derived per company, a company's bits do not depend
+on which companies share its stack, no timestamps).
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from . import cohort as cohort_mod
 from . import dataset as ds_mod
 from . import logit as logit_mod
 from . import mlp as mlp_mod
-from .config import TARGET_DIRECTION, LogitConfig, PipelineConfig
+from .config import LogitConfig, PipelineConfig
+# imported by name: ``benchmarks/tracing.py`` wraps this module's globals
+from .dataset import build_company_dataset
 from .errors import (
     ConfigError,
     DataError,
@@ -44,12 +47,7 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from .ingest import (
-    CompanyPanel,
-    MembershipSnapshot,
-    parse_company_panel,
-    parse_membership_file,
-)
+from .ingest import MembershipSnapshot, parse_company_panel, parse_membership_file
 from .synth import derive_seed
 
 MEMBERSHIP_FILE_RE = re.compile(r"^constituents_(\d{4}-\d{2}-\d{2})\.csv$")
@@ -101,61 +99,6 @@ def discover_panels(path: str | Path, tickers=None) -> dict[str, Path]:
     if not found:
         raise DataError(f"no panel files in {path}")
     return found
-
-
-def build_company_dataset(
-    panel: CompanyPanel,
-    snapshots: list[MembershipSnapshot],
-    cfg: PipelineConfig,
-) -> tuple[ds_mod.LabeledDataset, dict]:
-    """Run the full dataset chain for one company.
-
-    Order: membership indicator, lag columns, labels, sparse-column drop,
-    timespan trim, then normalize/impute/assemble.  The raw price column
-    is the label source and is never handed to the models; in membership
-    target mode the indicator becomes the label and is likewise excluded
-    from the features.
-    """
-    dcfg = cfg.dataset
-    panel = ds_mod.attach_membership_indicator(panel, snapshots)
-    panel = ds_mod.attach_lagged_features(panel, dcfg.lag_features)
-
-    if cfg.target_mode == TARGET_DIRECTION:
-        labels = ds_mod.attach_direction_label(panel, dcfg.price_column)
-        exclude = {dcfg.price_column}
-    else:
-        labels = panel.column(ds_mod.MEMBERSHIP_COLUMN)
-        exclude = {dcfg.price_column, ds_mod.MEMBERSHIP_COLUMN}
-
-    feature_panel = panel.without_columns(
-        [c for c in panel.feature_names if c in exclude]
-    )
-    feature_panel, dropped = ds_mod.drop_sparse_columns(
-        feature_panel, dcfg.max_missing_fraction
-    )
-    if not feature_panel.feature_names:
-        raise DataError(f"panel {panel.ticker}: every feature column was dropped")
-
-    required = list(feature_panel.feature_names)
-    trim_input = feature_panel
-    if cfg.target_mode == TARGET_DIRECTION:
-        trim_input = feature_panel.with_columns(
-            {dcfg.price_column: panel.column(dcfg.price_column)}
-        )
-        required.append(dcfg.price_column)
-    trimmed = ds_mod.trim_timespan(trim_input, required)
-
-    start = panel.dates.index(trimmed.dates[0])
-    stop = start + trimmed.n_rows
-    dataset = ds_mod.assemble_dataset(
-        trimmed, labels[start:stop], feature_panel.feature_names
-    )
-    info = {
-        "dropped_columns": dropped,
-        "timespan": [trimmed.dates[0].isoformat(), trimmed.dates[-1].isoformat()],
-        "n_rows": dataset.n_rows,
-    }
-    return dataset, info
 
 
 def build_from_file(
@@ -535,6 +478,8 @@ def _report_table(report: dict) -> str:
     for company in report["companies"]:
         if company["status"] == "ok":
             rows.append((company["ticker"], f"{company['eval']['accuracy'] * 100:.2f}%"))
+        elif company["status"] != "failed":
+            raise ValueError(f"company status {company['status']!r}")
     rows.append(("Mean", f"{report['mean_accuracy'] * 100:.2f}%"))
     width = max(len("Company Name"), max(len(name) for name, _ in rows))
     lines = [f"{'Company Name':<{width}} | Accuracy", f"{'-' * width}-+---------"]

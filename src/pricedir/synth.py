@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import GENERATOR_NAME
+from .config import DatasetConfig
 from .dataset import LAG_SUFFIX, MEMBERSHIP_COLUMN
 from .errors import ValidationError
 from .ingest import (
@@ -35,7 +36,6 @@ from .logit import sigmoid
 
 FIRST_FRIDAY = date(2002, 1, 4)
 
-PRICE_COLUMN = "price"
 INITIAL_PRICE = 100.0
 UP_STEP = 1.01
 DOWN_STEP = 0.99
@@ -210,7 +210,7 @@ def generate_company_panel(
     bayes_pred = (prob >= 0.5).astype(int)
 
     steps = np.where(labels == 1, UP_STEP, DOWN_STEP)
-    columns = {PRICE_COLUMN: np.cumprod(np.r_[INITIAL_PRICE, steps])}
+    columns = {DatasetConfig.price_column: np.cumprod(np.r_[INITIAL_PRICE, steps])}
     for name in bases:
         columns[name] = np.where(rng.random(n) < missing_prob, np.nan, raw[name])
 

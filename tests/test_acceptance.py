@@ -16,7 +16,7 @@ import pytest
 from pricedir.cohort import group_boundaries, partition_into_fifths, sample_cohort
 from pricedir.config import PipelineConfig
 from pricedir.dataset import (
-    attach_direction_label,
+    direction_labels,
     chronological_split,
     impute_missing,
     normalize_column,
@@ -209,7 +209,7 @@ class TestAcceptance:
         company = generate_company_panel(
             default_planted(), ticker_name(0), dates, vec, 0.0, seed=56
         )
-        labels = attach_direction_label(company.panel, "price")
+        labels = direction_labels(company.panel, "price")
         mismatches = sum(
             1 for got, want in zip(labels[1:], company.true_labels) if got != want
         )

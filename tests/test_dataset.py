@@ -9,15 +9,15 @@ from hypothesis import given, strategies as st
 from pricedir.dataset import (
     LabeledDataset,
     assemble_dataset,
-    attach_direction_label,
-    attach_lagged_features,
-    attach_membership_indicator,
     chronological_split,
     dataset_csv_text,
-    drop_sparse_columns,
+    direction_labels,
     impute_missing,
+    lagged_features,
+    membership_indicator,
     normalize_column,
     read_dataset_csv,
+    sparse_columns,
     trim_timespan,
 )
 from pricedir.errors import DataError, ValidationError
@@ -31,27 +31,24 @@ class TestMembershipIndicator:
     def test_present_and_absent(self):
         panel = make_panel(ticker="A", price=[10.0, 11.0])
         snaps = make_snapshots([{"A"}, {"B"}])
-        out = attach_membership_indicator(panel, snaps)
-        np.testing.assert_array_equal(out.column("in_index"), [1.0, 0.0])
+        np.testing.assert_array_equal(membership_indicator(panel, snaps), [1.0, 0.0])
 
     def test_first_six_weeks_in(self):
         panel = make_panel(ticker="A", price=[float(i) for i in range(10)])
         snaps = make_snapshots([{"A"}] * 6 + [set()] * 4)
-        out = attach_membership_indicator(panel, snaps)
-        np.testing.assert_array_equal(out.column("in_index"), [1.0] * 6 + [0.0] * 4)
+        np.testing.assert_array_equal(membership_indicator(panel, snaps), [1.0] * 6 + [0.0] * 4)
 
     def test_row_inside_week_window_covered(self):
         # Tuesday before the Friday snapshot still belongs to that week
         panel = make_panel(ticker="A", n=1, start=date(2002, 1, 1), price=[10.0])
         snaps = make_snapshots([{"A"}])  # requested Friday 2002-01-04
-        out = attach_membership_indicator(panel, snaps)
-        np.testing.assert_array_equal(out.column("in_index"), [1.0])
+        np.testing.assert_array_equal(membership_indicator(panel, snaps), [1.0])
 
     def test_uncovered_date_error_lists_dates(self):
         panel = make_panel(ticker="A", n=2, start=date(2010, 1, 1), price=[1.0, 2.0])
         snaps = make_snapshots([{"A"}])
         with pytest.raises(DataError, match="2010-01-01"):
-            attach_membership_indicator(panel, snaps)
+            membership_indicator(panel, snaps)
 
     def test_uncovered_dates_listed_in_row_order(self):
         # snapshots for weeks 1, 2 and 4 (week 3 missing), given out of order;
@@ -65,7 +62,7 @@ class TestMembershipIndicator:
                 weeks[4] + timedelta(days=1)]
         panel = CompanyPanel("A", days, {"price": [1.0] * len(days)})
         with pytest.raises(DataError, match="no snapshot week covers") as info:
-            attach_membership_indicator(panel, snaps)
+            membership_indicator(panel, snaps)
         assert str(info.value) == (
             "panel A: no snapshot week covers "
             "['2002-01-04', '2002-01-21', '2002-01-25', '2002-02-02']"
@@ -90,10 +87,10 @@ class TestMembershipIndicator:
             want = reference_indicator(panel, snaps)
         except DataError as exc:
             with pytest.raises(DataError, match="no snapshot week covers") as info:
-                attach_membership_indicator(panel, snaps)
+                membership_indicator(panel, snaps)
             assert str(info.value) == str(exc)
         else:
-            got = attach_membership_indicator(panel, snaps).column("in_index")
+            got = membership_indicator(panel, snaps)
             np.testing.assert_array_equal(got, want)
 
 
@@ -120,19 +117,19 @@ def reference_indicator(panel, snapshots):
 
 class TestDirectionLabel:
     def test_rise_is_one(self):
-        labels = attach_direction_label(make_panel(price=[10.0, 10.5]), "price")
+        labels = direction_labels(make_panel(price=[10.0, 10.5]), "price")
         np.testing.assert_array_equal(labels, [np.nan, 1])
 
     def test_fall_is_zero(self):
-        labels = attach_direction_label(make_panel(price=[10.0, 9.9]), "price")
+        labels = direction_labels(make_panel(price=[10.0, 9.9]), "price")
         np.testing.assert_array_equal(labels, [np.nan, 0])
 
     def test_flat_counts_as_non_increase(self):
-        labels = attach_direction_label(make_panel(price=[10.0, 10.0]), "price")
+        labels = direction_labels(make_panel(price=[10.0, 10.0]), "price")
         np.testing.assert_array_equal(labels, [np.nan, 0])
 
     def test_hand_built_five_rows(self):
-        labels = attach_direction_label(
+        labels = direction_labels(
             make_panel(price=[10.0, 10.5, 10.5, 9.0, 12.0]), "price"
         )
         np.testing.assert_array_equal(labels, [np.nan, 1, 0, 0, 1])
@@ -140,105 +137,95 @@ class TestDirectionLabel:
         assert sum(l == 0 for l in labels) == 2
 
     def test_missing_prices_excluded(self):
-        labels = attach_direction_label(
+        labels = direction_labels(
             make_panel(price=[10.0, None, 11.0, 12.0]), "price"
         )
         np.testing.assert_array_equal(labels, [np.nan, np.nan, np.nan, 1])
 
     def test_insufficient_history(self):
         with pytest.raises(DataError, match="fewer than 2 consecutive usable prices in 'price'"):
-            attach_direction_label(make_panel(price=[10.0, None, 11.0]), "price")
+            direction_labels(make_panel(price=[10.0, None, 11.0]), "price")
 
     def test_unknown_column(self):
         with pytest.raises(ValidationError):
-            attach_direction_label(make_panel(price=[1.0, 2.0]), "close")
+            direction_labels(make_panel(price=[1.0, 2.0]), "close")
 
 
 class TestLaggedFeatures:
     def test_shift_by_one(self):
         panel = make_panel(ret=[1.0, 2.0, 3.0])
-        out = attach_lagged_features(panel, ["ret"])
-        np.testing.assert_array_equal(out.column("ret_lag1w"), [np.nan, 1.0, 2.0])
+        lags = lagged_features(panel, ["ret"])
+        np.testing.assert_array_equal(lags["ret_lag1w"], [np.nan, 1.0, 2.0])
 
     def test_missing_propagates(self):
         panel = make_panel(ret=[1.0, None, 3.0])
-        out = attach_lagged_features(panel, ["ret"])
-        np.testing.assert_array_equal(out.column("ret_lag1w"), [np.nan, 1.0, np.nan])
+        lags = lagged_features(panel, ["ret"])
+        np.testing.assert_array_equal(lags["ret_lag1w"], [np.nan, 1.0, np.nan])
 
     def test_missing_count_is_one_plus_source_missing(self):
         source = [1.0, None, None, 4.0, None, 6.0]
-        out = attach_lagged_features(make_panel(ret=source), ["ret"])
-        lag = out.column("ret_lag1w")
+        lag = lagged_features(make_panel(ret=source), ["ret"])["ret_lag1w"]
         expected = 1 + sum(v is None for v in source[:-1])
         assert np.isnan(lag).sum() == expected
 
+    def test_no_rows_no_lag_values(self):
+        lags = lagged_features(CompanyPanel("A", [], {"ret": []}), ["ret"])
+        assert lags["ret_lag1w"].shape == (0,)
+
     def test_unknown_feature(self):
         with pytest.raises(ValidationError):
-            attach_lagged_features(make_panel(ret=[1.0]), ["nope"])
+            lagged_features(make_panel(ret=[1.0]), ["nope"])
 
 
 class TestDropSparseColumns:
     def test_fully_missing_dropped(self):
         panel = make_panel(a=[None, None], b=[1.0, 2.0])
-        out, dropped = drop_sparse_columns(panel, 0.5)
-        assert dropped == ["a"]
-        assert out.feature_names == ["b"]
+        assert sparse_columns(panel.columns, 0.5) == ["a"]
 
     def test_complete_column_kept(self):
         panel = make_panel(a=[1.0, 2.0])
-        out, dropped = drop_sparse_columns(panel, 0.0)
-        assert dropped == []
+        assert sparse_columns(panel.columns, 0.0) == []
 
     def test_strict_boundary(self):
         six_of_ten = [None] * 6 + [1.0] * 4
         five_of_ten = [None] * 5 + [1.0] * 5
         panel = make_panel(a=six_of_ten, b=five_of_ten)
-        out, dropped = drop_sparse_columns(panel, 0.5)
-        assert dropped == ["a"]
-        assert "b" in out.feature_names
+        assert sparse_columns(panel.columns, 0.5) == ["a"]
+
+    def test_no_rows_nothing_dropped(self):
+        # the mean of no cells would warn, and a warning is an error here
+        assert sparse_columns({"a": np.empty(0)}, 0.0) == []
 
 
 class TestTrimTimespan:
     def test_fully_populated_unchanged(self):
-        panel = make_panel(a=[1.0, 2.0, 3.0])
-        out = trim_timespan(panel, ["a"])
-        assert out.dates == panel.dates
-        np.testing.assert_array_equal(out.column("a"), panel.column("a"))
+        assert trim_timespan(make_panel(a=[1.0, 2.0, 3.0]), ["a"]) == (0, 3)
 
     def test_single_run(self):
         values = [None] * 5 + [1.0] * 16 + [None] * 9
-        out = trim_timespan(make_panel(a=values), ["a"])
-        assert out.n_rows == 16
-        assert out.dates == weekly_dates(30)[5:21]
+        assert trim_timespan(make_panel(a=values), ["a"]) == (5, 21)
 
     def test_equal_runs_tie_breaks_to_later(self):
         values = [1.0] * 8 + [None] * 3 + [1.0] * 8
-        out = trim_timespan(make_panel(a=values), ["a"])
-        assert out.n_rows == 8
-        assert out.dates == weekly_dates(19)[11:]
+        assert trim_timespan(make_panel(a=values), ["a"]) == (11, 19)
 
     def test_longer_early_run_still_wins(self):
         values = [1.0] * 9 + [None] + [1.0] * 8
-        out = trim_timespan(make_panel(a=values), ["a"])
-        assert out.dates == weekly_dates(18)[:9]
+        assert trim_timespan(make_panel(a=values), ["a"]) == (0, 9)
 
     def test_interior_gap_in_one_required_column_survives(self):
         panel = make_panel(
             a=[1.0, None, 3.0, 4.0],
             b=[1.0, 2.0, 3.0, 4.0],
         )
-        out = trim_timespan(panel, ["a", "b"])
-        assert out.n_rows == 4
-        np.testing.assert_array_equal(out.column("a"), [1.0, np.nan, 3.0, 4.0])
+        assert trim_timespan(panel, ["a", "b"]) == (0, 4)
 
     def test_edges_trimmed_to_fully_present_rows(self):
         panel = make_panel(
             a=[None, 2.0, 3.0, 4.0, None],
             b=[1.0, 2.0, 3.0, None, None],
         )
-        out = trim_timespan(panel, ["a", "b"])
-        assert out.n_rows == 2
-        np.testing.assert_array_equal(out.column("a"), [2.0, 3.0])
+        assert trim_timespan(panel, ["a", "b"]) == (1, 3)
 
     def test_no_usable_row(self):
         with pytest.raises(DataError, match=r"no row has all of \['a'\] present"):
@@ -247,6 +234,44 @@ class TestTrimTimespan:
     def test_empty_required_rejected(self):
         with pytest.raises(ValidationError):
             trim_timespan(make_panel(a=[1.0]), [])
+
+    @given(st.data())
+    def test_matches_reference_loop(self, data):
+        n = data.draw(st.integers(1, 30))
+        required = ["a", "b", "c"][: data.draw(st.integers(1, 3))]
+        gaps = st.lists(st.booleans(), min_size=n, max_size=n)
+        panel = make_panel(
+            **{name: [None if gap else 1.0 for gap in data.draw(gaps)] for name in required}
+        )
+        try:
+            want = reference_trim(panel, required)
+        except DataError as exc:
+            with pytest.raises(DataError, match="no row has all of") as info:
+                trim_timespan(panel, required)
+            assert str(info.value) == str(exc)
+        else:
+            assert trim_timespan(panel, required) == want
+
+
+def reference_trim(panel, required):
+    """The row-by-row form of the trim: split the rows at void rows, trim
+    each run to its first and last fully present rows, keep the longest
+    run, the later one on a tie."""
+    missing = [[math.isnan(panel.columns[name][t]) for name in required]
+               for t in range(panel.n_rows)]
+    best = None
+    run = []
+    for t in range(panel.n_rows + 1):
+        if t < panel.n_rows and not all(missing[t]):
+            run.append(t)
+            continue
+        full = [k for k in run if not any(missing[k])]
+        if full and (best is None or full[-1] + 1 - full[0] >= best[1] - best[0]):
+            best = (full[0], full[-1] + 1)
+        run = []
+    if best is None:
+        raise DataError(f"panel {panel.ticker}: no row has all of {list(required)} present")
+    return best
 
 
 class TestNormalizeColumn:
@@ -371,8 +396,9 @@ class TestAssembleDataset:
             vol=[2.0, 4.0, None, 8.0, 5.0, 6.0],
             in_index=[1.0, 0.0, 1.0, 1.0, 0.0, 0.0],
         )
-        panel = attach_lagged_features(panel, ["vol"])
-        labels = attach_direction_label(panel, "price")
+        panel = CompanyPanel(panel.ticker, panel.dates,
+                             {**panel.columns, **lagged_features(panel, ["vol"])})
+        labels = direction_labels(panel, "price")
         np.testing.assert_array_equal(labels, [np.nan, 1, 0, 0, np.nan, np.nan])
         ds = assemble_dataset(panel, labels, ["in_index", "vol", "vol_lag1w"])
 
@@ -474,7 +500,8 @@ class TestLagAlignment:
     def test_lag_equals_prior_normalized_value_when_fully_observed(self):
         values = [3.0, 9.0, 1.0, 7.0, 5.0, 4.0, 8.0]
         panel = make_panel(f=values)
-        panel = attach_lagged_features(panel, ["f"])
+        panel = CompanyPanel(panel.ticker, panel.dates,
+                             {**panel.columns, **lagged_features(panel, ["f"])})
         labels = [None] + [1] * 6
         ds = assemble_dataset(panel, labels, ["f", "f_lag1w"])
         # row t of the dataset is panel row t+1

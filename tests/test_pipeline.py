@@ -318,6 +318,7 @@ class TestBuildCompanyDataset:
         snapshots = load_membership_dir(cfg.paths.membership_dir)
         panel = parse_company_panel((root / "panels" / "C000.csv").read_text(), "C000")
         ds, info = build_company_dataset(panel, snapshots, cfg)
+        assert "in_index" not in panel.columns  # the caller's panel is left as it was
         assert "price" not in ds.feature_names
         assert "in_index" in ds.feature_names
         assert "total_return_lag1w" in ds.feature_names
@@ -333,12 +334,32 @@ class TestBuildCompanyDataset:
         ds, _ = build_company_dataset(panel, snapshots, cfg)
         assert "in_index" not in ds.feature_names
         assert "price" not in ds.feature_names
-        from pricedir.dataset import attach_membership_indicator
+        from pricedir.dataset import membership_indicator
 
-        with_indicator = attach_membership_indicator(panel, snapshots)
-        indicator = with_indicator.column("in_index")
-        by_date = dict(zip(with_indicator.dates, indicator))
+        by_date = dict(zip(panel.dates, membership_indicator(panel, snapshots)))
         assert all(int(by_date[d]) == y for d, y in zip(ds.dates, ds.y))
+
+    def test_lag_of_the_indicator(self, fixture):
+        root, _ = fixture
+        cfg = small_config(root)
+        cfg.dataset.lag_features = ["in_index"]
+        snapshots = load_membership_dir(cfg.paths.membership_dir)
+        panel = parse_company_panel((root / "panels" / "C000.csv").read_text(), "C000")
+        ds, _ = build_company_dataset(panel, snapshots, cfg)
+        assert ds.feature_names[-2:] == ["in_index", "in_index_lag1w"]
+
+    @pytest.mark.parametrize("mode,problem", [
+        ("direction", "fewer than 2 consecutive usable prices in 'price'"),
+        ("membership", "no row has all of"),
+    ])
+    def test_header_only_panel_is_a_data_error(self, fixture, mode, problem):
+        root, _ = fixture
+        cfg = small_config(root)
+        cfg.target_mode = mode
+        snapshots = load_membership_dir(cfg.paths.membership_dir)
+        panel = parse_company_panel("date,price,total_return\n", "C000")
+        with pytest.raises(DataError, match=problem):
+            build_company_dataset(panel, snapshots, cfg)
 
 
 class TestLoadMembershipDir:
@@ -725,15 +746,17 @@ class TestCli:
         ])
         assert code == 1
 
-    def test_data_error_exits_2(self, fixture, tmp_path, capsys):
+    def test_data_error_exits_2(self, fixture, tiny_dataset, tmp_path, capsys):
         code = main(["logit", "--dataset", str(tmp_path / "missing.csv")])
         assert code == 2
         bad_report = tmp_path / "report.json"
         bad_report.write_text('{"companies": [')
         assert main(["report", "--input", str(bad_report)]) == 2
         assert str(bad_report) in capsys.readouterr().err
-        # well-formed JSON that is not a report
-        for text in ('[]', '{"companies": [{"ticker": "A"}]}'):
+        # well-formed JSON that is not a report, or has a company neither ok nor failed
+        unknown_status = {**REPORT, "companies": [{**REPORT["companies"][0], "status": "k"},
+                                                  REPORT["companies"][1]]}
+        for text in ('[]', '{"companies": [{"ticker": "A"}]}', json.dumps(unknown_status)):
             bad_report.write_text(text)
             for fmt in ("text", "json"):
                 assert main(["report", "--format", fmt, "--input", str(bad_report)]) == 2
@@ -757,6 +780,16 @@ class TestCli:
                          ["evaluate", "--model", str(tmp_path / "model.json")]):
                 assert main([*argv, "--dataset", str(bad)]) == 2
                 assert capsys.readouterr().err == f"error: {bad}: {problem}\n"
+        # a dataset file with an empty cell: its last, in the test part
+        text = tiny_dataset.read_text()
+        emptied = tmp_path / "emptied.csv"
+        emptied.write_text(text[:text.rindex(",") + 1] + "\n")
+        for argv in (["logit"], ["train", "--out", str(tmp_path / "model.json")],
+                     ["evaluate", "--model", str(tmp_path / "model.json")]):
+            assert main([*argv, "--dataset", str(emptied)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {emptied}, line 21, column 'f1': empty cell\n"
+            )
         # a dataset file with too few rows to fit the logit or to split
         rows = ["2002-01-04,1,0.5,0.25", "2002-01-11,0,0.75,0.5"]
         for n in (0, 1, 2):
@@ -1306,13 +1339,13 @@ class TestCli:
     @given(edits=st.lists(BYTE_EDIT, min_size=1, max_size=4))
     @example(edits=[("insert", 20, b"\r")])  # inside the first row's date
     def test_edited_dataset_file_exits_cleanly(self, tiny_dataset, edits):
-        """``logit`` on a byte-edited dataset file ends in exit 0, 1 (an
-        empty cell, which the fit refuses as a non-finite value) or 2, with
-        ``error:`` and no traceback."""
+        """``logit`` on a byte-edited dataset file ends in exit 0 or 2 (a
+        data error, an empty cell included), with ``error:`` and no
+        traceback."""
         edited = tiny_dataset.with_name("edited.csv")
         edited.write_bytes(edit_bytes(tiny_dataset.read_bytes(), edits))
         code, out, _ = run_quietly(["logit", "--dataset", str(edited)])
-        assert code in (0, 1, 2)
+        assert code in (0, 2)
         if not code:
             assert json.loads(out)["ticker"] == "edited"
 
@@ -1334,6 +1367,27 @@ class TestCli:
         assert code in (0, 1, 2, 3)
         if not code:
             assert out.startswith("built C000")
+
+    @settings(max_examples=60, deadline=None)
+    @given(edits=st.lists(BYTE_EDIT, min_size=1, max_size=4))
+    def test_edited_panel_file_pipeline_exits_cleanly(self, fixture, tmp_path_factory, edits):
+        """``pipeline`` on a byte-edited panel file, alone in its directory
+        (so the run stays in this process), ends in exit 0 to 3, with
+        ``error:``, no traceback and no ``unexpected error``."""
+        root, _ = fixture
+        panels = tmp_path_factory.getbasetemp() / "edited_pipeline_panels"
+        panels.mkdir(exist_ok=True)
+        original = (root / "panels" / "C000.csv").read_bytes()
+        (panels / "C000.csv").write_bytes(edit_bytes(original, edits))
+        code, out, err = run_quietly([
+            "pipeline", "--paths.membership_dir", str(root / "membership"),
+            "--paths.panels_dir", str(panels), "--paths.output_dir", str(panels / "out"),
+            "--mlp.epochs", "1",
+        ])
+        assert code in (0, 1, 2, 3)
+        assert "unexpected error" not in err
+        if not code:
+            assert "\nC000 " in out
 
     @settings(max_examples=60, deadline=None)
     @given(which=st.integers(min_value=0), edits=st.lists(BYTE_EDIT, min_size=1, max_size=4))
@@ -1369,13 +1423,21 @@ class TestCli:
     ])
     @settings(max_examples=60, deadline=None)
     @given(edits=st.lists(BYTE_EDIT, min_size=1, max_size=4))
+    @example(edits=[("delete", 66)])  # the report's "ok" becomes "k"
     def test_edited_json_file_exits_cleanly(self, tiny_dataset, argv, document, made, edits):
         """``evaluate`` on a byte-edited model file, ``report`` on a report
         file and ``logit`` with a config file end in exit 0 to 3, with
-        ``error:`` and no traceback."""
+        ``error:`` and no traceback.  A report that renders has a line for
+        each of its companies: a table row or a failed entry."""
         edited = tiny_dataset.with_name("edited.json")
         edited.write_bytes(edit_bytes(json.dumps(document, indent=2).encode(), edits))
         code, out, _ = run_quietly([arg.format(data=tiny_dataset, edited=edited) for arg in argv])
         assert code in (0, 1, 2, 3)
         if not code:
             assert made in out
+            if argv[0] == "report":
+                lines = out.splitlines()
+                for company in json.loads(edited.read_bytes())["companies"]:
+                    ticker = company["ticker"]
+                    assert (any(line.split(" | ")[0].rstrip() == ticker for line in lines)
+                            or f"  {ticker}: {company['error']}" in lines)

@@ -4,7 +4,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from pricedir.dataset import attach_direction_label
+from pricedir.dataset import direction_labels
 from pricedir.errors import ValidationError
 from pricedir.ingest import parse_company_panel, parse_membership_file
 from pricedir.logit import fit_logit, sigmoid
@@ -121,7 +121,7 @@ class TestGenerateCompanyPanel:
         company = generate_company_panel(
             default_planted(), "C000", dates, vector, 0.0, seed=14
         )
-        labels = attach_direction_label(company.panel, "price")
+        labels = direction_labels(company.panel, "price")
         assert np.isnan(labels[0])
         np.testing.assert_array_equal(labels[1:], company.true_labels)
 
