@@ -140,7 +140,7 @@ def _cmd_train(args) -> int:
     features = dataset.feature_names
     if args.features:
         features = [f.strip() for f in args.features.split(",")]
-    train_ds, _ = pipeline.split_features(dataset, features, cfg.dataset.train_fraction)
+    train_ds, _ = ds_mod.split_features(dataset, features, cfg.dataset.train_fraction)
     seeds = pipeline.company_seeds(mlp_cfg.seed, dataset.ticker)
     model = mlp_mod.init_network([len(features), *mlp_cfg.hidden_sizes, 1], seeds["init"])
     (losses,) = mlp_mod.train_stack(
@@ -162,9 +162,12 @@ def _cmd_evaluate(args) -> int:
     model = mlp_mod.model_from_dict(model_doc)
     metadata = model_doc.get("metadata", {})
     features = metadata.get("features") or dataset.feature_names
+    missing = [name for name in features if name not in dataset.feature_names]
+    if missing:
+        raise DataError(f"{Path(args.dataset)}: missing the model's feature columns {missing}")
     # the model's own split, so its training rows stay out of the test part
     fraction = metadata.get("train_fraction", cfg.dataset.train_fraction)
-    _, test_ds = pipeline.split_features(dataset, features, fraction)
+    _, test_ds = ds_mod.split_features(dataset, features, fraction)
     report = mlp_mod.evaluate(model, test_ds, cfg.mlp.threshold)
     _emit(dataclasses.asdict(report), args.out)
     sys.stdout.write(f"{dataset.ticker} | {report.accuracy * 100:.2f}%\n")

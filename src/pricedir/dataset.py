@@ -2,8 +2,10 @@
 
 ``build_company_dataset`` holds the build order, on one dict of the
 panel's columns.  Each step returns what it computes (a column, a dict
-of columns, a list of names or a row range); min-max normalization,
-mean imputation and the chronological train/test split follow.
+of columns, a list of names or a row range); min-max normalization and
+mean imputation follow.  The build's ``info`` is the
+``datasets/<ticker>.meta.json`` document.  ``split_features`` cuts the
+network's (train, test) pair out of a built dataset.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
 from typing import Sequence
@@ -34,17 +36,6 @@ LABEL_COLUMN = "y"
 
 
 @dataclass
-class ColumnMeta:
-    """Normalization and imputation record for one feature column."""
-
-    raw_min: float
-    raw_max: float
-    observed_mean_normalized: float
-    imputed_count: int
-    degenerate: bool = False
-
-
-@dataclass
 class LabeledDataset:
     """Aligned, fully numeric (X, y) for one company.
 
@@ -57,7 +48,6 @@ class LabeledDataset:
     feature_names: list[str]
     X: np.ndarray
     y: np.ndarray
-    column_meta: dict[str, ColumnMeta] = field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.dates)
@@ -76,24 +66,6 @@ class LabeledDataset:
     def n_rows(self) -> int:
         return len(self.dates)
 
-    def select_columns(self, names: Sequence[str]) -> "LabeledDataset":
-        """Column subset in the given order (used to hand models their features)."""
-        missing = [n for n in names if n not in self.feature_names]
-        if missing:
-            raise ValidationError(f"dataset {self.ticker}: unknown columns {missing}")
-        repeated = sorted({n for n in names if names.count(n) > 1})
-        if repeated:
-            raise ValidationError(f"dataset {self.ticker}: repeated columns {repeated}")
-        idx = [self.feature_names.index(n) for n in names]
-        return LabeledDataset(
-            self.ticker,
-            list(self.dates),
-            list(names),
-            self.X[:, idx].copy(),
-            self.y.copy(),
-            {n: self.column_meta[n] for n in names if n in self.column_meta},
-        )
-
 
 def build_company_dataset(
     panel: CompanyPanel,
@@ -106,7 +78,8 @@ def build_company_dataset(
     timespan trim, then normalize/impute/assemble.  The raw price column
     is the label source and is never handed to the models; in membership
     target mode the indicator becomes the label and is likewise excluded
-    from the features.
+    from the features.  ``info`` holds, in sidecar order, ``dropped_columns``,
+    ``timespan``, ``n_rows`` and ``columns`` (``assemble_dataset``'s record).
     """
     dcfg = cfg.dataset
     # a panel whose columns dict is the build's own, to add columns to
@@ -130,11 +103,12 @@ def build_company_dataset(
     start, stop = trim_timespan(panel, [*features, *required_price])
     kept = {name: values[start:stop] for name, values in features.items()}
     trimmed = CompanyPanel(panel.ticker, panel.dates[start:stop], kept)
-    dataset = assemble_dataset(trimmed, labels[start:stop], list(features))
+    dataset, columns = assemble_dataset(trimmed, labels[start:stop], list(features))
     info = {
         "dropped_columns": dropped,
         "timespan": [trimmed.dates[0].isoformat(), trimmed.dates[-1].isoformat()],
         "n_rows": dataset.n_rows,
+        "columns": columns,
     }
     return dataset, info
 
@@ -241,7 +215,7 @@ def normalize_column(values: Sequence[float]) -> tuple[np.ndarray, float, float]
 
     ``None`` entries count as missing.  A constant column maps every
     observed value to 0.0 (degenerate range, recorded via raw_min ==
-    raw_max in the column metadata).
+    raw_max in the column's record).
     """
     values = np.asarray(values, dtype=float)
     observed = values[~np.isnan(values)]
@@ -283,11 +257,14 @@ def assemble_dataset(
     panel: CompanyPanel,
     labels: Sequence[float],
     feature_names: Sequence[str],
-) -> LabeledDataset:
+) -> tuple[LabeledDataset, dict[str, dict]]:
     """Normalize and impute the named features, keep labeled rows, build (X, y).
 
     ``labels`` holds 0/1 per panel row; NaN (or ``None``) marks a row
-    without a label, which is left out.
+    without a label, which is left out.  Returns ``(dataset, columns)``:
+    ``columns[name]`` records that column's scaling and imputation as
+    ``raw_min``, ``raw_max``, ``mean_used``, ``imputed_count`` and
+    ``degenerate``.
     """
     labels = np.asarray(labels, dtype=float)
     if labels.shape != (panel.n_rows,):
@@ -299,34 +276,40 @@ def assemble_dataset(
             f"panel {panel.ticker}: feature column {LABEL_COLUMN!r} is the dataset file's label"
         )
     filled: dict[str, np.ndarray] = {}
-    meta: dict[str, ColumnMeta] = {}
+    columns: dict[str, dict] = {}
     for name in feature_names:
         normalized, raw_min, raw_max = normalize_column(panel.column(name))
-        column, mean_used, imputed_count = impute_missing(normalized)
-        filled[name] = column
-        meta[name] = ColumnMeta(
-            raw_min=raw_min,
-            raw_max=raw_max,
-            observed_mean_normalized=mean_used,
-            imputed_count=imputed_count,
-            degenerate=raw_min == raw_max,
-        )
+        filled[name], mean_used, imputed_count = impute_missing(normalized)
+        columns[name] = {
+            "raw_min": raw_min,
+            "raw_max": raw_max,
+            "mean_used": mean_used,
+            "imputed_count": imputed_count,
+            "degenerate": raw_min == raw_max,
+        }
     keep = ~np.isnan(labels)
     X = _matrix([filled[name] for name in feature_names], panel.n_rows)[keep]
     dates = [day for day, kept in zip(panel.dates, keep) if kept]
-    return LabeledDataset(
-        panel.ticker, dates, list(feature_names), X, labels[keep].astype(int), meta
-    )
+    dataset = LabeledDataset(panel.ticker, dates, list(feature_names), X, labels[keep].astype(int))
+    return dataset, columns
 
 
-def chronological_split(
-    ds: LabeledDataset, train_fraction: float
+def split_features(
+    ds: LabeledDataset, names: Sequence[str], train_fraction: float
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """First ceil(fraction * n) rows train, the rest test; no shuffling.
+    """The columns ``names`` of ``ds``, in that order, split into (train, test).
 
+    The first ceil(fraction * n) rows train, the rest test; no shuffling.
     The ceiling is taken in exact decimal arithmetic so 0.8 of 450 rows
-    is 360, not 361 from float round-up.
+    is 360, not 361 from float round-up.  The chosen columns are copied
+    once; both parts are row slices of that copy and of ``ds.y``.
     """
+    missing = [n for n in names if n not in ds.feature_names]
+    if missing:
+        raise ValidationError(f"dataset {ds.ticker}: unknown columns {missing}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ValidationError(f"dataset {ds.ticker}: repeated columns {repeated}")
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError("train_fraction must be in (0, 1)")
     n = ds.n_rows
@@ -337,18 +320,13 @@ def chronological_split(
         raise DataError(
             f"dataset {ds.ticker}: split {n_train}/{n - n_train} leaves a part empty"
         )
+    # ``take`` copies in C order; ``X[:, idx]`` gives F order, which matmul may round differently
+    X = ds.X.take([ds.feature_names.index(n) for n in names], axis=1)
 
-    def part(lo: int, hi: int) -> LabeledDataset:
-        return LabeledDataset(
-            ds.ticker,
-            ds.dates[lo:hi],
-            list(ds.feature_names),
-            ds.X[lo:hi].copy(),
-            ds.y[lo:hi].copy(),
-            dict(ds.column_meta),
-        )
+    def part(rows: slice) -> LabeledDataset:
+        return LabeledDataset(ds.ticker, ds.dates[rows], list(names), X[rows], ds.y[rows])
 
-    return part(0, n_train), part(n_train, n)
+    return part(slice(0, n_train)), part(slice(n_train, n))
 
 
 def dataset_csv_text(ds: LabeledDataset) -> str:
@@ -384,4 +362,4 @@ def read_dataset_csv(content, ticker: str, source: str = "<dataset>") -> Labeled
             for name, cell in zip(header, row):
                 if cell == "":
                     raise DataError(f"{source}, line {lineno}, column {name!r}: empty cell")
-    return LabeledDataset(ticker, panel.dates, names, X, labels.astype(int), {})
+    return LabeledDataset(ticker, panel.dates, names, X, labels.astype(int))

@@ -433,7 +433,8 @@ def model_from_dict(data: dict) -> NetworkModel:
     features = metadata.get("features", [])
     if not (isinstance(features, list) and all(isinstance(f, str) for f in features)):
         raise ValidationError("model metadata key 'features' must be a list of strings")
-    fraction = metadata.get("train_fraction", 0.5)  # absent: evaluate uses the config's
-    if not (isinstance(fraction, float) and 0 < fraction < 1):
-        raise ValidationError("model metadata key 'train_fraction' must be a number in (0, 1)")
+    if "train_fraction" in metadata:  # absent: evaluate splits at the config's
+        fraction = metadata["train_fraction"]
+        if not (isinstance(fraction, float) and 0 < fraction < 1):
+            raise ValidationError("model metadata key 'train_fraction' must be a number in (0, 1)")
     return model

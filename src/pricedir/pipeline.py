@@ -3,18 +3,19 @@
 For every company panel: ingest, dataset build, logistic fit on all
 features, significance selection, network training on the selected
 features only, held-out evaluation.  Each stage is one public function
-(``build_from_file``, ``fit_and_select``, ``split_features``,
-``company_seeds``, ``model_document``) that the step-by-step
-subcommands call too; the dataset build itself, its order and its steps,
-is ``dataset.build_company_dataset``.  The companies are dealt out once
-to one forked worker process per CPU.  Each worker takes its share from
-panel file to report entry, training its companies with one
-training-row count in one stack; the calling process writes only the
-report.  One bad company never aborts the batch; it becomes a failure
-entry in the report.  Output is fully deterministic for a fixed config
-and inputs, whatever the worker count (company order is stabilized by
-ticker, seeds are derived per company, a company's bits do not depend
-on which companies share its stack, no timestamps).
+(``build_from_file``, ``fit_and_select``, ``company_seeds``,
+``model_document``) that the step-by-step subcommands call too; the
+dataset build itself, its order and its steps, is
+``dataset.build_company_dataset``, and the network's columns, split into
+(train, test) by time, are ``dataset.split_features``.  The companies
+are dealt out once to one forked worker process per CPU.  Each worker
+takes its share from panel file to report entry, training its companies
+with one training-row count in one stack; the calling process writes
+only the report.  One bad company never aborts the batch; it becomes a
+failure entry in the report.  Output is fully deterministic for a fixed
+config and inputs, whatever the worker count (company order is
+stabilized by ticker, seeds are derived per company, a company's bits
+do not depend on which companies share its stack, no timestamps).
 """
 
 from __future__ import annotations
@@ -123,13 +124,6 @@ def fit_and_select(
     return fit, logit_mod.select_features(fit, logit_cfg.alpha)
 
 
-def split_features(
-    dataset: ds_mod.LabeledDataset, features: list[str], train_fraction: float
-) -> tuple[ds_mod.LabeledDataset, ds_mod.LabeledDataset]:
-    """The network's columns of ``dataset``, split into (train, test) by time."""
-    return ds_mod.chronological_split(dataset.select_columns(features), train_fraction)
-
-
 def company_seeds(mlp_seed: int, ticker: str) -> dict[str, int]:
     """A company's network seeds: ``init`` for the weights, ``train`` for the shuffle."""
     return {
@@ -191,27 +185,12 @@ def logit_result_dict(ticker: str, fit: logit_mod.LogitFit, selected: list[str])
 
 def dataset_files(dataset: ds_mod.LabeledDataset, info: dict) -> dict[str, str]:
     """One built dataset's ``datasets/<ticker>.csv`` and
-    ``datasets/<ticker>.meta.json``, name to text, for ``write_outputs``."""
+    ``datasets/<ticker>.meta.json`` (the build's ``info``), name to text,
+    for ``write_outputs``."""
     ticker = dataset.ticker
-    meta = {
-        "ticker": ticker,
-        "dropped_columns": info["dropped_columns"],
-        "timespan": info["timespan"],
-        "n_rows": info["n_rows"],
-        "columns": {
-            name: {
-                "raw_min": m.raw_min,
-                "raw_max": m.raw_max,
-                "mean_used": m.observed_mean_normalized,
-                "imputed_count": m.imputed_count,
-                "degenerate": m.degenerate,
-            }
-            for name, m in dataset.column_meta.items()
-        },
-    }
     return {
         f"datasets/{ticker}.csv": ds_mod.dataset_csv_text(dataset),
-        f"datasets/{ticker}.meta.json": json_text(meta),
+        f"datasets/{ticker}.meta.json": json_text({"ticker": ticker, **info}),
     }
 
 
@@ -277,7 +256,7 @@ def _prepare(
     fit, selected = fit_and_select(dataset, cfg.logit)
     # an empty selection trains on every column, as ``train`` without ``--features``
     mlp_features = selected or dataset.feature_names
-    train_ds, test_ds = split_features(dataset, mlp_features, cfg.dataset.train_fraction)
+    train_ds, test_ds = ds_mod.split_features(dataset, mlp_features, cfg.dataset.train_fraction)
 
     logit_doc = logit_result_dict(ticker, fit, selected)
     write_outputs(out_dir, {

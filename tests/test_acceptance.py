@@ -17,9 +17,9 @@ from pricedir.cohort import group_boundaries, partition_into_fifths, sample_coho
 from pricedir.config import PipelineConfig
 from pricedir.dataset import (
     direction_labels,
-    chronological_split,
     impute_missing,
     normalize_column,
+    split_features,
 )
 from pricedir.errors import DataError
 from pricedir.logit import fit_logit, select_features
@@ -306,10 +306,10 @@ class TestAcceptance:
             from pricedir.dataset import assemble_dataset
 
             panel = make_panel(a=[float(i % 5) for i in range(n)])
-            return assemble_dataset(panel, [i % 2 for i in range(n)], ["a"])
+            return assemble_dataset(panel, [i % 2 for i in range(n)], ["a"])[0]
 
-        train450, test450 = chronological_split(build(450), 0.8)
-        train7, test7 = chronological_split(build(7), 0.8)
+        train450, test450 = split_features(build(450), ["a"], 0.8)
+        train7, test7 = split_features(build(7), ["a"], 0.8)
         ok = (
             (train450.n_rows, test450.n_rows) == (360, 90)
             and (train7.n_rows, test7.n_rows) == (6, 1)

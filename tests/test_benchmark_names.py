@@ -1,17 +1,25 @@
 """Every library name that the benchmark's workload and child scripts use,
-and every attribute that its tracer wraps, still exists.
+and every attribute that its tracer wraps, still exists, and the
+benchmark's harness still reads the files a pipeline run writes.
 
 ``benchmarks/test_bench.py`` runs outside this suite, so without this
 check a name deleted from ``pricedir`` would show only as a failed
 benchmark run, and a renamed traced attribute only as a layer that reads
-0.  The scripts are read with ``ast``, not imported.
+0.  The scripts are read with ``ast``, not imported; only
+``bench_pipeline.py``, whose top level imports the standard library
+alone, is loaded by path to read a run.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
+
+from pricedir.config import PipelineConfig
+from pricedir.pipeline import run_pipeline
+from pricedir.synth import default_planted, write_fixture
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -64,3 +72,35 @@ def test_tracer_wraps_only_existing_attributes():
         if not hasattr(importlib.import_module(module), name)
     }
     assert not missing - KNOWN_ABSENT
+
+
+def test_benchmark_reads_what_a_run_writes(tmp_path):
+    """``bench_pipeline.company_quality`` reads a run laid out as the
+    benchmark lays it out: the fixture, with its ``truth/``, under
+    ``fixture`` and the pipeline's outputs under ``first_out``.  It reads
+    ``report.json`` (``status``, ``n_test``, ``eval.accuracy``) and each
+    ``datasets/<ticker>.csv``'s ``date`` column, so a change to what the
+    pipeline writes that the benchmark cannot read fails here."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pipeline", BENCHMARKS / "bench_pipeline.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    fixture = tmp_path / "fixture"
+    write_fixture(fixture, n_companies=3, n_weeks=160, switch_prob=0.05, missing_prob=0.05,
+                  seed=101, planted=default_planted(), signal_scale=2.0)
+    (fixture / "panels" / "C002.csv").write_text("date,price\n")  # a company that fails
+    cfg = PipelineConfig()
+    cfg.paths.membership_dir = str(fixture / "membership")
+    cfg.paths.panels_dir = str(fixture / "panels")
+    cfg.paths.output_dir = str(tmp_path / "first_out")
+    cfg.mlp.epochs = 2
+    report = run_pipeline(cfg)
+
+    quality = bench.company_quality(tmp_path)
+    ok = [c for c in report["companies"] if c["status"] == "ok"]
+    assert [q["ticker"] for q in quality] == [c["ticker"] for c in ok] == ["C000", "C001"]
+    for row, company in zip(quality, ok):
+        assert row["accuracy"] == company["eval"]["accuracy"]
+        assert 0.0 <= row["bayes"] <= 1.0

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from pricedir.dataset import (
     LabeledDataset,
     assemble_dataset,
-    chronological_split,
     dataset_csv_text,
     direction_labels,
     impute_missing,
@@ -18,6 +17,7 @@ from pricedir.dataset import (
     normalize_column,
     read_dataset_csv,
     sparse_columns,
+    split_features,
     trim_timespan,
 )
 from pricedir.errors import DataError, ValidationError
@@ -377,13 +377,13 @@ class TestAssembleDataset:
     def test_shape_contract(self):
         panel = make_panel(a=[1.0, 2.0, 3.0], b=[1.0, 0.0, 1.0],
                            c=[5.0, 6.0, 7.0], d=[0.1, 0.2, 0.3])
-        ds = assemble_dataset(panel, [1, 0, 1], ["a", "b", "c", "d"])
+        ds, _ = assemble_dataset(panel, [1, 0, 1], ["a", "b", "c", "d"])
         assert ds.X.shape == (3, 4)
         assert len(ds.y) == 3
 
     def test_binary_indicator_survives_normalization(self):
         panel = make_panel(in_index=[1.0, 0.0, 1.0, 1.0])
-        ds = assemble_dataset(panel, [None, 0, 1, 1], ["in_index"])
+        ds, _ = assemble_dataset(panel, [None, 0, 1, 1], ["in_index"])
         assert set(np.unique(ds.X[:, 0])) <= {0.0, 1.0}
         assert list(ds.X[:, 0]) == [0.0, 1.0, 1.0]
 
@@ -400,7 +400,7 @@ class TestAssembleDataset:
                              {**panel.columns, **lagged_features(panel, ["vol"])})
         labels = direction_labels(panel, "price")
         np.testing.assert_array_equal(labels, [np.nan, 1, 0, 0, np.nan, np.nan])
-        ds = assemble_dataset(panel, labels, ["in_index", "vol", "vol_lag1w"])
+        ds, columns = assemble_dataset(panel, labels, ["in_index", "vol", "vol_lag1w"])
 
         # vol scaled over {2,4,8,5,6}: [0, 1/3, imputed 0.5, 1, 0.5, 2/3]
         # vol_lag1w over {2,4,8,5}:    [imp, 0, 1/3, imp, 1, 0.5], mean 11/24
@@ -414,11 +414,13 @@ class TestAssembleDataset:
         np.testing.assert_allclose(ds.X, expected, atol=1e-12)
         assert list(ds.y) == [1, 0, 0]
         assert ds.dates == weekly_dates(6)[1:4]
-        meta = ds.column_meta["vol"]
-        assert (meta.raw_min, meta.raw_max) == (2.0, 8.0)
-        assert meta.imputed_count == 1
-        assert meta.observed_mean_normalized == pytest.approx(0.5)
-        assert ds.column_meta["vol_lag1w"].observed_mean_normalized == pytest.approx(11.0 / 24.0)
+        assert list(columns) == ["in_index", "vol", "vol_lag1w"]
+        meta = columns["vol"]
+        assert list(meta) == ["raw_min", "raw_max", "mean_used", "imputed_count", "degenerate"]
+        assert (meta["raw_min"], meta["raw_max"]) == (2.0, 8.0)
+        assert meta["imputed_count"] == 1 and meta["degenerate"] is False
+        assert meta["mean_used"] == pytest.approx(0.5)
+        assert columns["vol_lag1w"]["mean_used"] == pytest.approx(11.0 / 24.0)
 
     def test_misaligned_labels_rejected(self):
         panel = make_panel(a=[1.0, 2.0])
@@ -448,36 +450,36 @@ class TestDatasetCsv:
 class TestChronologicalSplit:
     def build(self, n):
         panel = make_panel(a=[float(i % 7) for i in range(n)])
-        return assemble_dataset(panel, [i % 2 for i in range(n)], ["a"])
+        return assemble_dataset(panel, [i % 2 for i in range(n)], ["a"])[0]
 
     def test_cancom_scale_split(self):
-        train, test = chronological_split(self.build(450), 0.8)
+        train, test = split_features(self.build(450), ["a"], 0.8)
         assert (train.n_rows, test.n_rows) == (360, 90)
 
     def test_exact_division(self):
-        train, test = chronological_split(self.build(10), 0.8)
+        train, test = split_features(self.build(10), ["a"], 0.8)
         assert (train.n_rows, test.n_rows) == (8, 2)
 
     def test_ceiling_on_non_divisible(self):
-        train, test = chronological_split(self.build(7), 0.8)
+        train, test = split_features(self.build(7), ["a"], 0.8)
         assert (train.n_rows, test.n_rows) == (6, 1)
 
     def test_order_preserved(self):
-        train, test = chronological_split(self.build(20), 0.8)
+        train, test = split_features(self.build(20), ["a"], 0.8)
         assert max(train.dates) < min(test.dates)
         assert train.dates + test.dates == self.build(20).dates
 
     def test_too_small_rejected(self):
         with pytest.raises(DataError, match="need at least 5 rows, have 4"):
-            chronological_split(self.build(4), 0.8)
+            split_features(self.build(4), ["a"], 0.8)
 
     def test_empty_part_rejected(self):
         with pytest.raises(DataError, match="split 5/0 leaves a part empty"):
-            chronological_split(self.build(5), 0.9)
+            split_features(self.build(5), ["a"], 0.9)
 
     def test_fraction_range_checked(self):
         with pytest.raises(ValidationError):
-            chronological_split(self.build(10), 1.0)
+            split_features(self.build(10), ["a"], 1.0)
 
     @given(
         n=st.integers(min_value=5, max_value=600),
@@ -487,7 +489,7 @@ class TestChronologicalSplit:
         from fractions import Fraction
 
         try:
-            train, test = chronological_split(self.build(n), frac)
+            train, test = split_features(self.build(n), ["a"], frac)
         except DataError as exc:
             assert "leaves a part empty" in str(exc)
             assert math.ceil(Fraction(str(frac)) * n) >= n
@@ -496,6 +498,42 @@ class TestChronologicalSplit:
         assert train.n_rows + test.n_rows == n
 
 
+
+class TestSplitFeatures:
+    """The column choice half of ``split_features``; the row split is above."""
+
+    def build(self, n=10):
+        panel = make_panel(a=[float(i) for i in range(n)], b=[float(i % 3) for i in range(n)],
+                           c=[float(i % 4) for i in range(n)])
+        return assemble_dataset(panel, [i % 2 for i in range(n)], ["a", "b", "c"])[0]
+
+    def test_columns_come_back_in_the_asked_order(self):
+        ds = self.build()
+        train, test = split_features(ds, ["c", "a"], 0.8)
+        assert train.feature_names == test.feature_names == ["c", "a"]
+        np.testing.assert_array_equal(np.vstack([train.X, test.X]), ds.X[:, [2, 0]])
+        np.testing.assert_array_equal(np.r_[train.y, test.y], ds.y)
+
+    def test_parts_are_a_row_major_copy(self):
+        ds = self.build()
+        for part in split_features(ds, ["a", "b", "c"], 0.8):
+            assert not np.shares_memory(part.X, ds.X)
+            assert part.X.flags.c_contiguous
+
+    def test_unknown_and_repeated_columns_refused(self):
+        ds = self.build()
+        with pytest.raises(ValidationError) as info:
+            split_features(ds, ["a", "z", "y"], 0.8)
+        assert str(info.value) == "dataset TST: unknown columns ['z', 'y']"
+        with pytest.raises(ValidationError) as info:
+            split_features(ds, ["b", "a", "b"], 0.8)
+        assert str(info.value) == "dataset TST: repeated columns ['b']"
+
+    def test_unknown_columns_refused_first(self):
+        for ds, fraction in ((self.build(), 1.0), (self.build(4), 0.8), (self.build(5), 0.9)):
+            with pytest.raises(ValidationError, match="unknown columns"):
+                split_features(ds, ["z", "z"], fraction)
+
 class TestLagAlignment:
     def test_lag_equals_prior_normalized_value_when_fully_observed(self):
         values = [3.0, 9.0, 1.0, 7.0, 5.0, 4.0, 8.0]
@@ -503,7 +541,7 @@ class TestLagAlignment:
         panel = CompanyPanel(panel.ticker, panel.dates,
                              {**panel.columns, **lagged_features(panel, ["f"])})
         labels = [None] + [1] * 6
-        ds = assemble_dataset(panel, labels, ["f", "f_lag1w"])
+        ds, _ = assemble_dataset(panel, labels, ["f", "f_lag1w"])
         # row t of the dataset is panel row t+1
         norm_f = [(v - 1.0) / 8.0 for v in values]
         lag_lo, lag_hi = min(values[:-1]), max(values[:-1])

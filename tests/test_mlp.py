@@ -25,7 +25,7 @@ def make_ds(X, y):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     return LabeledDataset(
-        "TST", weekly_dates(len(y)), [f"f{i}" for i in range(X.shape[1])], X, y, {}
+        "TST", weekly_dates(len(y)), [f"f{i}" for i in range(X.shape[1])], X, y
     )
 
 

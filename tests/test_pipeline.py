@@ -790,6 +790,15 @@ class TestCli:
             assert capsys.readouterr().err == (
                 f"error: {emptied}, line 21, column 'f1': empty cell\n"
             )
+        # a dataset file whose header lacks one of the model's features
+        lost = tmp_path / "tiny_lost.csv"
+        lost.write_text(tiny_dataset.read_text().replace("date,y,f0,f1\n", "date,y,f0,f\n", 1))
+        model = tmp_path / "features.json"
+        model.write_text(json.dumps({**TINY_MODEL, "metadata": {"features": ["f0", "f1"]}}))
+        assert main(["evaluate", "--dataset", str(lost), "--model", str(model)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {lost}: missing the model's feature columns ['f1']\n"
+        )
         # a dataset file with too few rows to fit the logit or to split
         rows = ["2002-01-04,1,0.5,0.25", "2002-01-11,0,0.75,0.5"]
         for n in (0, 1, 2):
@@ -971,6 +980,9 @@ class TestCli:
         pytest.param(["train", "--dataset", "{data}", "--mlp.epochs", "1", "--features", "f0,f0",
                       "--out", "{taken}/model.json"],
                      TINY_MODEL, "dataset TINY: repeated columns ['f0']", id="train-features-repeat"),
+        pytest.param(["train", "--dataset", "{data}", "--mlp.epochs", "1", "--features", "f0,f9",
+                      "--out", "{taken}/model.json"],
+                     TINY_MODEL, "dataset TINY: unknown columns ['f9']", id="train-features-unknown"),
         pytest.param(EVALUATE, {**TINY_MODEL, "metadata": {"features": ["f0", "f0"]}},
                      "dataset TINY: repeated columns ['f0']", id="evaluate-features-repeat"),
         pytest.param(EVALUATE, {**TINY_MODEL, "weights": [[[float("nan"), 0.5]]]}, "'weights'",
@@ -1138,11 +1150,25 @@ class TestCli:
         ]
         assert main(["build", *base, "--paths.output_dir", str(tmp_path / "b")]) == 0
         assert main(["pipeline", *base, "--paths.output_dir", str(tmp_path / "p")]) == 0
+        cfg = small_config(root)
+        snapshots = load_membership_dir(cfg.paths.membership_dir)
         for ticker in ("C000", "C001"):
             for name in (f"{ticker}.csv", f"{ticker}.meta.json"):
                 built = (tmp_path / "b" / "datasets" / name).read_bytes()
                 piped = (tmp_path / "p" / "datasets" / name).read_bytes()
                 assert built == piped, name
+            # the sidecar is the build's ``info``, its columns ``assemble_dataset``'s record
+            meta = json.loads((tmp_path / "b" / "datasets" / f"{ticker}.meta.json").read_text())
+            assert list(meta) == ["ticker", "dropped_columns", "timespan", "n_rows", "columns"]
+            header = (tmp_path / "b" / "datasets" / f"{ticker}.csv").read_text().split("\n", 1)[0]
+            assert ["date", "y", *meta["columns"]] == header.split(",")
+            for record in meta["columns"].values():
+                assert list(record) == [
+                    "raw_min", "raw_max", "mean_used", "imputed_count", "degenerate"
+                ]
+            panel = parse_company_panel((root / "panels" / f"{ticker}.csv").read_text(), ticker)
+            _, info = build_company_dataset(panel, snapshots, cfg)
+            assert meta == {"ticker": ticker, **info}
 
     def test_build_fails_soft(self, fixture, tmp_path, capsys):
         root, _ = fixture
