@@ -2,13 +2,12 @@
 
 Subcommands: synth, cohort, build, logit, train, evaluate, pipeline,
 report.  Exit codes: 0 success, 1 configuration/validation error, 2 data
-error, 3 pipeline error (no company succeeded).
+error, 3 pipeline error (no company succeeded, or a worker died).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -103,12 +102,12 @@ def _cmd_build(args) -> int:
         try:
             dataset, info = pipeline.build_from_file(ticker, path, snapshots, cfg)
             pipeline.write_outputs(out_dir, pipeline.dataset_files(dataset, info))
+            sys.stdout.write(f"built {ticker}: {dataset.n_rows} rows\n")
         except PricedirError as exc:
-            # fail soft, as the pipeline does: report it and build the rest
+            # fail soft, as the pipeline does: report it, drop its files, build the rest
             print(f"error: {ticker}: {exc}", file=sys.stderr)
+            pipeline.remove_outputs(out_dir, pipeline.company_files(ticker)[:2])
             failed = True
-            continue
-        sys.stdout.write(f"built {ticker}: {dataset.n_rows} rows\n")
     return 2 if failed else 0
 
 
@@ -169,8 +168,8 @@ def _cmd_evaluate(args) -> int:
     fraction = metadata.get("train_fraction", cfg.dataset.train_fraction)
     _, test_ds = ds_mod.split_features(dataset, features, fraction)
     report = mlp_mod.evaluate(model, test_ds, cfg.mlp.threshold)
-    _emit(dataclasses.asdict(report), args.out)
-    sys.stdout.write(f"{dataset.ticker} | {report.accuracy * 100:.2f}%\n")
+    _emit(report, args.out)
+    sys.stdout.write(f"{dataset.ticker} | {report['accuracy'] * 100:.2f}%\n")
     return 0
 
 

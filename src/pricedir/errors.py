@@ -9,7 +9,7 @@ The CLI picks the exit code from the class:
   names its place: ``<file>, line <n>, column <name>: <message>``, as far
   as it is known.
 - ``TrainingDivergedError``: a network's loss turned non-finite; exit 2.
-- ``PipelineError``: a run where no company succeeded; exit 3.
+- ``PipelineError``: no company succeeded, or a worker process died; exit 3.
 - ``PricedirError``: the base of them all; exit 2.
 """
 
@@ -35,4 +35,4 @@ class TrainingDivergedError(PricedirError):
 
 
 class PipelineError(PricedirError):
-    """The batch run finished with zero successful companies."""
+    """The batch run finished with zero successful companies, or lost a worker."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -147,7 +148,7 @@ def parse_membership_file(
         words = raw.split()
         if len(words) != 1 or "," in raw:
             raise DataError(f"{source}, line {lineno}: malformed ticker row {raw!r}")
-        ticker = words[0]
+        ticker = sys.intern(words[0])
         if ticker in seen:
             raise DataError(f"{source}, line {lineno}: duplicate ticker {ticker!r}")
         seen.add(ticker)

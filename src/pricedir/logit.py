@@ -190,9 +190,6 @@ def fit_logit(
             converged = True
             break
 
-    if separated:
-        converged = False
-
     eta = Xd @ beta
     p = sigmoid(eta)
     weights = np.clip(p * (1.0 - p), 1e-300, None)

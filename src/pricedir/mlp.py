@@ -334,23 +334,11 @@ def train_stack(
     return results
 
 
-@dataclass
-class EvalReport:
-    """Confusion counts and accuracy on a held-out set."""
-
-    n_test: int
-    accuracy: float
-    true_pos: int
-    true_neg: int
-    false_pos: int
-    false_neg: int
-    threshold: float
-
-
 def evaluate(
     model: NetworkModel, test_ds: LabeledDataset, threshold: float = MlpConfig.threshold
-) -> EvalReport:
-    """Classify with ``output >= threshold`` (ties predict 1) and tally counts.
+) -> dict:
+    """Classify with ``output >= threshold`` (ties predict 1) and tally counts
+    into the report's ``eval`` record.
 
     ``test_ds`` is anything with ``X`` and ``y`` arrays, such as a LabeledDataset.
     """
@@ -368,15 +356,15 @@ def evaluate(
     tn = int(np.sum(~pred & ~actual))
     fp = int(np.sum(pred & ~actual))
     fn = int(np.sum(~pred & actual))
-    return EvalReport(
-        n_test=n,
-        accuracy=(tp + tn) / n,
-        true_pos=tp,
-        true_neg=tn,
-        false_pos=fp,
-        false_neg=fn,
-        threshold=threshold,
-    )
+    return {
+        "n_test": n,
+        "accuracy": (tp + tn) / n,
+        "true_pos": tp,
+        "true_neg": tn,
+        "false_pos": fp,
+        "false_neg": fn,
+        "threshold": threshold,
+    }
 
 
 def model_to_dict(model: NetworkModel, metadata: dict | None = None) -> dict:

@@ -10,9 +10,10 @@ dataset build itself, its order and its steps, is
 (train, test) by time, are ``dataset.split_features``.  The companies
 are dealt out once to one forked worker process per CPU.  Each worker
 takes its share from panel file to report entry, training its companies
-with one training-row count in one stack; the calling process writes
-only the report.  One bad company never aborts the batch; it becomes a
-failure entry in the report.  Output is fully deterministic for a fixed
+with one training-row count in one stack, and writes a company's four
+files at once, at its end; the calling process writes only the report.
+One bad company never aborts the batch; it becomes a failure entry in
+the report and leaves no file.  Output is fully deterministic for a fixed
 config and inputs, whatever the worker count (company order is
 stabilized by ticker, seeds are derived per company, a company's bits
 do not depend on which companies share its stack, no timestamps).
@@ -20,7 +21,7 @@ do not depend on which companies share its stack, no timestamps).
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import errno
 import json
 import math
@@ -29,7 +30,7 @@ import os
 import re
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from datetime import date
 from pathlib import Path
 
@@ -183,14 +184,19 @@ def logit_result_dict(ticker: str, fit: logit_mod.LogitFit, selected: list[str])
     }
 
 
+def company_files(ticker: str) -> list[str]:
+    """A company's four output files in write order; ``build`` writes the first two."""
+    return [f"datasets/{ticker}.csv", f"datasets/{ticker}.meta.json",
+            f"logit/{ticker}.json", f"models/{ticker}.json"]
+
+
 def dataset_files(dataset: ds_mod.LabeledDataset, info: dict) -> dict[str, str]:
-    """One built dataset's ``datasets/<ticker>.csv`` and
-    ``datasets/<ticker>.meta.json`` (the build's ``info``), name to text,
-    for ``write_outputs``."""
-    ticker = dataset.ticker
+    """One built dataset's CSV and its ``.meta.json`` sidecar (the build's
+    ``info``), name to text, for ``write_outputs``."""
+    csv_name, meta_name = company_files(dataset.ticker)[:2]
     return {
-        f"datasets/{ticker}.csv": ds_mod.dataset_csv_text(dataset),
-        f"datasets/{ticker}.meta.json": json_text({"ticker": ticker, **info}),
+        csv_name: ds_mod.dataset_csv_text(dataset),
+        meta_name: json_text({"ticker": dataset.ticker, **info}),
     }
 
 
@@ -229,6 +235,15 @@ def write_atomic(path: Path, text: str) -> None:
         temp.unlink(missing_ok=True)
 
 
+def remove_outputs(out_dir: Path, names: list[str]) -> None:
+    """Remove each of ``names`` under ``out_dir`` that is a regular file; a
+    directory or FIFO in the way stays, and so does a file that cannot go."""
+    for name in names:
+        with contextlib.suppress(OSError):
+            if (out_dir / name).is_file():
+                (out_dir / name).unlink()
+
+
 def make_output_dirs(output_dir: str | Path, *names: str) -> Path:
     """Create ``output_dir`` and its subdirectories ``names``, and return
     it; one that cannot be made is a ConfigError naming ``paths.output_dir``."""
@@ -244,14 +259,11 @@ def make_output_dirs(output_dir: str | Path, *names: str) -> Path:
 
 
 def _prepare(
-    ticker: str, path: Path, snapshots: list[MembershipSnapshot],
-    cfg: PipelineConfig, out_dir: Path,
-) -> tuple[dict, ds_mod.LabeledDataset, ds_mod.LabeledDataset]:
-    """Parse, build, fit the logit, select and split one company, then
-    write its ``datasets/`` and ``logit/`` files (only once all of that
-    succeeded, so a company that fails here leaves no file).  Returns
-    the report fields known before training, in report order, and the
-    network's (train, test) split."""
+    ticker: str, path: Path, snapshots: list[MembershipSnapshot], cfg: PipelineConfig
+) -> tuple[dict, dict[str, str], ds_mod.LabeledDataset, ds_mod.LabeledDataset]:
+    """Parse, build, fit the logit, select and split one company: its report
+    fields known before training, in report order, the texts of its
+    ``datasets/`` and ``logit/`` files, and the network's (train, test) split."""
     dataset, build_info = build_from_file(ticker, path, snapshots, cfg)
     fit, selected = fit_and_select(dataset, cfg.logit)
     # an empty selection trains on every column, as ``train`` without ``--features``
@@ -259,9 +271,7 @@ def _prepare(
     train_ds, test_ds = ds_mod.split_features(dataset, mlp_features, cfg.dataset.train_fraction)
 
     logit_doc = logit_result_dict(ticker, fit, selected)
-    write_outputs(out_dir, {
-        **dataset_files(dataset, build_info), f"logit/{ticker}.json": json_text(logit_doc),
-    })
+    files = {**dataset_files(dataset, build_info), company_files(ticker)[2]: json_text(logit_doc)}
     fields = {
         "ticker": ticker,
         "status": "ok",
@@ -276,21 +286,21 @@ def _prepare(
         "mlp_features": mlp_features,
         "seeds": company_seeds(cfg.mlp.seed, ticker),
     }
-    return fields, train_ds, test_ds
+    return fields, files, train_ds, test_ds
 
 
 def _finish(
-    fields: dict, test_ds: ds_mod.LabeledDataset, model: mlp_mod.NetworkModel,
+    fields: dict, files: dict, test_ds: ds_mod.LabeledDataset, model: mlp_mod.NetworkModel,
     loss_history: list[float], cfg: PipelineConfig, out_dir: Path,
 ) -> dict:
-    """Evaluate one trained company, write its ``models/`` file and return its
-    report entry.  A company that fails here keeps its ``_prepare`` files."""
+    """Evaluate one trained company, write its ``_prepare`` files and its
+    model in one ``write_outputs`` call, and return its report entry."""
     report = mlp_mod.evaluate(model, test_ds, cfg.mlp.threshold)
     ticker = fields["ticker"]
     model_doc = model_document(
         model, ticker, fields["seeds"], cfg, loss_history[-1], fields["mlp_features"]
     )
-    write_outputs(out_dir, {f"models/{ticker}.json": json_text(model_doc)})
+    write_outputs(out_dir, {**files, company_files(ticker)[3]: json_text(model_doc)})
     return {
         **fields,
         "hyperparameters": {
@@ -301,7 +311,7 @@ def _finish(
             "threshold": cfg.mlp.threshold,
         },
         "final_train_loss": loss_history[-1],
-        "eval": dataclasses.asdict(report),
+        "eval": report,
         "error": None,
     }
 
@@ -344,39 +354,38 @@ def _run_share(share: list[tuple[str, Path]]) -> list[dict]:
 
     Prepares each company, trains those with the same training-row
     count in one ``mlp.train_stack`` call, then evaluates each and
-    writes its ``models/`` file.  Returns their report entries,
-    failures included.
+    writes its four files.  Returns their entries, failures included.
     """
     snapshots, cfg, out_dir = _run
     entries: list[dict] = []
     stacks: dict[int, list[tuple]] = {}
     for ticker, path in share:
         try:
-            fields, train_ds, test_ds = _prepare(ticker, path, snapshots, cfg, out_dir)
+            fields, files, train_ds, test_ds = _prepare(ticker, path, snapshots, cfg)
         except Exception as exc:  # one company's fault must not stop the batch
             entries += _failed(exc, [ticker])
         else:
-            stacks.setdefault(train_ds.n_rows, []).append((fields, train_ds, test_ds))
+            stacks.setdefault(train_ds.n_rows, []).append((fields, files, train_ds, test_ds))
     sizes = [*cfg.mlp.hidden_sizes, 1]
     for stack in stacks.values():
         models = [
             mlp_mod.init_network([len(fields["mlp_features"]), *sizes], fields["seeds"]["init"])
-            for fields, _, _ in stack
+            for fields, *_ in stack
         ]
         try:
             outcomes = mlp_mod.train_stack(
-                models, [train_ds for _, train_ds, _ in stack], epochs=cfg.mlp.epochs,
+                models, [train_ds for *_, train_ds, _ in stack], epochs=cfg.mlp.epochs,
                 learning_rate=cfg.mlp.learning_rate, batch_size=cfg.mlp.batch_size,
-                seeds=[fields["seeds"]["train"] for fields, _, _ in stack],
+                seeds=[fields["seeds"]["train"] for fields, *_ in stack],
             )
         except Exception as exc:  # one stack's fault must not stop the batch
-            entries += _failed(exc, [fields["ticker"] for fields, _, _ in stack])
+            entries += _failed(exc, [fields["ticker"] for fields, *_ in stack])
             continue
-        for (fields, _, test_ds), model, outcome in zip(stack, models, outcomes):
+        for (fields, files, _, test_ds), model, outcome in zip(stack, models, outcomes):
             try:
                 if isinstance(outcome, TrainingDivergedError):
                     raise outcome
-                entries.append(_finish(fields, test_ds, model, outcome, cfg, out_dir))
+                entries.append(_finish(fields, files, test_ds, model, outcome, cfg, out_dir))
             except Exception as exc:  # one company's fault must not stop the batch
                 entries += _failed(exc, [fields["ticker"]])
     return entries
@@ -389,11 +398,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     per CPU, at most one per company: worker ``i`` of ``w`` gets
     ``panels[i::w]`` and takes it from panel file to report entry
     (``_run_share``).  A single worker runs in this process; more are
-    forked, and this process only waits for them and writes the report.
-    Per-company failures are recorded and skipped; zero successes raises
-    PipelineError, and an output directory that cannot be made or
-    written raises ConfigError.  Returns the report document (also
-    written as report.json and report.txt under the output directory).
+    forked, and this process waits for them and writes the report.
+    Per-company failures are recorded and skipped, and leave no file, not
+    even an earlier run's.  Zero successes or a dead worker raises
+    PipelineError; an output directory that cannot be made or written
+    raises ConfigError.  Returns the report document (also written as
+    report.json and report.txt under the output directory).
     """
     global _run
     cfg.validate()
@@ -411,9 +421,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             with ProcessPoolExecutor(workers, mp_context=fork) as pool:
                 shares = [panels[i::workers] for i in range(workers)]
                 results = [entry for part in pool.map(_run_share, shares) for entry in part]
+    except BrokenProcessPool as exc:
+        raise PipelineError("a worker process died, so no report was written") from exc
     finally:
         _run = ()
     results.sort(key=lambda r: r["ticker"])
+    for failed in (r for r in results if r["status"] == "failed"):
+        remove_outputs(out_dir, company_files(failed["ticker"]))
 
     ok = [r for r in results if r["status"] == "ok"]
     if not ok:

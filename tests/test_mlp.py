@@ -9,7 +9,6 @@ from pricedir.errors import TrainingDivergedError, ValidationError
 from pricedir.logit import sigmoid, sigmoid_into
 from pricedir.mlp import (
     OUTPUT_EPS,
-    EvalReport,
     NetworkModel,
     evaluate,
     init_network,
@@ -284,7 +283,7 @@ class TestTrain:
         model = init_network([2, 8, 1], seed=17)
         train_stack([model], [ds], epochs=500, learning_rate=0.5, batch_size=32, seeds=[18])
         report = evaluate(model, ds, 0.5)
-        assert report.accuracy >= 0.95
+        assert report["accuracy"] >= 0.95
 
     def test_divergence_reported_with_epoch(self):
         ds = make_ds([[1.0, 1.0]] * 8, [1] * 8)
@@ -449,8 +448,8 @@ class TestEvaluate:
         y = [1, 0, 1, 1, 0, 0]
         ds = make_ds([[0.1], [0.9], [0.4], [0.3], [0.8], [0.2]], y)
         report = evaluate(m, ds, 0.5)
-        assert report.false_neg == 0 and report.true_neg == 0
-        assert report.accuracy == pytest.approx(np.mean(y))
+        assert report["false_neg"] == 0 and report["true_neg"] == 0
+        assert report["accuracy"] == pytest.approx(np.mean(y))
 
     def test_hand_tallied_counts(self):
         # out = sigmoid(4x - 2): x=0 -> .119, x=.25 -> .269, x=.5 -> .5, x=1 -> .881
@@ -458,10 +457,10 @@ class TestEvaluate:
         X = [[0.0], [1.0], [0.5], [1.0], [0.0], [0.25]]
         y = [1, 1, 0, 1, 0, 0]
         report = evaluate(m, make_ds(X, y), 0.5)
-        assert (report.true_pos, report.true_neg) == (2, 2)
-        assert (report.false_pos, report.false_neg) == (1, 1)
-        assert report.accuracy == pytest.approx(4.0 / 6.0)
-        assert report.n_test == 6
+        assert (report["true_pos"], report["true_neg"]) == (2, 2)
+        assert (report["false_pos"], report["false_neg"]) == (1, 1)
+        assert report["accuracy"] == pytest.approx(4.0 / 6.0)
+        assert report["n_test"] == 6
 
     def test_threshold_monotonicity(self):
         model = init_network([3, 5, 1], seed=23)
@@ -470,7 +469,7 @@ class TestEvaluate:
         previous = None
         for threshold in [0.1, 0.3, 0.5, 0.7, 0.9]:
             report = evaluate(model, ds, threshold)
-            predicted_ones = report.true_pos + report.false_pos
+            predicted_ones = report["true_pos"] + report["false_pos"]
             if previous is not None:
                 assert predicted_ones <= previous
             previous = predicted_ones
@@ -480,7 +479,7 @@ class TestEvaluate:
         rng = np.random.default_rng(5)
         ds = make_ds(rng.random((25, 2)), rng.integers(0, 2, 25))
         r = evaluate(model, ds, 0.5)
-        assert r.true_pos + r.true_neg + r.false_pos + r.false_neg == r.n_test
+        assert r["true_pos"] + r["true_neg"] + r["false_pos"] + r["false_neg"] == r["n_test"]
 
     def test_threshold_range(self):
         model = init_network([1, 1], seed=0)

@@ -396,6 +396,16 @@ class TestLoadMembershipDir:
             f"{tmp_path / 'constituents_2002-01-11.csv'}, line 3: malformed ticker row 'B B'"
         )
 
+    def test_a_ticker_is_one_object_across_snapshots(self, tmp_path):
+        for day in ("2002-01-04", "2002-01-11"):
+            (tmp_path / f"constituents_{day}.csv").write_text(
+                f"# effective_date={day}\nticker\nAAA1\nBBB2\n"
+            )
+        first, second = (
+            [t for t in s.constituents if t == "AAA1"][0] for s in load_membership_dir(tmp_path)
+        )
+        assert first is second
+
 
 class TestRunPipeline:
     def test_report_structure_and_consistency(self, fixture):
@@ -422,6 +432,23 @@ class TestRunPipeline:
         assert (out / "datasets" / "C000.meta.json").is_file()
         assert (out / "logit" / "C000.json").is_file()
         assert (out / "models" / "C000.json").is_file()
+
+    def test_eval_record_layout(self, fixture, tmp_path, capsys):
+        """The report's ``eval`` record has these keys in this order, with
+        integer counts, and ``evaluate --out`` writes the same record."""
+        root, _ = fixture
+        cfg = small_config(root, "out_eval_layout")
+        cfg.tickers = ["C000"]
+        run_pipeline(cfg)
+        out = Path(cfg.paths.output_dir)
+        (entry,) = json.loads((out / "report.json").read_text())["companies"]
+        counts = ["true_pos", "true_neg", "false_pos", "false_neg"]
+        assert list(entry["eval"]) == ["n_test", "accuracy", *counts, "threshold"]
+        assert all(type(entry["eval"][key]) is int for key in ["n_test", *counts])
+        eval_file = tmp_path / "eval.json"
+        assert main(["evaluate", "--dataset", str(out / "datasets" / "C000.csv"),
+                     "--model", str(out / "models" / "C000.json"), "--out", str(eval_file)]) == 0
+        assert list(json.loads(eval_file.read_text()).items()) == list(entry["eval"].items())
 
     def test_byte_identical_reports_across_runs(self, fixture):
         root, _ = fixture
@@ -597,11 +624,73 @@ class TestWorkers:
             assert report["companies"][2]["error"] == "ZeroDivisionError: planted fault"
             assert "C002: unexpected error\nTraceback (most recent call last):" in err
             assert "ZeroDivisionError: planted fault" in err
-        # a company that fails after prepare keeps the files prepare wrote
+        # a company that fails in any phase leaves no file; the others keep theirs
         out = Path(cfg.paths.output_dir)
-        assert not (out / "models" / "C002.json").exists()
-        for name in ("datasets/C002.csv", "logit/C002.json"):
-            assert (out / name).exists() == (phase != "prepare"), name
+        assert sorted(f.name for f in out.rglob("C00*")) == sorted(
+            f"C00{i}{ext}" for i in (0, 1, 3) for ext in (".csv", ".meta.json", ".json", ".json")
+        )
+
+    @pytest.mark.parametrize("command", ["pipeline", "build"])
+    def test_rerun_removes_a_failed_companys_earlier_files(
+        self, fixture, tmp_path, capfd, command
+    ):
+        """A company that fails on a re-run into the same ``paths.output_dir``
+        loses the files an earlier run wrote for it; every other company's
+        files stay as they were."""
+        root, _ = fixture
+        panels = tmp_path / "panels"
+        shutil.copytree(root / "panels", panels)
+        out = tmp_path / "out"
+        argv = [
+            command,
+            "--paths.membership_dir", str(root / "membership"),
+            "--paths.panels_dir", str(panels),
+            "--paths.output_dir", str(out),
+            "--mlp.epochs", "2",
+        ]
+
+        def company_trees():
+            tree = output_tree(out)
+            c000 = {name for name in tree if "C000" in name}
+            return c000, {n: b for n, b in tree.items() if n not in c000 and "report" not in n}
+
+        assert main(argv) == 0
+        c000_before, others_before = company_trees()
+        assert len(c000_before) == (4 if command == "pipeline" else 2)
+        assert len(others_before) == 3 * len(c000_before)
+        header = (panels / "C000.csv").read_text().split("\n")[0]
+        (panels / "C000.csv").write_text(header + "\n")
+        assert main(argv) == (0 if command == "pipeline" else 2)
+        assert "Traceback" not in capfd.readouterr().err
+        assert company_trees() == (set(), others_before)
+        assert not list(out.rglob("C000*"))
+
+    def test_dead_worker_ends_the_run_with_exit_3(self, fixture, tmp_path, monkeypatch, capfd):
+        """A worker process that dies (here by ``os._exit`` while it prepares
+        C003) ends the run with exit 3 and a message, not a traceback, and
+        no report is written."""
+        parent = os.getpid()
+        real = pipeline_mod._prepare
+
+        def dying(ticker, *args):
+            if ticker == "C003" and os.getpid() != parent:
+                os._exit(1)
+            return real(ticker, *args)
+
+        monkeypatch.setattr(pipeline_mod, "_prepare", dying)
+        monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: 2)
+        root, _ = fixture
+        out = tmp_path / "out"
+        assert main([
+            "pipeline",
+            "--paths.membership_dir", str(root / "membership"),
+            "--paths.panels_dir", str(root / "panels"),
+            "--paths.output_dir", str(out),
+            "--mlp.epochs", "2",
+        ]) == 3
+        err = capfd.readouterr().err
+        assert err == "error: a worker process died, so no report was written\n"
+        assert not (out / "report.json").exists()
 
     def test_write_atomic_replaces_through_a_temp_file(self, tmp_path, monkeypatch):
         target = tmp_path / "report.txt"
@@ -1100,9 +1189,8 @@ class TestCli:
     def test_blocked_company_file_fails_that_company(self, fixture, tmp_path, capfd, blocked):
         """A directory in place of one company's output file fails that company
         with a message naming ``paths.output_dir`` and the file, and no
-        traceback; the other company runs, and the directory stays.  A
-        company that fails before training leaves no other file; one that
-        fails on its model file keeps its ``datasets/`` and ``logit/`` files."""
+        traceback; the other company runs, and the directory stays.  The
+        company leaves no other file, whichever of its files is blocked."""
         root, _ = fixture
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
@@ -1130,15 +1218,8 @@ class TestCli:
             assert captured.out == f"built C001: {c001['n_rows']} rows\n"
             assert (out / blocked).is_dir()
         assert not [f for f in out.rglob("*") if f.name.endswith(".tmp")]
-        c000_files = sorted(
-            str(f.relative_to(out)) for d in ("datasets", "logit") for f in (out / d).glob("C000*")
-        )
-        if blocked == "models/C000.json":
-            assert c000_files == [
-                "datasets/C000.csv", "datasets/C000.meta.json", "logit/C000.json"
-            ]
-        else:
-            assert c000_files == [blocked]
+        c000_files = [str(f.relative_to(out)) for f in out.rglob("C000*")]
+        assert c000_files == [blocked]
 
     def test_build_and_pipeline_write_identical_datasets(self, fixture, tmp_path, capsys):
         root, _ = fixture
