@@ -87,6 +87,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_cohort(args) -> int:
     snapshots = pipeline.load_membership_dir(args.membership_dir)
+    if not any(s.constituents for s in snapshots):
+        raise DataError(f"no membership file in {args.membership_dir} lists a ticker")
     doc = cohort_report(snapshots, args.per_group, args.seed, args.allow_deficient)
     _emit(doc, args.out)
     return 0
@@ -126,9 +128,7 @@ def _read_dataset(path: str) -> ds_mod.LabeledDataset:
 
 def _cmd_logit(args) -> int:
     cfg = _load_pipeline_config(args)
-    dataset = _read_dataset(args.dataset)
-    fit, selected = pipeline.fit_and_select(dataset, cfg.logit)
-    _emit(pipeline.logit_result_dict(dataset.ticker, fit, selected), args.out)
+    _emit(pipeline.fit_and_select(_read_dataset(args.dataset), cfg.logit), args.out)
     return 0
 
 

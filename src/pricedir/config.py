@@ -66,27 +66,22 @@ class PipelineConfig:
     tickers: Optional[list[str]] = None
 
     def validate(self) -> "PipelineConfig":
-        ds = self.dataset
-        if not 0.0 < ds.train_fraction < 1.0:
-            raise ConfigError("dataset.train_fraction must be in (0, 1)")
-        if not 0.0 <= ds.max_missing_fraction <= 1.0:
-            raise ConfigError("dataset.max_missing_fraction must be in [0, 1]")
-        logit = self.logit
-        if not 0.0 < logit.alpha <= 1.0:
-            raise ConfigError("logit.alpha must be in (0, 1]")
-        if not 0.0 < logit.tol < math.inf:
-            raise ConfigError("logit.tol must be finite and > 0")
-        if logit.max_iter < 1:
-            raise ConfigError("logit.max_iter must be >= 1")
-        mlp = self.mlp
-        if not 0.0 < mlp.threshold < 1.0:
-            raise ConfigError("mlp.threshold must be in (0, 1)")
-        if mlp.epochs < 1 or mlp.batch_size < 1 or not 0.0 <= mlp.learning_rate < math.inf:
-            raise ConfigError(
-                "mlp.epochs/batch_size must be >= 1, learning_rate finite and >= 0"
-            )
-        if any(h < 1 for h in mlp.hidden_sizes):
-            raise ConfigError("mlp.hidden_sizes must all be >= 1")
+        ds, logit, mlp = self.dataset, self.logit, self.mlp
+        for dotted, in_range, rule in (
+            ("dataset.train_fraction", 0.0 < ds.train_fraction < 1.0, "be in (0, 1)"),
+            ("dataset.max_missing_fraction", 0.0 <= ds.max_missing_fraction <= 1.0,
+             "be in [0, 1]"),
+            ("logit.alpha", 0.0 < logit.alpha <= 1.0, "be in (0, 1]"),
+            ("logit.tol", 0.0 < logit.tol < math.inf, "be finite and > 0"),
+            ("logit.max_iter", logit.max_iter >= 1, "be >= 1"),
+            ("mlp.threshold", 0.0 < mlp.threshold < 1.0, "be in (0, 1)"),
+            ("mlp.epochs", mlp.epochs >= 1, "be >= 1"),
+            ("mlp.batch_size", mlp.batch_size >= 1, "be >= 1"),
+            ("mlp.learning_rate", 0.0 <= mlp.learning_rate < math.inf, "be finite and >= 0"),
+            ("mlp.hidden_sizes", all(h >= 1 for h in mlp.hidden_sizes), "all be >= 1"),
+        ):
+            if not in_range:
+                raise ConfigError(f"{dotted} must {rule}")
         if self.target_mode not in (TARGET_DIRECTION, TARGET_MEMBERSHIP):
             raise ConfigError(
                 f"target_mode must be '{TARGET_DIRECTION}' or '{TARGET_MEMBERSHIP}'"
@@ -177,6 +172,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"config file {path}: cannot read ({exc.strerror or exc})") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path}: root must be a JSON object")
     return config_from_dict(data).validate()
 
 

@@ -47,19 +47,19 @@ class NetworkModel:
 
 def _check_sizes(sizes, what: str) -> list[int]:
     """``sizes`` as a list, if it is a list or tuple of positive integers
-    (``True`` is not one); else a ValidationError that names ``what``."""
-    if not isinstance(sizes, (list, tuple)) or any(type(s) is not int or s < 1 for s in sizes):
-        raise ValidationError(f"{what} must be a list of positive integers: {sizes!r}")
+    (``True`` is not one): an input layer, any hidden layers, and an output
+    layer of 1 unit.  Else a ValidationError that names ``what``."""
+    if (not isinstance(sizes, (list, tuple)) or len(sizes) < 2 or sizes[-1] != 1
+            or any(type(s) is not int or s < 1 for s in sizes)):
+        raise ValidationError(
+            f"{what} must be a list of two or more positive integers ending in 1: {sizes!r}"
+        )
     return list(sizes)
 
 
 def init_network(layer_sizes, seed: int) -> NetworkModel:
     """Seeded uniform init: weights in [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases 0."""
     sizes = _check_sizes(layer_sizes, "layer sizes")
-    if len(sizes) < 2:
-        raise ValidationError("need at least an input and an output layer")
-    if sizes[-1] != 1:
-        raise ValidationError("final layer must have exactly 1 unit")
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -400,10 +400,10 @@ def _model_arrays(data: dict, key: str) -> list[np.ndarray]:
 def model_from_dict(data: dict) -> NetworkModel:
     """Inverse of ``model_to_dict``; NetworkModel checks that the shapes chain.
 
-    ``layer_sizes`` must be a list of positive integers, and every weight
-    and bias a finite JSON number.  ``metadata``, when present, must be an
-    object, its ``features`` a list of column names and its
-    ``train_fraction`` a number in (0, 1).
+    ``layer_sizes`` must be a list of two or more positive integers ending
+    in 1 (one output unit), and every weight and bias a finite JSON number.
+    ``metadata``, when present, must be an object, its ``features`` a list
+    of column names and its ``train_fraction`` a number in (0, 1).
     """
     if not isinstance(data, dict):
         raise ValidationError("model document must be a JSON object")

@@ -74,11 +74,12 @@ def load_membership_dir(path: str | Path) -> list[MembershipSnapshot]:
     for name in sorted(name for name in os.listdir(path) if name.endswith(".csv")):
         file = path / name
         match = MEMBERSHIP_FILE_RE.match(name)
-        if not match:
+        try:  # no match, or a date that is not a day (2002-02-30)
+            requested = date.fromisoformat(match.group(1) if match else "")
+        except ValueError:
             raise DataError(
                 f"{file}: membership files must be named constituents_YYYY-MM-DD.csv"
-            )
-        requested = date.fromisoformat(match.group(1))
+            ) from None
         snapshots.append(
             parse_membership_file(read_input(file), requested, source=str(file))
         )
@@ -111,18 +112,43 @@ def build_from_file(
     return build_company_dataset(panel, snapshots, cfg)
 
 
-def fit_and_select(
-    dataset: ds_mod.LabeledDataset, logit_cfg: LogitConfig
-) -> tuple[logit_mod.LogitFit, list[str]]:
-    """Fit the logit on every feature and keep those with p < alpha."""
-    fit = logit_mod.fit_logit(
-        dataset.X,
-        dataset.y,
-        max_iter=logit_cfg.max_iter,
-        tol=logit_cfg.tol,
-        feature_names=dataset.feature_names,
-    )
-    return fit, logit_mod.select_features(fit, logit_cfg.alpha)
+def _json_float(value) -> float | None:
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
+def fit_and_select(dataset: ds_mod.LabeledDataset, logit_cfg: LogitConfig) -> dict:
+    """Fit the logit on every feature and keep those with p < alpha: the
+    ``logit/<ticker>.json`` document, its kept names under ``selected``.
+    A dataset the fit refuses is a DataError that names the dataset."""
+    try:
+        fit = logit_mod.fit_logit(
+            dataset.X,
+            dataset.y,
+            max_iter=logit_cfg.max_iter,
+            tol=logit_cfg.tol,
+            feature_names=dataset.feature_names,
+        )
+    except DataError as exc:
+        raise DataError(f"dataset {dataset.ticker}: {exc}") from exc
+    return {
+        "ticker": dataset.ticker,
+        "coefficients": [
+            {
+                "name": name,
+                "beta": _json_float(fit.beta[j]),
+                "std_err": _json_float(fit.std_err[j]),
+                "z": _json_float(fit.z_score[j]),
+                "p": _json_float(fit.p_value[j]),
+            }
+            for j, name in enumerate(fit.feature_names)
+        ],
+        "log_likelihood": _json_float(fit.log_likelihood),
+        "iterations": fit.iterations,
+        "converged": fit.converged,
+        "separation_detected": fit.separation_detected,
+        "selected": logit_mod.select_features(fit, logit_cfg.alpha),
+    }
 
 
 def company_seeds(mlp_seed: int, ticker: str) -> dict[str, int]:
@@ -156,32 +182,6 @@ def model_document(
             "features": features,
         },
     )
-
-
-def _json_float(value) -> float | None:
-    value = float(value)
-    return value if math.isfinite(value) else None
-
-
-def logit_result_dict(ticker: str, fit: logit_mod.LogitFit, selected: list[str]) -> dict:
-    return {
-        "ticker": ticker,
-        "coefficients": [
-            {
-                "name": name,
-                "beta": _json_float(fit.beta[j]),
-                "std_err": _json_float(fit.std_err[j]),
-                "z": _json_float(fit.z_score[j]),
-                "p": _json_float(fit.p_value[j]),
-            }
-            for j, name in enumerate(fit.feature_names)
-        ],
-        "log_likelihood": _json_float(fit.log_likelihood),
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-        "separation_detected": fit.separation_detected,
-        "selected": selected,
-    }
 
 
 def company_files(ticker: str) -> list[str]:
@@ -265,12 +265,12 @@ def _prepare(
     fields known before training, in report order, the texts of its
     ``datasets/`` and ``logit/`` files, and the network's (train, test) split."""
     dataset, build_info = build_from_file(ticker, path, snapshots, cfg)
-    fit, selected = fit_and_select(dataset, cfg.logit)
+    logit_doc = fit_and_select(dataset, cfg.logit)
+    selected = logit_doc["selected"]
     # an empty selection trains on every column, as ``train`` without ``--features``
     mlp_features = selected or dataset.feature_names
     train_ds, test_ds = ds_mod.split_features(dataset, mlp_features, cfg.dataset.train_fraction)
 
-    logit_doc = logit_result_dict(ticker, fit, selected)
     files = {**dataset_files(dataset, build_info), company_files(ticker)[2]: json_text(logit_doc)}
     fields = {
         "ticker": ticker,

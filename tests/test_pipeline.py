@@ -273,6 +273,13 @@ class TestConfig:
         not_utf8.write_bytes(b'{"mlp": {}}\xff')
         with pytest.raises(ConfigError):
             load_config(not_utf8)
+        # JSON whose root is not an object
+        not_object = tmp_path / "list.json"
+        not_object.write_text("[]")
+        assert main(["build", "--config", str(not_object)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config {not_object}: root must be a JSON object\n"
+        )
         # a file that exists but whose read fails, as a device file's may
         def unreadable(self, *args, **kwargs):
             raise OSError(errno.EIO, "Input/output error")
@@ -389,6 +396,15 @@ class TestLoadMembershipDir:
         )
         (tmp_path / "a.csv").unlink()
         (tmp_path / "z.csv").unlink()
+        # named like a membership file, but its date is not a day
+        (tmp_path / "constituents_2002-02-30.csv").write_text(
+            "# effective_date=2002-02-28\nticker\nAAA\n"
+        )
+        with pytest.raises(DataError) as info:
+            load_membership_dir(tmp_path)
+        assert str(info.value) == (f"{tmp_path / 'constituents_2002-02-30.csv'}: "
+                                   "membership files must be named constituents_YYYY-MM-DD.csv")
+        (tmp_path / "constituents_2002-02-30.csv").unlink()
         (tmp_path / "constituents_2002-01-11.csv").write_text("# effective_date=2002-01-11\nticker\nB B\n")
         with pytest.raises(DataError) as info:
             load_membership_dir(tmp_path)
@@ -894,7 +910,9 @@ class TestCli:
             short = tmp_path / f"short{n}.csv"
             short.write_text("\n".join(["date,y,f0,f1", *rows[:n]]) + "\n")
             assert main(["logit", "--dataset", str(short)]) == 2
-            assert capsys.readouterr().err == f"error: need n > m + 1 rows, have n={n}, m=2\n"
+            assert capsys.readouterr().err == (
+                f"error: dataset short{n}: need n > m + 1 rows, have n={n}, m=2\n"
+            )
             assert main(["train", "--dataset", str(short), "--out", str(tmp_path / "m.json")]) == 2
             assert capsys.readouterr().err == (
                 f"error: dataset short{n}: need at least 5 rows, have {n}\n"
@@ -904,6 +922,35 @@ class TestCli:
         assert main(["cohort", "--membership-dir", str(root / "membership"),
                      "--per-group", "10"]) == 2
         assert capsys.readouterr().err == "error: group 0 has 1 members, need 10\n"
+        # membership files that list no ticker
+        empty = tmp_path / "no_tickers"
+        empty.mkdir()
+        (empty / "constituents_2002-01-04.csv").write_text("# effective_date=2002-01-04\nticker\n")
+        assert main(["cohort", "--membership-dir", str(empty)]) == 2
+        assert capsys.readouterr().err == f"error: no membership file in {empty} lists a ticker\n"
+
+    def test_panels_that_give_no_dataset_exit_2(self, fixture, tmp_path, capsys):
+        """A panels directory without a panel file, and, in membership target
+        mode at ``dataset.max_missing_fraction`` 0, a panel in which every
+        feature column has a blank cell, are data errors that name them."""
+        root, _ = fixture
+        panels = tmp_path / "panels"
+        panels.mkdir()
+        base = ["--paths.membership_dir", str(root / "membership"),
+                "--paths.panels_dir", str(panels), "--paths.output_dir", str(tmp_path / "out"),
+                "--mlp.epochs", "2"]
+        assert main(["pipeline", *base]) == 2
+        assert capsys.readouterr().err == f"error: no panel files in {panels}\n"
+        header, first, second, *rest = (root / "panels" / "C000.csv").read_text().splitlines()
+        date, price, *features = second.split(",")
+        blanked = ",".join([date, price, *[""] * len(features)])
+        (panels / "C000.csv").write_text("\n".join([header, first, blanked, *rest]) + "\n")
+        sparse = [*base, "--target_mode", "membership", "--dataset.max_missing_fraction", "0"]
+        problem = "panel C000: every feature column was dropped"
+        assert main(["build", *sparse]) == 2
+        assert capsys.readouterr().err == f"error: C000: {problem}\n"
+        assert main(["pipeline", *sparse]) == 3
+        assert capsys.readouterr().err == f"error: no company succeeded (C000: {problem})\n"
 
     def test_diverging_train_exits_2(self, tmp_path, capsys):
         """A loss that turns non-finite exits 2 naming the epoch, and writes no model."""
@@ -968,7 +1015,7 @@ class TestCli:
         for rate in ("nan", "inf", "-inf"):
             assert main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "bad.json"),
                          "--mlp.epochs", "2", f"--mlp.learning_rate={rate}"]) == 1
-            assert "learning_rate finite and >= 0" in capsys.readouterr().err
+            assert "mlp.learning_rate must be finite and >= 0" in capsys.readouterr().err
         assert not (tmp_path / "bad.json").exists()
 
         assert main(["evaluate", "--dataset", str(dataset),
@@ -1090,6 +1137,13 @@ class TestCli:
                      id="layer-sizes-float"),
         pytest.param(EVALUATE, {**TINY_MODEL, "layer_sizes": [2, True]}, "'layer_sizes'",
                      id="layer-sizes-bool"),
+        pytest.param(EVALUATE, {**TINY_MODEL, "layer_sizes": [2], "weights": [], "biases": []},
+                     "'layer_sizes'", id="layer-sizes-no-output"),
+        pytest.param(EVALUATE, {**TINY_MODEL, "layer_sizes": [], "weights": [], "biases": []},
+                     "'layer_sizes'", id="layer-sizes-empty"),
+        pytest.param(EVALUATE, {**TINY_MODEL, "layer_sizes": [2, 3],
+                                "weights": [[[0.5, 0.5]] * 3], "biases": [[0.0] * 3]},
+                     "'layer_sizes'", id="layer-sizes-3-outputs"),
         pytest.param(["logit", "--dataset", "{data}", "--logit.alpha", "7"], TINY_MODEL,
                      "logit.alpha", id="logit-alpha"),
         pytest.param(["logit", "--dataset", "{data}", "--logit.tol", "nan"], TINY_MODEL,
@@ -1102,13 +1156,15 @@ class TestCli:
               ("tickers", ""), ("tickers", "[]"), ("tickers", "C000,"),
               ("tickers", "C000,C000"), ("dataset.lag_features", ""),
               ("dataset.lag_features", "total_return,total_return"),
-              ("dataset.price_column", ""),
+              ("dataset.price_column", ""), ("mlp.epochs", "0"), ("mlp.batch_size", "0"),
+              ("mlp.learning_rate", "-1"), ("mlp.threshold", "1"), ("mlp.hidden_sizes", "0"),
+              ("dataset.max_missing_fraction", "1.5"),
           )),
     ])
     def test_malformed_input_exits_1_naming_it(
         self, fixture, tiny_dataset, tmp_path, capsys, argv, model, named
     ):
-        """A malformed model file, a bad ``logit.*`` value, an empty or
+        """A malformed model file, a config value out of range, an empty or
         repeated name (ticker, lag feature, price column, network feature),
         a negative cohort seed or an unwritable ``--out`` (a missing
         directory, or a directory in the file's place) exits 1 with a
