@@ -28,6 +28,7 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
 )
+from .ingest import json_text
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -50,15 +51,23 @@ def _load_pipeline_config(args) -> PipelineConfig:
 def _emit(doc: dict, out: str | None) -> None:
     """Write ``doc`` as JSON to the ``--out`` file, or to stdout without one."""
     if not out:
-        sys.stdout.write(pipeline.json_text(doc))
+        sys.stdout.write(json_text(doc))
         return
     try:
-        pipeline.write_atomic(Path(out), pipeline.json_text(doc))
+        pipeline.write_atomic(Path(out), json_text(doc))
     except OSError as exc:
         raise ConfigError(f"--out {out}: cannot write ({exc.strerror or exc})") from exc
 
 
 def _cmd_synth(args) -> int:
+    if args.companies < 1:
+        raise ConfigError(f"--companies must be >= 1, got {args.companies}")
+    if args.weeks < 3:
+        raise ConfigError(f"--weeks must be >= 3, got {args.weeks}")
+    probabilities = {"--switch-prob": args.switch_prob, "--missing-prob": args.missing_prob}
+    for flag, value in probabilities.items():
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{flag} must be in [0, 1], got {value}")
     if args.signal_scale is not None and not math.isfinite(args.signal_scale):
         raise ConfigError(f"--signal-scale must be finite, got {args.signal_scale}")
     if args.signal_scale is not None and args.calibrate:
@@ -86,6 +95,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_cohort(args) -> int:
+    if args.per_group < 1:
+        raise ConfigError(f"--per-group must be >= 1, got {args.per_group}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     snapshots = pipeline.load_membership_dir(args.membership_dir)
     if not any(s.constituents for s in snapshots):
         raise DataError(f"no membership file in {args.membership_dir} lists a ticker")

@@ -174,7 +174,11 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path}: root must be a JSON object")
-    return config_from_dict(data).validate()
+    try:
+        config = config_from_dict(data)
+    except ConfigError as exc:  # an unknown key or a wrong type: name the file
+        raise ConfigError(f"config {path}: {exc}") from exc
+    return config.validate()
 
 
 def parse_flag_value(cls, name: str, text: str):

@@ -27,6 +27,7 @@ from .ingest import (
     CompanyPanel,
     MembershipSnapshot,
     parse_company_panel,
+    table_text,
 )
 
 MEMBERSHIP_COLUMN = "in_index"
@@ -331,12 +332,8 @@ def split_features(
 
 def dataset_csv_text(ds: LabeledDataset) -> str:
     """Serialize a labeled dataset as ``date,y,<feature...>`` CSV."""
-    out = io.StringIO()
-    # Feature names may need quoting; dates and float reprs never do.
-    csv.writer(out, lineterminator="\n").writerow(["date", LABEL_COLUMN] + ds.feature_names)
-    for day, label, row in zip(ds.dates, ds.y.tolist(), ds.X.tolist()):
-        out.write(",".join([day.isoformat(), str(int(label)), *map(repr, row)]) + "\n")
-    return out.getvalue()
+    columns = [ds.y.tolist(), *ds.X.T.tolist()]
+    return table_text([LABEL_COLUMN, *ds.feature_names], ds.dates, columns)
 
 
 def read_dataset_csv(content, ticker: str, source: str = "<dataset>") -> LabeledDataset:

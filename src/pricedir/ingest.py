@@ -1,4 +1,4 @@
-"""Parsers for the two raw inputs: weekly constituent lists and company panels.
+"""Readers for the two raw inputs, and the writers of pricedir's text files.
 
 Both inputs are plain UTF-8 CSV.  A constituent file starts with a
 ``# effective_date=YYYY-MM-DD`` comment line, then a ``ticker`` header,
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -232,15 +233,24 @@ def parse_company_panel(content, ticker: str, source: str = "<panel>") -> Compan
     return CompanyPanel(ticker, [dates[t] for t in order], dict(zip(names, table)))
 
 
+def table_text(names: list[str], dates: list[date], columns: list[list]) -> str:
+    """Panel, dataset and truth files' CSV: a ``date,<name...>`` header quoted where
+    needed, then per date its ISO date and each value's exact ``repr``, NaN as empty."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(["date", *names])
+    rows = zip(*columns) if columns else [()] * len(dates)
+    body = "".join([",".join([d.isoformat(), *map(repr, r)]) + "\n" for d, r in zip(dates, rows)])
+    # below the header only NaN's repr holds "nan" (a date or a number's repr is digits,
+    # ".", "e", "+", "-" or "inf"); the header keeps a column named "financials" intact
+    return out.getvalue() + body.replace("nan", "")
+
+
 def panel_file_text(panel: CompanyPanel) -> str:
     """Serialize a panel back into the panel CSV format (round-trip safe)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["date"] + panel.feature_names)
-    cells = [
-        ["" if math.isnan(v) else repr(v) for v in panel.columns[name].tolist()]
-        for name in panel.feature_names
-    ]
-    for t, day in enumerate(panel.dates):
-        writer.writerow([day.isoformat()] + [column[t] for column in cells])
-    return out.getvalue()
+    columns = [column.tolist() for column in panel.columns.values()]
+    return table_text(panel.feature_names, panel.dates, columns)
+
+
+def json_text(doc) -> str:
+    """``doc`` as indented JSON with a final newline, as pricedir writes every document."""
+    return json.dumps(doc, indent=2) + "\n"

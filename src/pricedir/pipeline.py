@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import errno
-import json
 import math
 import multiprocessing
 import os
@@ -49,7 +48,7 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from .ingest import MembershipSnapshot, parse_company_panel, parse_membership_file
+from .ingest import MembershipSnapshot, json_text, parse_company_panel, parse_membership_file
 from .synth import derive_seed
 
 MEMBERSHIP_FILE_RE = re.compile(r"^constituents_(\d{4}-\d{2}-\d{2})\.csv$")
@@ -198,11 +197,6 @@ def dataset_files(dataset: ds_mod.LabeledDataset, info: dict) -> dict[str, str]:
         csv_name: ds_mod.dataset_csv_text(dataset),
         meta_name: json_text({"ticker": dataset.ticker, **info}),
     }
-
-
-def json_text(doc) -> str:
-    """``doc`` as indented JSON with a final newline."""
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def write_outputs(out_dir: Path, files: dict[str, str]) -> None:

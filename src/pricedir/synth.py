@@ -15,7 +15,6 @@ seed by hashing, see ``derive_seed``.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -29,8 +28,10 @@ from .errors import ValidationError
 from .ingest import (
     CompanyPanel,
     MembershipSnapshot,
+    json_text,
     membership_file_text,
     panel_file_text,
+    table_text,
 )
 from .logit import sigmoid
 
@@ -315,6 +316,11 @@ def write_fixture(
     else:
         scale = 1.0 if signal_scale is None else signal_scale
     model = planted.scaled(scale)
+    # every company before the first write, so a refused argument leaves no file
+    generated = [
+        generate_company_panel(model, ticker, dts, vector, missing_prob, company_seed)
+        for ticker, dts, vector, company_seed in company_inputs
+    ]
 
     membership_dir = out / "membership"
     panels_dir = out / "panels"
@@ -328,21 +334,11 @@ def write_fixture(
 
     companies = []
     hits = total = 0
-    for ticker, dts, vector, company_seed in company_inputs:
-        company = generate_company_panel(
-            model, ticker, dts, vector, missing_prob, company_seed
-        )
-        (panels_dir / f"{ticker}.csv").write_text(
-            panel_file_text(company.panel), "utf-8"
-        )
-        lines = ["date,true_label,bayes_pred"]
-        lines.extend(
-            f"{d.isoformat()},{lbl},{pred}"
-            for d, lbl, pred in zip(
-                company.label_dates, company.true_labels, company.bayes_pred
-            )
-        )
-        (truth_dir / f"{ticker}.csv").write_text("\n".join(lines) + "\n", "utf-8")
+    for (ticker, *_, company_seed), company in zip(company_inputs, generated):
+        (panels_dir / f"{ticker}.csv").write_text(panel_file_text(company.panel), "utf-8")
+        truth_table = table_text(["true_label", "bayes_pred"], company.label_dates,
+                                [company.true_labels, company.bayes_pred])
+        (truth_dir / f"{ticker}.csv").write_text(truth_table, "utf-8")
         hits += company.bayes_hits
         total += len(company.true_labels)
         companies.append(
@@ -371,5 +367,5 @@ def write_fixture(
         "companies": companies,
         "generator": GENERATOR_NAME,
     }
-    (out / "truth.json").write_text(json.dumps(truth, indent=2) + "\n", "utf-8")
+    (out / "truth.json").write_text(json_text(truth), "utf-8")
     return truth

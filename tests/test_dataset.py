@@ -430,17 +430,18 @@ class TestAssembleDataset:
 
 class TestDatasetCsv:
     def test_header_quoted_rows_roundtrip(self):
-        X = np.array([[0.1, 1.0 / 3.0], [1.0, 5e-324]])
-        ds = LabeledDataset("A", weekly_dates(2), ["plain", "a,b"], X, np.array([1, 0]))
+        X = np.array([[0.1, 1.0 / 3.0, -0.0], [1.0, 5e-324, 1.7e308]])
+        names = ["plain", "a,b", "nan"]
+        ds = LabeledDataset("A", weekly_dates(2), names, X, np.array([1, 0]))
         text = dataset_csv_text(ds)
         assert text.splitlines() == [
-            'date,y,plain,"a,b"',
-            "2002-01-04,1,0.1,0.3333333333333333",
-            "2002-01-11,0,1.0,5e-324",
+            'date,y,plain,"a,b",nan',
+            "2002-01-04,1,0.1,0.3333333333333333,-0.0",
+            "2002-01-11,0,1.0,5e-324,1.7e+308",
         ]
         again = read_dataset_csv(text, "A")
-        assert again.feature_names == ["plain", "a,b"]
-        assert np.array_equal(again.X, X) and np.array_equal(again.y, ds.y)
+        assert again.feature_names == names
+        assert again.X.tobytes() == X.tobytes() and np.array_equal(again.y, ds.y)
 
     def test_no_feature_columns(self):
         ds = LabeledDataset("A", weekly_dates(2), [], np.empty((2, 0)), np.array([0, 1]))

@@ -1,4 +1,6 @@
 import csv
+import io
+import math
 import pickle
 from datetime import date, timedelta
 
@@ -26,6 +28,20 @@ from conftest import assert_panels_equal
 
 def membership_text(effective, tickers):
     return f"# effective_date={effective}\nticker\n" + "".join(t + "\n" for t in tickers)
+
+
+def reference_panel_text(panel):
+    """The panel writer as first written: ``csv.writer`` on every row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["date"] + panel.feature_names)
+    cells = [
+        ["" if math.isnan(v) else repr(v) for v in panel.columns[name].tolist()]
+        for name in panel.feature_names
+    ]
+    for t, day in enumerate(panel.dates):
+        writer.writerow([day.isoformat()] + [column[t] for column in cells])
+    return out.getvalue()
 
 
 def reference_ticker_rows(lines, source):
@@ -215,27 +231,37 @@ class TestParseCompanyPanel:
         assert str(back) == str(sent) == "p.csv, line 2, column 'price': non-numeric cell 'x'"
 
     @given(
-        data=st.lists(
-            st.tuples(
-                st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False, width=32)),
-                st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False, width=32)),
-            ),
-            min_size=1,
-            max_size=30,
-        )
+        names=st.lists(
+            st.sampled_from(["a", "a,b", 'say "hi"', "financials", "nan"]),
+            unique=True, max_size=5,
+        ),
+        n_rows=st.integers(min_value=1, max_value=30),
+        data=st.data(),
     )
-    def test_serialize_parse_roundtrip(self, data):
-        base = date(2002, 1, 4)
+    def test_serialize_parse_roundtrip(self, names, n_rows, data):
+        """The panel writer renders what the ``csv.writer`` version rendered,
+        for names that need quoting or contain ``nan`` and for any finite
+        float, and the reader gives the panel back bit for bit."""
+        cells = st.one_of(
+            st.none(),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.7e308, -1.7e308]),
+        )
         panel = CompanyPanel(
             "TST",
-            [base + timedelta(weeks=k) for k in range(len(data))],
-            {
-                "a": [row[0] for row in data],
-                "b": [row[1] for row in data],
-            },
+            [date(2002, 1, 4) + timedelta(weeks=k) for k in range(n_rows)],
+            {name: data.draw(st.lists(cells, min_size=n_rows, max_size=n_rows)) for name in names},
         )
-        again = parse_company_panel(panel_file_text(panel), "TST")
+        text = panel_file_text(panel)
+        assert text == reference_panel_text(panel)
+        if not names:  # the reader needs a feature column: a date-only file is refused
+            with pytest.raises(DataError, match="at least one feature column"):
+                parse_company_panel(text, "TST")
+            return
+        again = parse_company_panel(text, "TST")
         assert_panels_equal(again, panel)
+        for name in names:
+            assert again.columns[name].tobytes() == panel.columns[name].tobytes()
 
 
 class TestCompanyPanel:

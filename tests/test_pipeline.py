@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -280,6 +281,15 @@ class TestConfig:
         assert capsys.readouterr().err == (
             f"error: config {not_object}: root must be a JSON object\n"
         )
+        # an unknown key or a wrong type names the file as well as the field
+        bad_field = tmp_path / "bad_field.json"
+        for doc, message in (
+            ({"mlp": {"epochz": 1}}, "unknown config keys ['mlp.epochz']"),
+            ({"mlp": {"epochs": "x"}}, "config field 'mlp.epochs' must be int, got 'x'"),
+        ):
+            bad_field.write_text(json.dumps(doc))
+            assert main(["build", "--config", str(bad_field)]) == 1
+            assert capsys.readouterr().err == f"error: config {bad_field}: {message}\n"
         # a file that exists but whose read fails, as a device file's may
         def unreadable(self, *args, **kwargs):
             raise OSError(errno.EIO, "Input/output error")
@@ -1112,7 +1122,17 @@ class TestCli:
                      TINY_MODEL, "--out {taken}", id="cohort-out"),
         pytest.param(["cohort", "--membership-dir", "{membership}", "--per-group", "1",
                       "--allow-deficient", "--seed", "-1"],
-                     TINY_MODEL, "seed must be >= 0, got -1", id="cohort-negative-seed"),
+                     TINY_MODEL, "--seed must be >= 0, got -1", id="cohort-negative-seed"),
+        pytest.param(["cohort", "--membership-dir", "{membership}", "--per-group", "0"],
+                     TINY_MODEL, "--per-group must be >= 1, got 0", id="cohort-per-group-0"),
+        *(pytest.param(["synth", "--out", "{built}", "--companies", "2", "--weeks", "10", *flag],
+                       TINY_MODEL, named, id=f"synth{'='.join(flag)}")
+          for flag, named in (
+              (["--companies", "0"], "--companies must be >= 1, got 0"),
+              (["--weeks", "2"], "--weeks must be >= 3, got 2"),
+              (["--switch-prob", "2"], "--switch-prob must be in [0, 1], got 2.0"),
+              (["--missing-prob", "nan"], "--missing-prob must be in [0, 1], got nan"),
+          )),
         pytest.param(["train", "--dataset", "{data}", "--mlp.epochs", "1", "--features", "f0,f0",
                       "--out", "{taken}/model.json"],
                      TINY_MODEL, "dataset TINY: repeated columns ['f0']", id="train-features-repeat"),
@@ -1166,7 +1186,7 @@ class TestCli:
     ):
         """A malformed model file, a config value out of range, an empty or
         repeated name (ticker, lag feature, price column, network feature),
-        a negative cohort seed or an unwritable ``--out`` (a missing
+        a ``synth`` or ``cohort`` flag out of range or an unwritable ``--out`` (a missing
         directory, or a directory in the file's place) exits 1 with a
         message that names it, and leaves no file behind."""
         root, _ = fixture
@@ -1306,6 +1326,33 @@ class TestCli:
             panel = parse_company_panel((root / "panels" / f"{ticker}.csv").read_text(), ticker)
             _, info = build_company_dataset(panel, snapshots, cfg)
             assert meta == {"ticker": ticker, **info}
+
+    def test_fixture_and_built_datasets_have_pinned_bytes(self, tmp_path):
+        """A small uncalibrated fixture with missing cells, and the datasets
+        ``build`` makes from it, keep their exact bytes.  Neither step calls
+        BLAS: PCG64 draws, ``repr`` and elementwise numpy operations are all
+        there is, so the digests hold on any platform."""
+        fixture = tmp_path / "fixture"
+        write_fixture(fixture, n_companies=3, n_weeks=60, switch_prob=0.1, missing_prob=0.2,
+                      seed=5, planted=default_planted(), signal_scale=1.0)
+        assert main(["build", "--paths.membership_dir", str(fixture / "membership"),
+                     "--paths.panels_dir", str(fixture / "panels"),
+                     "--paths.output_dir", str(tmp_path / "built")]) == 0
+
+        def tree_digest(root):
+            # each file in path order: its relative path, a NUL, then its bytes
+            digest = hashlib.sha256()
+            for file in sorted(p for p in root.rglob("*") if p.is_file()):
+                digest.update(str(file.relative_to(root)).encode() + b"\0")
+                digest.update(file.read_bytes())
+            return digest.hexdigest()
+
+        assert tree_digest(fixture) == (
+            "6a9d2a495a54fc4bfac80fcd1a4d7fc2e64c8bc4a09821f30cd5b376b9a91b41"
+        )
+        assert tree_digest(tmp_path / "built" / "datasets") == (
+            "e770e9b56e063f1bf17e69914a63a93045b4622908388ff9d780e5d0bc058cd6"
+        )
 
     def test_build_fails_soft(self, fixture, tmp_path, capsys):
         root, _ = fixture

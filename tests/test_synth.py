@@ -245,6 +245,19 @@ class TestWriteFixture:
             )
             assert_panels_equal(panel, company.panel)
 
+    @pytest.mark.parametrize("weeks, missing_prob, message", [
+        (10, float("nan"), "missing_prob must be in"),
+        (2, 0.0, "need at least 3 weeks"),
+    ])
+    def test_refused_arguments_write_nothing(self, tmp_path, weeks, missing_prob, message):
+        """Every company is generated, and so every argument checked, before
+        the first directory or file is made."""
+        out = tmp_path / "fixture"
+        with pytest.raises(ValidationError, match=message):
+            write_fixture(out, n_companies=2, n_weeks=weeks, switch_prob=0.05,
+                          missing_prob=missing_prob, seed=7, planted=default_planted())
+        assert not out.exists()
+
     def test_truth_document_contents(self, tmp_path):
         truth = write_fixture(
             tmp_path, n_companies=2, n_weeks=30, switch_prob=0.05,
