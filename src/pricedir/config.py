@@ -175,10 +175,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config {path}: root must be a JSON object")
     try:
-        config = config_from_dict(data)
-    except ConfigError as exc:  # an unknown key or a wrong type: name the file
+        return config_from_dict(data).validate()
+    except ConfigError as exc:  # an unknown key, a wrong type or a range: name the file
         raise ConfigError(f"config {path}: {exc}") from exc
-    return config.validate()
 
 
 def parse_flag_value(cls, name: str, text: str):

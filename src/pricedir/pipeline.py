@@ -202,13 +202,11 @@ def dataset_files(dataset: ds_mod.LabeledDataset, info: dict) -> dict[str, str]:
 def write_outputs(out_dir: Path, files: dict[str, str]) -> None:
     """Write each ``name: text`` of ``files`` under ``out_dir`` (``write_atomic``).
     A file that cannot be written is a ConfigError naming ``paths.output_dir``
-    and ``name``, raised once the files written before it are removed."""
-    for i, (name, text) in enumerate(files.items()):
+    and ``name``; the files written before it stay for the caller's clean-up."""
+    for name, text in files.items():
         try:
             write_atomic(out_dir / name, text)
         except OSError as exc:
-            for written in list(files)[:i]:
-                (out_dir / written).unlink(missing_ok=True)
             raise ConfigError(
                 f"paths.output_dir {out_dir}: cannot write {name} ({exc.strerror})"
             ) from exc

@@ -219,9 +219,9 @@ def generate_company_panel(
     return SyntheticCompany(
         ticker=ticker,
         panel=panel,
-        true_labels=[int(l) for l in labels],
+        true_labels=labels.tolist(),
         design=design,
-        bayes_pred=[int(b) for b in bayes_pred],
+        bayes_pred=bayes_pred.tolist(),
     )
 
 

@@ -33,7 +33,7 @@ from pricedir.errors import (
 from pricedir import mlp as mlp_mod
 from pricedir import pipeline as pipeline_mod
 from pricedir.dataset import read_dataset_csv
-from pricedir.ingest import parse_company_panel
+from pricedir.ingest import panel_file_text, parse_company_panel
 from pricedir.pipeline import (
     build_company_dataset,
     load_membership_dir,
@@ -41,7 +41,13 @@ from pricedir.pipeline import (
     run_pipeline,
     write_atomic,
 )
-from pricedir.synth import default_planted, write_fixture
+from pricedir.synth import (
+    PlantedModel,
+    default_planted,
+    generate_company_panel,
+    membership_vector,
+    write_fixture,
+)
 
 from conftest import weekly_dates
 
@@ -286,6 +292,7 @@ class TestConfig:
         for doc, message in (
             ({"mlp": {"epochz": 1}}, "unknown config keys ['mlp.epochz']"),
             ({"mlp": {"epochs": "x"}}, "config field 'mlp.epochs' must be int, got 'x'"),
+            ({"mlp": {"epochs": 0}}, "mlp.epochs must be >= 1"),
         ):
             bad_field.write_text(json.dumps(doc))
             assert main(["build", "--config", str(bad_field)]) == 1
@@ -561,21 +568,38 @@ class TestRunPipeline:
         with pytest.raises(ConfigError):
             run_pipeline(cfg)
 
-    def test_empty_selection_falls_back_to_every_dataset_column(self, fixture):
+    def test_empty_selection_falls_back_to_every_dataset_column(self, fixture, tmp_path):
+        """An empty selection, forced on C000 by a tiny ``logit.alpha``, and
+        met at the default ``alpha`` by a C003 whose panel is pure noise."""
         root, _ = fixture
-        cfg = small_config(root, "out_fallback")
-        cfg.logit.alpha = 1e-12
-        cfg.tickers = ["C000"]
-        report = run_pipeline(cfg)
-        company = report["companies"][0]
-        assert company["fallback_used"]
-        assert company["selected"] == []
-        # what ``pricedir train`` builds without ``--features``
-        out = Path(cfg.paths.output_dir)
-        dataset = read_dataset_csv((out / "datasets" / "C000.csv").read_bytes(), "C000")
-        assert company["mlp_features"] == dataset.feature_names
-        model = json.loads((out / "models" / "C000.json").read_text())
-        assert model["layer_sizes"][0] == len(dataset.feature_names) > 4
+        forced = small_config(root, "out_fallback")
+        forced.logit.alpha = 1e-12
+        forced.tickers = ["C000"]
+        snapshots = load_membership_dir(root / "membership")
+        dates = [s.requested_date for s in snapshots]
+        noise = PlantedModel(0.0, {}, ["total_return", "noise_a", "noise_b"])
+        # seed 0's selection is empty; seeds 1-3 and 5-9 would do as well
+        panel = generate_company_panel(
+            noise, "C003", dates, membership_vector(snapshots, "C003"), 0.0, 0
+        ).panel
+        shutil.copytree(root / "panels", tmp_path / "panels")
+        (tmp_path / "panels" / "C003.csv").write_text(panel_file_text(panel))
+        pure_noise = small_config(root)
+        pure_noise.paths.panels_dir = str(tmp_path / "panels")
+        pure_noise.paths.output_dir = str(tmp_path / "out")
+        pure_noise.tickers = ["C003"]
+        for cfg in (forced, pure_noise):
+            report = run_pipeline(cfg)
+            company = report["companies"][0]
+            ticker = company["ticker"]
+            assert company["fallback_used"]
+            assert company["selected"] == []
+            # what ``pricedir train`` builds without ``--features``
+            out = Path(cfg.paths.output_dir)
+            dataset = read_dataset_csv((out / "datasets" / f"{ticker}.csv").read_bytes(), ticker)
+            assert company["mlp_features"] == dataset.feature_names
+            model = json.loads((out / "models" / f"{ticker}.json").read_text())
+            assert model["layer_sizes"][0] == len(dataset.feature_names) > 4
 
 
 def output_tree(out: Path) -> dict[str, bytes]:
@@ -1259,14 +1283,23 @@ class TestCli:
         assert blocker.is_dir() if blocked.endswith("/") else blocker.read_text() == "in the way"
         assert not [f for f in tmp_path.rglob("*") if f.name.endswith(".tmp")]
 
-    @pytest.mark.parametrize("blocked", [
-        "datasets/C000.csv", "datasets/C000.meta.json", "logit/C000.json", "models/C000.json",
+    # two workers fork, one runs in-process; the forked case's id is the file's name
+    @pytest.mark.parametrize("blocked, workers", [
+        pytest.param(blocked, workers, id=blocked + suffix)
+        for workers, suffix in ((2, ""), (1, "-in-process"))
+        for blocked in (
+            "datasets/C000.csv", "datasets/C000.meta.json", "logit/C000.json", "models/C000.json",
+        )
     ])
-    def test_blocked_company_file_fails_that_company(self, fixture, tmp_path, capfd, blocked):
+    def test_blocked_company_file_fails_that_company(
+        self, fixture, tmp_path, capfd, monkeypatch, blocked, workers
+    ):
         """A directory in place of one company's output file fails that company
         with a message naming ``paths.output_dir`` and the file, and no
         traceback; the other company runs, and the directory stays.  The
-        company leaves no other file, whichever of its files is blocked."""
+        company leaves no other file, whichever of its files is blocked,
+        whether it runs in-process or in a worker."""
+        monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: workers)
         root, _ = fixture
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
