@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from . import dataset as ds_mod
-from . import mlp as mlp_mod
 from . import pipeline
 from . import synth as synth_mod
 from .cohort import cohort_report
@@ -147,23 +146,16 @@ def _cmd_logit(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_pipeline_config(args)
-    mlp_cfg = cfg.mlp
     dataset = _read_dataset(args.dataset)
     features = dataset.feature_names
     if args.features:
         features = [f.strip() for f in args.features.split(",")]
     train_ds, _ = ds_mod.split_features(dataset, features, cfg.dataset.train_fraction)
-    seeds = pipeline.company_seeds(mlp_cfg.seed, dataset.ticker)
-    model = mlp_mod.init_network([len(features), *mlp_cfg.hidden_sizes, 1], seeds["init"])
-    (losses,) = mlp_mod.train_stack(
-        [model], [train_ds], mlp_cfg.epochs, mlp_cfg.learning_rate, mlp_cfg.batch_size,
-        [seeds["train"]],
-    )
-    if isinstance(losses, TrainingDivergedError):
-        raise losses
-    doc = pipeline.model_document(model, dataset.ticker, seeds, cfg, losses[-1], features)
+    (doc,) = pipeline.train_networks([train_ds], cfg)
+    if isinstance(doc, TrainingDivergedError):
+        raise doc
     _emit(doc, args.out)
-    sys.stdout.write(f"trained {dataset.ticker}: final loss {losses[-1]:.6f}\n")
+    sys.stdout.write(f"trained {dataset.ticker}: final loss {doc['metadata']['final_loss']:.6f}\n")
     return 0
 
 
@@ -171,16 +163,7 @@ def _cmd_evaluate(args) -> int:
     cfg = _load_pipeline_config(args)
     dataset = _read_dataset(args.dataset)
     model_doc = _read_json(args.model, "model")
-    model = mlp_mod.model_from_dict(model_doc)
-    metadata = model_doc.get("metadata", {})
-    features = metadata.get("features") or dataset.feature_names
-    missing = [name for name in features if name not in dataset.feature_names]
-    if missing:
-        raise DataError(f"{Path(args.dataset)}: missing the model's feature columns {missing}")
-    # the model's own split, so its training rows stay out of the test part
-    fraction = metadata.get("train_fraction", cfg.dataset.train_fraction)
-    _, test_ds = ds_mod.split_features(dataset, features, fraction)
-    report = mlp_mod.evaluate(model, test_ds, cfg.mlp.threshold)
+    report = pipeline.evaluate_model(model_doc, dataset, cfg, Path(args.dataset))
     _emit(report, args.out)
     sys.stdout.write(f"{dataset.ticker} | {report['accuracy'] * 100:.2f}%\n")
     return 0

@@ -3,8 +3,8 @@
 For every company panel: ingest, dataset build, logistic fit on all
 features, significance selection, network training on the selected
 features only, held-out evaluation.  Each stage is one public function
-(``build_from_file``, ``fit_and_select``, ``company_seeds``,
-``model_document``) that the step-by-step subcommands call too; the
+(``build_from_file``, ``fit_and_select``, ``train_networks``,
+``evaluate_model``) that the step-by-step subcommands call too; the
 dataset build itself, its order and its steps, is
 ``dataset.build_company_dataset``, and the network's columns, split into
 (train, test) by time, are ``dataset.split_features``.  The companies
@@ -150,37 +150,59 @@ def fit_and_select(dataset: ds_mod.LabeledDataset, logit_cfg: LogitConfig) -> di
     }
 
 
-def company_seeds(mlp_seed: int, ticker: str) -> dict[str, int]:
-    """A company's network seeds: ``init`` for the weights, ``train`` for the shuffle."""
-    return {
-        "init": derive_seed(mlp_seed, ticker, "init"),
-        "train": derive_seed(mlp_seed, ticker, "train"),
-    }
-
-
-def model_document(
-    model: mlp_mod.NetworkModel,
-    ticker: str,
-    seeds: dict[str, int],
-    cfg: PipelineConfig,
-    final_loss: float,
-    features: list[str],
-) -> dict:
-    """A trained company's ``models/<ticker>.json`` document."""
-    return mlp_mod.model_to_dict(
-        model,
-        metadata={
-            "ticker": ticker,
-            "init_seed": seeds["init"],
-            "shuffle_seed": seeds["train"],
-            "epochs": cfg.mlp.epochs,
-            "learning_rate": cfg.mlp.learning_rate,
-            "batch_size": cfg.mlp.batch_size,
-            "train_fraction": cfg.dataset.train_fraction,
-            "final_loss": final_loss,
-            "features": features,
-        },
+def train_networks(
+    train_sets: list[ds_mod.LabeledDataset], cfg: PipelineConfig
+) -> list[dict | TrainingDivergedError]:
+    """Train one network per training set in one ``mlp.train_stack`` call,
+    so the sets need equal row counts.  A company's input width is its
+    set's column count; its weight and shuffle seeds come from
+    ``cfg.mlp.seed`` and its ticker.  Returns each company's
+    ``models/<ticker>.json`` document, or its TrainingDivergedError."""
+    mlp = cfg.mlp
+    seeds = [[derive_seed(mlp.seed, ds.ticker, use) for use in ("init", "train")]
+             for ds in train_sets]
+    models = [mlp_mod.init_network([len(ds.feature_names), *mlp.hidden_sizes, 1], init)
+              for ds, (init, _) in zip(train_sets, seeds)]
+    outcomes = mlp_mod.train_stack(
+        models, train_sets, epochs=mlp.epochs, learning_rate=mlp.learning_rate,
+        batch_size=mlp.batch_size, seeds=[train for _, train in seeds],
     )
+    return [
+        outcome if isinstance(outcome, TrainingDivergedError) else mlp_mod.model_to_dict(
+            model,
+            metadata={
+                "ticker": ds.ticker,
+                "init_seed": init,
+                "shuffle_seed": train,
+                "epochs": mlp.epochs,
+                "learning_rate": mlp.learning_rate,
+                "batch_size": mlp.batch_size,
+                "train_fraction": cfg.dataset.train_fraction,
+                "final_loss": outcome[-1],
+                "features": ds.feature_names,
+            },
+        )
+        for ds, (init, train), model, outcome in zip(train_sets, seeds, models, outcomes)
+    ]
+
+
+def evaluate_model(
+    model_doc: dict, dataset: ds_mod.LabeledDataset, cfg: PipelineConfig, source: str | Path
+) -> dict:
+    """Score a ``models/<ticker>.json`` document on the test part of
+    ``dataset`` (read from ``source``): its ``eval`` record.  The model's
+    own ``features`` and ``train_fraction`` choose the columns and the
+    split, so its training rows stay out of the test part; a model without
+    them takes every column and the config's fraction."""
+    model = mlp_mod.model_from_dict(model_doc)
+    metadata = model_doc.get("metadata", {})
+    features = metadata.get("features") or dataset.feature_names
+    missing = [name for name in features if name not in dataset.feature_names]
+    if missing:
+        raise DataError(f"{source}: missing the model's feature columns {missing}")
+    fraction = metadata.get("train_fraction", cfg.dataset.train_fraction)
+    _, test_ds = ds_mod.split_features(dataset, features, fraction)
+    return mlp_mod.evaluate(model, test_ds, cfg.mlp.threshold)
 
 
 def company_files(ticker: str) -> list[str]:
@@ -255,7 +277,7 @@ def _prepare(
 ) -> tuple[dict, dict[str, str], ds_mod.LabeledDataset, ds_mod.LabeledDataset]:
     """Parse, build, fit the logit, select and split one company: its report
     fields known before training, in report order, the texts of its
-    ``datasets/`` and ``logit/`` files, and the network's (train, test) split."""
+    ``datasets/`` and ``logit/`` files, its dataset and the network's train part."""
     dataset, build_info = build_from_file(ticker, path, snapshots, cfg)
     logit_doc = fit_and_select(dataset, cfg.logit)
     selected = logit_doc["selected"]
@@ -276,25 +298,24 @@ def _prepare(
         "selected": selected,
         "fallback_used": not selected,
         "mlp_features": mlp_features,
-        "seeds": company_seeds(cfg.mlp.seed, ticker),
     }
-    return fields, files, train_ds, test_ds
+    return fields, files, dataset, train_ds
 
 
 def _finish(
-    fields: dict, files: dict, test_ds: ds_mod.LabeledDataset, model: mlp_mod.NetworkModel,
-    loss_history: list[float], cfg: PipelineConfig, out_dir: Path,
+    fields: dict, files: dict, dataset: ds_mod.LabeledDataset, model_doc: dict,
+    cfg: PipelineConfig, out_dir: Path,
 ) -> dict:
-    """Evaluate one trained company, write its ``_prepare`` files and its
-    model in one ``write_outputs`` call, and return its report entry."""
-    report = mlp_mod.evaluate(model, test_ds, cfg.mlp.threshold)
-    ticker = fields["ticker"]
-    model_doc = model_document(
-        model, ticker, fields["seeds"], cfg, loss_history[-1], fields["mlp_features"]
-    )
-    write_outputs(out_dir, {**files, company_files(ticker)[3]: json_text(model_doc)})
+    """Score one trained company's model document as ``evaluate`` does,
+    write its ``_prepare`` files and the document in one ``write_outputs``
+    call, and return its report entry."""
+    csv_name, *_, model_name = company_files(fields["ticker"])
+    report = evaluate_model(model_doc, dataset, cfg, out_dir / csv_name)
+    write_outputs(out_dir, {**files, model_name: json_text(model_doc)})
+    metadata = model_doc["metadata"]
     return {
         **fields,
+        "seeds": {"init": metadata["init_seed"], "train": metadata["shuffle_seed"]},
         "hyperparameters": {
             "hidden_sizes": list(cfg.mlp.hidden_sizes),
             "epochs": cfg.mlp.epochs,
@@ -302,7 +323,7 @@ def _finish(
             "batch_size": cfg.mlp.batch_size,
             "threshold": cfg.mlp.threshold,
         },
-        "final_train_loss": loss_history[-1],
+        "final_train_loss": metadata["final_loss"],
         "eval": report,
         "error": None,
     }
@@ -345,7 +366,7 @@ def _run_share(share: list[tuple[str, Path]]) -> list[dict]:
     """One worker's companies, from panel file to report entry.
 
     Prepares each company, trains those with the same training-row
-    count in one ``mlp.train_stack`` call, then evaluates each and
+    count in one ``train_networks`` call, then evaluates each and
     writes its four files.  Returns their entries, failures included.
     """
     snapshots, cfg, out_dir = _run
@@ -353,31 +374,22 @@ def _run_share(share: list[tuple[str, Path]]) -> list[dict]:
     stacks: dict[int, list[tuple]] = {}
     for ticker, path in share:
         try:
-            fields, files, train_ds, test_ds = _prepare(ticker, path, snapshots, cfg)
+            fields, files, dataset, train_ds = _prepare(ticker, path, snapshots, cfg)
         except Exception as exc:  # one company's fault must not stop the batch
             entries += _failed(exc, [ticker])
         else:
-            stacks.setdefault(train_ds.n_rows, []).append((fields, files, train_ds, test_ds))
-    sizes = [*cfg.mlp.hidden_sizes, 1]
+            stacks.setdefault(train_ds.n_rows, []).append((fields, files, dataset, train_ds))
     for stack in stacks.values():
-        models = [
-            mlp_mod.init_network([len(fields["mlp_features"]), *sizes], fields["seeds"]["init"])
-            for fields, *_ in stack
-        ]
         try:
-            outcomes = mlp_mod.train_stack(
-                models, [train_ds for *_, train_ds, _ in stack], epochs=cfg.mlp.epochs,
-                learning_rate=cfg.mlp.learning_rate, batch_size=cfg.mlp.batch_size,
-                seeds=[fields["seeds"]["train"] for fields, *_ in stack],
-            )
+            model_docs = train_networks([train_ds for *_, train_ds in stack], cfg)
         except Exception as exc:  # one stack's fault must not stop the batch
             entries += _failed(exc, [fields["ticker"] for fields, *_ in stack])
             continue
-        for (fields, files, _, test_ds), model, outcome in zip(stack, models, outcomes):
+        for (fields, files, dataset, _), model_doc in zip(stack, model_docs):
             try:
-                if isinstance(outcome, TrainingDivergedError):
-                    raise outcome
-                entries.append(_finish(fields, files, test_ds, model, outcome, cfg, out_dir))
+                if isinstance(model_doc, TrainingDivergedError):
+                    raise model_doc
+                entries.append(_finish(fields, files, dataset, model_doc, cfg, out_dir))
             except Exception as exc:  # one company's fault must not stop the batch
                 entries += _failed(exc, [fields["ticker"]])
     return entries

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -419,7 +420,10 @@ class TestTrainStack:
             (solo_error,) = train_stack([init_network(companies[1][1], seed=1)],
                                         [companies[1][0]], epochs=8, learning_rate=0.5,
                                         batch_size=16, seeds=[8])
-        assert str(solo_error) == "non-finite loss at epoch 4"
+        # the epoch of divergence depends on the BLAS kernel; that it is after epoch 1 does not
+        assert isinstance(solo_error, TrainingDivergedError)
+        match = re.fullmatch(r"non-finite loss at epoch (\d+)", str(solo_error))
+        assert match and 1 < int(match.group(1)) <= 8
         assert isinstance(results[1], TrainingDivergedError)
         assert str(results[1]) == str(solo_error)
         for i in (0, 2):

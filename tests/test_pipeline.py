@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 from pathlib import Path
 
@@ -634,20 +635,57 @@ class TestWorkers:
         assert len(trees[0]) == 2 + 4 * 4
         assert trees[0] == trees[1] == trees[2] == trees[3]
 
+    @pytest.mark.parametrize("edit", ["shuffle-panel-rows", "ticker-without-panel"])
+    def test_input_edits_that_change_no_output_byte(self, fixture, tmp_path, edit):
+        """Two exact metamorphic relations, each run in the same input and
+        output paths as the unedited inputs: shuffling the data rows of one
+        panel file, and listing a ticker that has no panel in every
+        membership file, leave every output file byte-identical."""
+        root, _ = fixture
+        inputs = tmp_path / "inputs"
+        for name in ("membership", "panels"):
+            shutil.copytree(root / name, inputs / name)
+        cfg = small_config(inputs)
+        cfg.mlp.epochs = 2
+        out = Path(cfg.paths.output_dir)
+
+        def run():
+            shutil.rmtree(out, ignore_errors=True)
+            run_pipeline(cfg)
+            return output_tree(out)
+
+        before = run()
+        if edit == "shuffle-panel-rows":
+            panel = inputs / "panels" / "C001.csv"
+            header, *rows = panel.read_text().splitlines(keepends=True)
+            shuffled = random.Random(7).sample(rows, len(rows))
+            assert shuffled != rows
+            panel.write_text(header + "".join(shuffled))
+        else:
+            for file in (inputs / "membership").glob("*.csv"):
+                file.write_text(file.read_text() + "ZZZ9\n")
+        assert len(before) == 2 + 4 * 4
+        assert run() == before
+
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("phase", ["prepare", "train", "diverge", "finish"])
+    @pytest.mark.parametrize("phase", ["prepare", "train", "diverge", "document", "finish"])
     def test_unexpected_exception_fails_one_company(
         self, fixture, monkeypatch, capfd, phase, workers
     ):
         # C002 is the only company with 124 training rows, so it trains
-        # alone; "diverge" is not a fault but a training outcome
+        # alone and a fault in "train" or "document" (``train_networks``
+        # fails the whole stack) fails it alone; "diverge" is not a fault
+        # but a training outcome
         module, name, is_c002 = {
             "prepare": (
                 pipeline_mod, "build_company_dataset", lambda panel, *_: panel.ticker == "C002"
             ),
             "train": (mlp_mod, "train_stack", lambda _, data, **__: len(data[0].y) == 124),
             "diverge": (mlp_mod, "train_stack", lambda _, data, **__: len(data[0].y) == 124),
-            "finish": (mlp_mod, "model_to_dict", lambda _, metadata: metadata["ticker"] == "C002"),
+            "document": (
+                mlp_mod, "model_to_dict", lambda _, metadata: metadata["ticker"] == "C002"
+            ),
+            "finish": (mlp_mod, "evaluate", lambda _, test_ds, *__: test_ds.ticker == "C002"),
         }[phase]
         real = getattr(module, name)
 
@@ -1124,6 +1162,9 @@ class TestCli:
         assert model_file.read_bytes() == (piped / "models" / "C000.json").read_bytes()
         (entry,) = json.loads((piped / "report.json").read_text())["companies"]
         assert eval_file.read_text() == json.dumps(entry["eval"], indent=2) + "\n"
+        metadata = json.loads(model_file.read_text())["metadata"]
+        assert entry["seeds"] == {"init": metadata["init_seed"], "train": metadata["shuffle_seed"]}
+        assert entry["final_train_loss"] == metadata["final_loss"]
 
     @pytest.mark.parametrize("argv, model, named", [
         pytest.param(EVALUATE, WIDE_MODEL, "model expects 3 features", id="model-width"),
