@@ -24,7 +24,6 @@ from .errors import (
     DataError,
     PipelineError,
     PricedirError,
-    TrainingDivergedError,
     ValidationError,
 )
 from .ingest import json_text
@@ -147,12 +146,10 @@ def _cmd_logit(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_pipeline_config(args)
     dataset = _read_dataset(args.dataset)
-    features = dataset.feature_names
-    if args.features:
-        features = [f.strip() for f in args.features.split(",")]
+    features = [f.strip() for f in args.features.split(",")] if args.features else []
     train_ds, _ = ds_mod.split_features(dataset, features, cfg.dataset.train_fraction)
     (doc,) = pipeline.train_networks([train_ds], cfg)
-    if isinstance(doc, TrainingDivergedError):
+    if isinstance(doc, Exception):
         raise doc
     _emit(doc, args.out)
     sys.stdout.write(f"trained {dataset.ticker}: final loss {doc['metadata']['final_loss']:.6f}\n")

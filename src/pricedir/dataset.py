@@ -298,13 +298,15 @@ def assemble_dataset(
 def split_features(
     ds: LabeledDataset, names: Sequence[str], train_fraction: float
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """The columns ``names`` of ``ds``, in that order, split into (train, test).
+    """The columns ``names`` of ``ds``, in that order, split into (train, test);
+    no ``names`` takes every column, in the dataset's order.
 
     The first ceil(fraction * n) rows train, the rest test; no shuffling.
     The ceiling is taken in exact decimal arithmetic so 0.8 of 450 rows
     is 360, not 361 from float round-up.  The chosen columns are copied
     once; both parts are row slices of that copy and of ``ds.y``.
     """
+    names = names or ds.feature_names
     missing = [n for n in names if n not in ds.feature_names]
     if missing:
         raise ValidationError(f"dataset {ds.ticker}: unknown columns {missing}")
@@ -346,11 +348,9 @@ def read_dataset_csv(content, ticker: str, source: str = "<dataset>") -> Labeled
     if LABEL_COLUMN not in panel.columns:
         raise DataError(f"{source}: missing {LABEL_COLUMN!r} column")
     labels = panel.column(LABEL_COLUMN)
-    if not np.isin(labels, (0.0, 1.0)).all():
-        raise DataError(f"{source}: {LABEL_COLUMN!r} must contain only 0 and 1")
     names = [n for n in panel.feature_names if n != LABEL_COLUMN]
     X = _matrix([panel.columns[n] for n in names], panel.n_rows)
-    if np.isnan(X).any():
+    if np.isnan(labels).any() or np.isnan(X).any():
         # the parse sorted the rows by date: read the file again for the line
         text = content if isinstance(content, str) else content.decode("utf-8")
         rows = csv.reader(io.StringIO(text))
@@ -359,4 +359,6 @@ def read_dataset_csv(content, ticker: str, source: str = "<dataset>") -> Labeled
             for name, cell in zip(header, row):
                 if cell == "":
                     raise DataError(f"{source}, line {lineno}, column {name!r}: empty cell")
+    if not np.isin(labels, (0.0, 1.0)).all():
+        raise DataError(f"{source}: {LABEL_COLUMN!r} must contain only 0 and 1")
     return LabeledDataset(ticker, panel.dates, names, X, labels.astype(int))

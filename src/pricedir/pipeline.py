@@ -11,7 +11,8 @@ dataset build itself, its order and its steps, is
 are dealt out once to one forked worker process per CPU.  Each worker
 takes its share from panel file to report entry, training its companies
 with one training-row count in one stack, and writes a company's four
-files at once, at its end; the calling process writes only the report.
+files at once, at its end, reading its report entry from those
+documents; the calling process writes only the report.
 One bad company never aborts the batch; it becomes a failure entry in
 the report and leaves no file.  Output is fully deterministic for a fixed
 config and inputs, whatever the worker count (company order is
@@ -152,12 +153,13 @@ def fit_and_select(dataset: ds_mod.LabeledDataset, logit_cfg: LogitConfig) -> di
 
 def train_networks(
     train_sets: list[ds_mod.LabeledDataset], cfg: PipelineConfig
-) -> list[dict | TrainingDivergedError]:
+) -> list[dict | Exception]:
     """Train one network per training set in one ``mlp.train_stack`` call,
     so the sets need equal row counts.  A company's input width is its
     set's column count; its weight and shuffle seeds come from
     ``cfg.mlp.seed`` and its ticker.  Returns each company's
-    ``models/<ticker>.json`` document, or its TrainingDivergedError."""
+    ``models/<ticker>.json`` document, or its TrainingDivergedError, or
+    the exception that building its document raised."""
     mlp = cfg.mlp
     seeds = [[derive_seed(mlp.seed, ds.ticker, use) for use in ("init", "train")]
              for ds in train_sets]
@@ -167,10 +169,13 @@ def train_networks(
         models, train_sets, epochs=mlp.epochs, learning_rate=mlp.learning_rate,
         batch_size=mlp.batch_size, seeds=[train for _, train in seeds],
     )
-    return [
-        outcome if isinstance(outcome, TrainingDivergedError) else mlp_mod.model_to_dict(
-            model,
-            metadata={
+    docs: list[dict | Exception] = []
+    for ds, (init, train), model, outcome in zip(train_sets, seeds, models, outcomes):
+        if isinstance(outcome, TrainingDivergedError):
+            docs.append(outcome)
+            continue
+        try:  # a fault in one company's document fails that company alone
+            docs.append(mlp_mod.model_to_dict(model, metadata={
                 "ticker": ds.ticker,
                 "init_seed": init,
                 "shuffle_seed": train,
@@ -180,10 +185,10 @@ def train_networks(
                 "train_fraction": cfg.dataset.train_fraction,
                 "final_loss": outcome[-1],
                 "features": ds.feature_names,
-            },
-        )
-        for ds, (init, train), model, outcome in zip(train_sets, seeds, models, outcomes)
-    ]
+            }))
+        except Exception as exc:
+            docs.append(exc)
+    return docs
 
 
 def evaluate_model(
@@ -196,7 +201,7 @@ def evaluate_model(
     them takes every column and the config's fraction."""
     model = mlp_mod.model_from_dict(model_doc)
     metadata = model_doc.get("metadata", {})
-    features = metadata.get("features") or dataset.feature_names
+    features = metadata.get("features", [])
     missing = [name for name in features if name not in dataset.feature_names]
     if missing:
         raise DataError(f"{source}: missing the model's feature columns {missing}")
@@ -274,47 +279,40 @@ def make_output_dirs(output_dir: str | Path, *names: str) -> Path:
 
 def _prepare(
     ticker: str, path: Path, snapshots: list[MembershipSnapshot], cfg: PipelineConfig
-) -> tuple[dict, dict[str, str], ds_mod.LabeledDataset, ds_mod.LabeledDataset]:
-    """Parse, build, fit the logit, select and split one company: its report
-    fields known before training, in report order, the texts of its
-    ``datasets/`` and ``logit/`` files, its dataset and the network's train part."""
+) -> tuple[ds_mod.LabeledDataset, dict, dict, ds_mod.LabeledDataset]:
+    """Parse, build, fit the logit, select and split one company: its
+    dataset, the build's info, its logit document and the train part of
+    the selected columns (of every column, when the logit keeps none)."""
     dataset, build_info = build_from_file(ticker, path, snapshots, cfg)
     logit_doc = fit_and_select(dataset, cfg.logit)
-    selected = logit_doc["selected"]
-    # an empty selection trains on every column, as ``train`` without ``--features``
-    mlp_features = selected or dataset.feature_names
-    train_ds, test_ds = ds_mod.split_features(dataset, mlp_features, cfg.dataset.train_fraction)
-
-    files = {**dataset_files(dataset, build_info), company_files(ticker)[2]: json_text(logit_doc)}
-    fields = {
-        "ticker": ticker,
-        "status": "ok",
-        "n_rows": dataset.n_rows,
-        "n_train": train_ds.n_rows,
-        "n_test": test_ds.n_rows,
-        "timespan": build_info["timespan"],
-        "dropped_columns": build_info["dropped_columns"],
-        "logit": logit_doc,
-        "selected": selected,
-        "fallback_used": not selected,
-        "mlp_features": mlp_features,
-    }
-    return fields, files, dataset, train_ds
+    train_ds, _ = ds_mod.split_features(dataset, logit_doc["selected"], cfg.dataset.train_fraction)
+    return dataset, build_info, logit_doc, train_ds
 
 
 def _finish(
-    fields: dict, files: dict, dataset: ds_mod.LabeledDataset, model_doc: dict,
+    dataset: ds_mod.LabeledDataset, build_info: dict, logit_doc: dict, model_doc: dict,
     cfg: PipelineConfig, out_dir: Path,
 ) -> dict:
     """Score one trained company's model document as ``evaluate`` does,
-    write its ``_prepare`` files and the document in one ``write_outputs``
-    call, and return its report entry."""
-    csv_name, *_, model_name = company_files(fields["ticker"])
+    write its four files in one ``write_outputs`` call, and return its
+    report entry, read from those documents and the ``eval`` record."""
+    csv_name, _, logit_name, model_name = company_files(dataset.ticker)
     report = evaluate_model(model_doc, dataset, cfg, out_dir / csv_name)
-    write_outputs(out_dir, {**files, model_name: json_text(model_doc)})
+    write_outputs(out_dir, {**dataset_files(dataset, build_info),
+                            logit_name: json_text(logit_doc), model_name: json_text(model_doc)})
     metadata = model_doc["metadata"]
     return {
-        **fields,
+        "ticker": dataset.ticker,
+        "status": "ok",
+        "n_rows": dataset.n_rows,
+        "n_train": dataset.n_rows - report["n_test"],
+        "n_test": report["n_test"],
+        "timespan": build_info["timespan"],
+        "dropped_columns": build_info["dropped_columns"],
+        "logit": logit_doc,
+        "selected": logit_doc["selected"],
+        "fallback_used": not logit_doc["selected"],
+        "mlp_features": metadata["features"],
         "seeds": {"init": metadata["init_seed"], "train": metadata["shuffle_seed"]},
         "hyperparameters": {
             "hidden_sizes": list(cfg.mlp.hidden_sizes),
@@ -374,24 +372,24 @@ def _run_share(share: list[tuple[str, Path]]) -> list[dict]:
     stacks: dict[int, list[tuple]] = {}
     for ticker, path in share:
         try:
-            fields, files, dataset, train_ds = _prepare(ticker, path, snapshots, cfg)
+            prepared = _prepare(ticker, path, snapshots, cfg)
         except Exception as exc:  # one company's fault must not stop the batch
             entries += _failed(exc, [ticker])
         else:
-            stacks.setdefault(train_ds.n_rows, []).append((fields, files, dataset, train_ds))
+            stacks.setdefault(prepared[-1].n_rows, []).append(prepared)
     for stack in stacks.values():
         try:
             model_docs = train_networks([train_ds for *_, train_ds in stack], cfg)
         except Exception as exc:  # one stack's fault must not stop the batch
-            entries += _failed(exc, [fields["ticker"] for fields, *_ in stack])
+            entries += _failed(exc, [dataset.ticker for dataset, *_ in stack])
             continue
-        for (fields, files, dataset, _), model_doc in zip(stack, model_docs):
+        for (dataset, build_info, logit_doc, _), model_doc in zip(stack, model_docs):
             try:
-                if isinstance(model_doc, TrainingDivergedError):
+                if isinstance(model_doc, Exception):
                     raise model_doc
-                entries.append(_finish(fields, files, dataset, model_doc, cfg, out_dir))
+                entries.append(_finish(dataset, build_info, logit_doc, model_doc, cfg, out_dir))
             except Exception as exc:  # one company's fault must not stop the batch
-                entries += _failed(exc, [fields["ticker"]])
+                entries += _failed(exc, [dataset.ticker])
     return entries
 
 

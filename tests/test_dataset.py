@@ -521,6 +521,12 @@ class TestSplitFeatures:
             assert not np.shares_memory(part.X, ds.X)
             assert part.X.flags.c_contiguous
 
+    def test_no_names_take_every_column_in_dataset_order(self):
+        ds = self.build()
+        train, test = split_features(ds, [], 0.8)
+        assert train.feature_names == test.feature_names == ["a", "b", "c"]
+        np.testing.assert_array_equal(np.vstack([train.X, test.X]), ds.X)
+
     def test_unknown_and_repeated_columns_refused(self):
         ds = self.build()
         with pytest.raises(ValidationError) as info:

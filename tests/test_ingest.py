@@ -312,6 +312,8 @@ MEMBERSHIP_HEAD = "# effective_date=2002-01-04\nticker\n"
     ("panel", "date,price\n2002-01-04,x\n", "p.csv, line 2, column 'price': non-numeric cell 'x'"),
     ("dataset", "date,x,a\n2002-01-04,1,0.5\n", "d.csv: missing 'y' column"),
     ("dataset", "date,y,a\n2002-01-04,2,0.5\n", "d.csv: 'y' must contain only 0 and 1"),
+    ("dataset", "date,y,a\n2002-01-04,1,0.5\n2002-01-11,,0.25\n",
+     "d.csv, line 3, column 'y': empty cell"),
     # the line in file order, though the row comes first by date
     ("dataset", "date,y,a,b\n2002-01-11,1,0.5,0.25\n2002-01-04,0,,0.5\n",
      "d.csv, line 3, column 'a': empty cell"),

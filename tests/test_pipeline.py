@@ -7,6 +7,8 @@ import json
 import os
 import random
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -607,6 +609,32 @@ def output_tree(out: Path) -> dict[str, bytes]:
     return {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
 
 
+# Runs the pipeline on the fixture at ``argv[1]`` into ``argv[2]``, 20
+# epochs, in this one process, and prints as JSON the OpenBLAS kernel it
+# ran on (None when numpy's own OpenBLAS is not found) and the report's
+# companies.
+KERNEL_CHILD = """
+import ctypes, json, sys
+from pathlib import Path
+import numpy
+from pricedir import pipeline
+from pricedir.config import PipelineConfig
+root, out = map(Path, sys.argv[1:])
+cfg = PipelineConfig()
+cfg.paths.membership_dir, cfg.paths.panels_dir = str(root / "membership"), str(root / "panels")
+cfg.paths.output_dir = str(out)
+cfg.mlp.epochs = 20
+pipeline._cpu_count = lambda: 1  # no worker forks
+companies = pipeline.run_pipeline(cfg)["companies"]
+corename = None
+for lib in (Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
+    get = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+    get.restype = ctypes.c_char_p
+    corename = get().decode()
+print(json.dumps({"corename": corename, "companies": companies}))
+"""
+
+
 class TestWorkers:
     def test_outputs_do_not_depend_on_worker_count(self, fixture, tmp_path, monkeypatch):
         # C000, C001 and C003 share 128 training rows, C002 has 124 and BAD
@@ -667,15 +695,84 @@ class TestWorkers:
         assert len(before) == 2 + 4 * 4
         assert run() == before
 
+    @pytest.mark.parametrize("edit", ["scale-a-column", "leave-a-company-out",
+                                      "add-a-sparse-column"])
+    def test_input_edits_with_an_exact_effect(self, fixture, tmp_path, edit):
+        """Three exact metamorphic relations, each run in the same input and
+        output paths as the unedited inputs.  Multiplying every ``sentiment``
+        cell of one panel by 4 changes only that column's raw range in its
+        ``.meta.json``, exactly 4 times; leaving a company out of ``tickers``
+        keeps every other company's files; a column with a value in only
+        every third row of one panel is dropped, and changes only that
+        company's ``dropped_columns``."""
+        root, _ = fixture
+        inputs = tmp_path / "inputs"
+        for name in ("membership", "panels"):
+            shutil.copytree(root / name, inputs / name)
+        cfg = small_config(inputs)
+        cfg.mlp.epochs = 2
+        out = Path(cfg.paths.output_dir)
+
+        def run():
+            shutil.rmtree(out, ignore_errors=True)
+            run_pipeline(cfg)
+            return output_tree(out)
+
+        def edit_panel(ticker, edit_row):
+            panel = inputs / "panels" / f"{ticker}.csv"
+            header, *lines = panel.read_text().splitlines()
+            rows = [edit_row(k, dict(zip(header.split(","), line.split(","))))
+                    for k, line in enumerate(lines)]
+            text = [",".join(rows[0].keys()), *(",".join(row.values()) for row in rows)]
+            panel.write_text("\n".join(text) + "\n")
+
+        def times_4(_, row):
+            if row["sentiment"]:
+                row["sentiment"] = repr(float(row["sentiment"]) * 4)
+            return row
+
+        before = run()
+        if edit == "scale-a-column":
+            edit_panel("C000", times_4)
+        elif edit == "leave-a-company-out":
+            cfg.tickers = ["C000", "C001", "C003"]
+        else:
+            edit_panel("C001", lambda k, row: {**row, "sparse": "0.5" if k % 3 == 0 else ""})
+        after = run()
+        changed = {name for name in before.keys() | after.keys()
+                   if before.get(name) != after.get(name)}
+        if edit == "scale-a-column":
+            assert changed == {"datasets/C000.meta.json"}
+            old, new = (json.loads(tree["datasets/C000.meta.json"]) for tree in (before, after))
+            for key in ("raw_min", "raw_max"):
+                assert new["columns"]["sentiment"][key] == 4 * old["columns"]["sentiment"][key]
+                new["columns"]["sentiment"][key] = old["columns"]["sentiment"][key]
+            assert new == old
+        elif edit == "leave-a-company-out":
+            assert changed == {"report.json", "report.txt", *pipeline_mod.company_files("C002")}
+            assert not [name for name in after if "C002" in name]
+        else:
+            assert changed == {"datasets/C001.meta.json", "report.json"}
+            docs = [(json.loads(tree["datasets/C001.meta.json"]),
+                     json.loads(tree["report.json"])["companies"][1]) for tree in (before, after)]
+            (old_meta, old_entry), (new_meta, new_entry) = docs
+            assert new_meta["dropped_columns"] == [*old_meta["dropped_columns"], "sparse"]
+            assert new_entry["dropped_columns"] == new_meta["dropped_columns"]
+            assert {**new_meta, "dropped_columns": old_meta["dropped_columns"]} == old_meta
+            new_report = json.loads(after["report.json"])
+            new_report["companies"][1]["dropped_columns"] = old_entry["dropped_columns"]
+            assert new_report == json.loads(before["report.json"])
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("phase", ["prepare", "train", "diverge", "document", "finish"])
     def test_unexpected_exception_fails_one_company(
         self, fixture, monkeypatch, capfd, phase, workers
     ):
         # C002 is the only company with 124 training rows, so it trains
-        # alone and a fault in "train" or "document" (``train_networks``
-        # fails the whole stack) fails it alone; "diverge" is not a fault
-        # but a training outcome
+        # alone and a fault in "train" (a ``train_stack`` fault fails the
+        # whole stack) fails it alone; a "document" fault fails only its
+        # company, in any stack (see the next test); "diverge" is not a
+        # fault but a training outcome
         module, name, is_c002 = {
             "prepare": (
                 pipeline_mod, "build_company_dataset", lambda panel, *_: panel.ticker == "C002"
@@ -717,6 +814,73 @@ class TestWorkers:
         assert sorted(f.name for f in out.rglob("C00*")) == sorted(
             f"C00{i}{ext}" for i in (0, 1, 3) for ext in (".csv", ".meta.json", ".json", ".json")
         )
+
+    def test_document_fault_fails_one_company_of_its_stack(self, fixture, monkeypatch, capfd):
+        """C000 trains in one stack with C001 and C003 (128 training rows
+        each): a fault while building C000's model document fails C000
+        alone, and the others keep their four files."""
+        real = mlp_mod.model_to_dict
+
+        def faulty(model, metadata):
+            if metadata["ticker"] == "C000":
+                raise ZeroDivisionError("planted fault")
+            return real(model, metadata)
+
+        monkeypatch.setattr(mlp_mod, "model_to_dict", faulty)
+        monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: 1)
+        root, _ = fixture
+        cfg = small_config(root, "out_fault_shared_document")
+        cfg.mlp.epochs = 2
+        report = run_pipeline(cfg)
+        assert [(c["ticker"], c["status"], c.get("n_train")) for c in report["companies"]] == [
+            ("C000", "failed", None), ("C001", "ok", 128), ("C002", "ok", 124), ("C003", "ok", 128)
+        ]
+        assert report["companies"][0]["error"] == "ZeroDivisionError: planted fault"
+        assert "C000: unexpected error\nTraceback (most recent call last):" in capfd.readouterr().err
+        out = Path(cfg.paths.output_dir)
+        assert sorted(f.name for f in out.rglob("C00*")) == sorted(
+            f"C00{i}{ext}" for i in (1, 2, 3) for ext in (".csv", ".meta.json", ".json", ".json")
+        )
+
+    def test_kernel_independent_outputs_match_under_an_older_blas_kernel(self, fixture, tmp_path):
+        """Output bytes hold for one OpenBLAS kernel and numpy SIMD level;
+        across them the datasets, the selections and the statuses stay the
+        same.  One run has the default environment, the other the Nehalem
+        kernel forced and this CPU's dispatched numpy SIMD levels off."""
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        except ImportError:  # numpy 1
+            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        root, _ = fixture
+        src = str(Path(pipeline_mod.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        simd_on = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+        forced = {"OPENBLAS_CORETYPE": "Nehalem", "NPY_DISABLE_CPU_FEATURES": " ".join(simd_on)}
+        runs = {}
+        for name, extra in (("forced", forced), ("default", {})):
+            proc = subprocess.run(
+                [sys.executable, "-c", KERNEL_CHILD, str(root), str(tmp_path / name)],
+                env={**env, **extra}, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[name] = json.loads(proc.stdout)
+            if runs["forced"]["corename"] != "Nehalem":
+                pytest.skip(f"OPENBLAS_CORETYPE=Nehalem ran on {runs['forced']['corename']!r}: "
+                            "numpy's own OpenBLAS is missing or not an x86 DYNAMIC_ARCH build")
+        keys = ("ticker", "status", "selected", "fallback_used", "n_rows", "n_train", "n_test")
+        forced_run, default_run = (
+            [{key: company.get(key) for key in keys} for company in runs[name]["companies"]]
+            for name in ("forced", "default")
+        )
+        assert [company["status"] for company in default_run] == ["ok"] * 4
+        assert forced_run == default_run
+        forced_datasets, default_datasets = (
+            {n: data for n, data in output_tree(tmp_path / name).items() if n.startswith("datasets/")}
+            for name in ("forced", "default")
+        )
+        assert len(default_datasets) == 2 * 4
+        assert forced_datasets == default_datasets
 
     @pytest.mark.parametrize("command", ["pipeline", "build"])
     def test_rerun_removes_a_failed_companys_earlier_files(
