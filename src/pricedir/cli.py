@@ -160,7 +160,10 @@ def _cmd_evaluate(args) -> int:
     cfg = _load_pipeline_config(args)
     dataset = _read_dataset(args.dataset)
     model_doc = _read_json(args.model, "model")
-    report = pipeline.evaluate_model(model_doc, dataset, cfg, Path(args.dataset))
+    try:  # a ValidationError here is the model document's: its faults and its width
+        report = pipeline.evaluate_model(model_doc, dataset, cfg, Path(args.dataset))
+    except ValidationError as exc:
+        raise ValidationError(f"model file {args.model}: {exc}") from exc
     _emit(report, args.out)
     sys.stdout.write(f"{dataset.ticker} | {report['accuracy'] * 100:.2f}%\n")
     return 0

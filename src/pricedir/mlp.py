@@ -403,7 +403,8 @@ def model_from_dict(data: dict) -> NetworkModel:
     ``layer_sizes`` must be a list of two or more positive integers ending
     in 1 (one output unit), and every weight and bias a finite JSON number.
     ``metadata``, when present, must be an object, its ``features`` a list
-    of column names and its ``train_fraction`` a number in (0, 1).
+    of column names (none, or one distinct name per input) and its
+    ``train_fraction`` a number in (0, 1).
     """
     if not isinstance(data, dict):
         raise ValidationError("model document must be a JSON object")
@@ -421,6 +422,10 @@ def model_from_dict(data: dict) -> NetworkModel:
     features = metadata.get("features", [])
     if not (isinstance(features, list) and all(isinstance(f, str) for f in features)):
         raise ValidationError("model metadata key 'features' must be a list of strings")
+    width = model.layer_sizes[0]
+    if features and (len(features) != width or len(set(features)) < width):
+        raise ValidationError(f"model metadata key 'features' must name {width} distinct "
+                              f"columns, got {features}")
     if "train_fraction" in metadata:  # absent: evaluate splits at the config's
         fraction = metadata["train_fraction"]
         if not (isinstance(fraction, float) and 0 < fraction < 1):

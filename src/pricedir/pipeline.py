@@ -9,10 +9,10 @@ dataset build itself, its order and its steps, is
 ``dataset.build_company_dataset``, and the network's columns, split into
 (train, test) by time, are ``dataset.split_features``.  The companies
 are dealt out once to one forked worker process per CPU.  Each worker
-takes its share from panel file to report entry, training its companies
-with one training-row count in one stack, and writes a company's four
-files at once, at its end, reading its report entry from those
-documents; the calling process writes only the report.
+takes its share from panel file to report entry, training all its
+companies in one ``train_networks`` call (one stack per row count), and
+writes a company's four files at once, at its end, reading its report
+entry from those documents; the calling process writes only the report.
 One bad company never aborts the batch; it becomes a failure entry in
 the report and leaves no file.  Output is fully deterministic for a fixed
 config and inputs, whatever the worker count (company order is
@@ -28,6 +28,7 @@ import math
 import multiprocessing
 import os
 import re
+import stat
 import sys
 import traceback
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -57,8 +58,11 @@ MEMBERSHIP_FILE_RE = re.compile(r"^constituents_(\d{4}-\d{2}-\d{2})\.csv$")
 
 def read_input(path: Path) -> bytes:
     """The bytes of an input file; one that cannot be read (a directory
-    in its place, say) is a DataError that names it."""
+    in its place, say) is a DataError that names it.  So is a FIFO or a
+    device, refused before it is opened: reading a FIFO would block."""
     try:
+        if stat.S_IFMT(path.stat().st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
+            raise DataError(f"{path}: cannot read (not a regular file)")
         return path.read_bytes()
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from exc
@@ -154,41 +158,51 @@ def fit_and_select(dataset: ds_mod.LabeledDataset, logit_cfg: LogitConfig) -> di
 def train_networks(
     train_sets: list[ds_mod.LabeledDataset], cfg: PipelineConfig
 ) -> list[dict | Exception]:
-    """Train one network per training set in one ``mlp.train_stack`` call,
-    so the sets need equal row counts.  A company's input width is its
-    set's column count; its weight and shuffle seeds come from
-    ``cfg.mlp.seed`` and its ticker.  Returns each company's
-    ``models/<ticker>.json`` document, or its TrainingDivergedError, or
-    the exception that building its document raised."""
+    """Train one network per training set, one ``mlp.train_stack`` call per
+    row count (in first-seen order).  A company's input width is its set's
+    column count; its weight and shuffle seeds come from ``cfg.mlp.seed``
+    and its ticker.  Returns one outcome per set, in input order: its
+    ``models/<ticker>.json`` document, or the exception that stopped it
+    (its TrainingDivergedError, a fault in its document, or a fault in its
+    stack's seeds, init or training, which each company there gets)."""
     mlp = cfg.mlp
-    seeds = [[derive_seed(mlp.seed, ds.ticker, use) for use in ("init", "train")]
-             for ds in train_sets]
-    models = [mlp_mod.init_network([len(ds.feature_names), *mlp.hidden_sizes, 1], init)
-              for ds, (init, _) in zip(train_sets, seeds)]
-    outcomes = mlp_mod.train_stack(
-        models, train_sets, epochs=mlp.epochs, learning_rate=mlp.learning_rate,
-        batch_size=mlp.batch_size, seeds=[train for _, train in seeds],
-    )
-    docs: list[dict | Exception] = []
-    for ds, (init, train), model, outcome in zip(train_sets, seeds, models, outcomes):
-        if isinstance(outcome, TrainingDivergedError):
-            docs.append(outcome)
+    stacks: dict[int, list[int]] = {}
+    for i, ds in enumerate(train_sets):
+        stacks.setdefault(ds.n_rows, []).append(i)
+    outcomes: dict[int, dict | Exception] = {}  # by position: tickers may repeat
+    for stack in stacks.values():
+        sets = [train_sets[i] for i in stack]
+        try:
+            seeds = [[derive_seed(mlp.seed, ds.ticker, use) for use in ("init", "train")]
+                     for ds in sets]
+            models = [mlp_mod.init_network([len(ds.feature_names), *mlp.hidden_sizes, 1], init)
+                      for ds, (init, _) in zip(sets, seeds)]
+            losses = mlp_mod.train_stack(
+                models, sets, epochs=mlp.epochs, learning_rate=mlp.learning_rate,
+                batch_size=mlp.batch_size, seeds=[train for _, train in seeds],
+            )
+        except Exception as exc:  # a fault in the shared part fails the whole stack
+            outcomes.update(dict.fromkeys(stack, exc))
             continue
-        try:  # a fault in one company's document fails that company alone
-            docs.append(mlp_mod.model_to_dict(model, metadata={
-                "ticker": ds.ticker,
-                "init_seed": init,
-                "shuffle_seed": train,
-                "epochs": mlp.epochs,
-                "learning_rate": mlp.learning_rate,
-                "batch_size": mlp.batch_size,
-                "train_fraction": cfg.dataset.train_fraction,
-                "final_loss": outcome[-1],
-                "features": ds.feature_names,
-            }))
-        except Exception as exc:
-            docs.append(exc)
-    return docs
+        for i, ds, (init, train), model, loss in zip(stack, sets, seeds, models, losses):
+            if isinstance(loss, TrainingDivergedError):
+                outcomes[i] = loss
+                continue
+            try:  # a fault in one company's document fails that company alone
+                outcomes[i] = mlp_mod.model_to_dict(model, metadata={
+                    "ticker": ds.ticker,
+                    "init_seed": init,
+                    "shuffle_seed": train,
+                    "epochs": mlp.epochs,
+                    "learning_rate": mlp.learning_rate,
+                    "batch_size": mlp.batch_size,
+                    "train_fraction": cfg.dataset.train_fraction,
+                    "final_loss": loss[-1],
+                    "features": ds.feature_names,
+                })
+            except Exception as exc:
+                outcomes[i] = exc
+    return [outcomes[i] for i in range(len(train_sets))]
 
 
 def evaluate_model(
@@ -340,56 +354,45 @@ def _cpu_count() -> int:
         return 1
 
 
-def _failed(exc: Exception, tickers: list[str]) -> list[dict]:
-    """The report entries of the companies that this exception stopped.
+def _failed(exc: Exception, ticker: str) -> dict:
+    """The report entry of a company that this exception stopped.
 
     A PricedirError describes bad input and is its own error text.  Any
     other exception is a fault in the program: its traceback goes to
-    stderr and the text names its type.  Only the entries cross back
+    stderr and the text names its type.  Only the entry crosses back
     from a worker, so the report does not depend on how an exception
     pickles.
     """
     if isinstance(exc, PricedirError):
         error = str(exc)
     else:
-        sys.stderr.write(
-            f"{', '.join(tickers)}: unexpected error\n"
-            + "".join(traceback.format_exception(exc))
-        )
+        trace = "".join(traceback.format_exception(exc))
+        sys.stderr.write(f"{ticker}: unexpected error\n{trace}")
         error = f"{type(exc).__name__}: {exc}"
-    return [{"ticker": ticker, "status": "failed", "error": error} for ticker in tickers]
+    return {"ticker": ticker, "status": "failed", "error": error}
 
 
 def _run_share(share: list[tuple[str, Path]]) -> list[dict]:
-    """One worker's companies, from panel file to report entry.
-
-    Prepares each company, trains those with the same training-row
-    count in one ``train_networks`` call, then evaluates each and
-    writes its four files.  Returns their entries, failures included.
-    """
+    """One worker's companies, from panel file to report entry, failures
+    included: each is prepared, all train in one ``train_networks`` call,
+    then each is evaluated and writes its four files."""
     snapshots, cfg, out_dir = _run
     entries: list[dict] = []
-    stacks: dict[int, list[tuple]] = {}
+    prepared = []
     for ticker, path in share:
         try:
-            prepared = _prepare(ticker, path, snapshots, cfg)
+            prepared.append(_prepare(ticker, path, snapshots, cfg))
         except Exception as exc:  # one company's fault must not stop the batch
-            entries += _failed(exc, [ticker])
-        else:
-            stacks.setdefault(prepared[-1].n_rows, []).append(prepared)
-    for stack in stacks.values():
-        try:
-            model_docs = train_networks([train_ds for *_, train_ds in stack], cfg)
-        except Exception as exc:  # one stack's fault must not stop the batch
-            entries += _failed(exc, [dataset.ticker for dataset, *_ in stack])
+            entries.append(_failed(exc, ticker))
+    outcomes = train_networks([train_ds for *_, train_ds in prepared], cfg)
+    for (dataset, build_info, logit_doc, _), outcome in zip(prepared, outcomes):
+        if isinstance(outcome, Exception):  # not raised: a stack's companies share it
+            entries.append(_failed(outcome, dataset.ticker))
             continue
-        for (dataset, build_info, logit_doc, _), model_doc in zip(stack, model_docs):
-            try:
-                if isinstance(model_doc, Exception):
-                    raise model_doc
-                entries.append(_finish(dataset, build_info, logit_doc, model_doc, cfg, out_dir))
-            except Exception as exc:  # one company's fault must not stop the batch
-                entries += _failed(exc, [dataset.ticker])
+        try:
+            entries.append(_finish(dataset, build_info, logit_doc, outcome, cfg, out_dir))
+        except Exception as exc:  # one company's fault must not stop the batch
+            entries.append(_failed(exc, dataset.ticker))
     return entries
 
 

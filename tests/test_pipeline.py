@@ -35,8 +35,8 @@ from pricedir.errors import (
 )
 from pricedir import mlp as mlp_mod
 from pricedir import pipeline as pipeline_mod
-from pricedir.dataset import read_dataset_csv
-from pricedir.ingest import panel_file_text, parse_company_panel
+from pricedir.dataset import direction_labels, read_dataset_csv
+from pricedir.ingest import CompanyPanel, panel_file_text, parse_company_panel
 from pricedir.pipeline import (
     build_company_dataset,
     load_membership_dir,
@@ -604,6 +604,42 @@ class TestRunPipeline:
             model = json.loads((out / "models" / f"{ticker}.json").read_text())
             assert model["layer_sizes"][0] == len(dataset.feature_names) > 4
 
+    def test_edge_case_companies_run_end_to_end(self, fixture, tmp_path):
+        """C000 gains a column that equals each row's label, so the logit
+        sees perfect separation; C001 gains a copy of its ``sentiment``
+        column, so the information matrix is singular.  Both still train
+        and score.  Whether the singular solve raises, and so whether the
+        ridge retry runs, depends on the LAPACK kernel, and with it the
+        collinear fit's ``converged`` and ``separation_detected``: those
+        two are left unpinned, and the copies are selected together or not
+        at all."""
+        root, _ = fixture
+        panels = tmp_path / "panels"
+        shutil.copytree(root / "panels", panels)
+
+        def add_column(ticker, name, values):
+            panel = parse_company_panel((panels / f"{ticker}.csv").read_bytes(), ticker)
+            columns = {**panel.columns, name: values(panel)}
+            (panels / f"{ticker}.csv").write_text(
+                panel_file_text(CompanyPanel(ticker, panel.dates, columns))
+            )
+
+        add_column("C000", "leak", lambda panel: direction_labels(panel, "price"))
+        add_column("C001", "sentiment_copy", lambda panel: panel.columns["sentiment"])
+        cfg = small_config(root)
+        cfg.paths.panels_dir = str(panels)
+        cfg.paths.output_dir = str(tmp_path / "out")
+        cfg.mlp.epochs = 2
+        report = run_pipeline(cfg)
+        assert [c["status"] for c in report["companies"]] == ["ok"] * 4
+        flags = {c["ticker"]: (c["logit"]["converged"], c["logit"]["separation_detected"],
+                               c["fallback_used"]) for c in report["companies"]}
+        assert flags["C000"] == (False, True, True)
+        assert flags["C001"][2] is False
+        assert flags["C002"] == flags["C003"] == (True, False, False)
+        selected = report["companies"][1]["selected"]
+        assert ("sentiment" in selected) == ("sentiment_copy" in selected)
+
 
 def output_tree(out: Path) -> dict[str, bytes]:
     return {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
@@ -840,6 +876,39 @@ class TestWorkers:
         out = Path(cfg.paths.output_dir)
         assert sorted(f.name for f in out.rglob("C00*")) == sorted(
             f"C00{i}{ext}" for i in (1, 2, 3) for ext in (".csv", ".meta.json", ".json", ".json")
+        )
+
+    def test_stack_fault_fails_each_company_of_its_stack(self, fixture, monkeypatch, capfd):
+        """A ``train_stack`` fault in the stack of C000, C001 and C003 (128
+        training rows each) fails those three, each with its own traceback
+        on stderr; C002 (124 rows) trains in its own stack and keeps its
+        four files."""
+        real = mlp_mod.train_stack
+
+        def faulty(models, datasets, **kwargs):
+            if len(datasets[0].y) == 128:
+                raise ZeroDivisionError("planted fault")
+            return real(models, datasets, **kwargs)
+
+        monkeypatch.setattr(mlp_mod, "train_stack", faulty)
+        monkeypatch.setattr(pipeline_mod, "_cpu_count", lambda: 1)
+        root, _ = fixture
+        cfg = small_config(root, "out_fault_shared_stack")
+        cfg.mlp.epochs = 2
+        report = run_pipeline(cfg)
+        assert [(c["ticker"], c["status"]) for c in report["companies"]] == [
+            ("C000", "failed"), ("C001", "failed"), ("C002", "ok"), ("C003", "failed")
+        ]
+        for i in (0, 1, 3):
+            assert report["companies"][i]["error"] == "ZeroDivisionError: planted fault"
+        err = capfd.readouterr().err
+        for ticker in ("C000", "C001", "C003"):
+            assert err.count(f"{ticker}: unexpected error\nTraceback (most recent call last):") == 1
+        assert err.count("unexpected error") == 3
+        assert err.count("ZeroDivisionError: planted fault") == 3
+        out = Path(cfg.paths.output_dir)
+        assert sorted(f.name for f in out.rglob("C00*")) == sorted(
+            f"C002{ext}" for ext in (".csv", ".meta.json", ".json", ".json")
         )
 
     def test_kernel_independent_outputs_match_under_an_older_blas_kernel(self, fixture, tmp_path):
@@ -1369,7 +1438,14 @@ class TestCli:
                       "--out", "{taken}/model.json"],
                      TINY_MODEL, "dataset TINY: unknown columns ['f9']", id="train-features-unknown"),
         pytest.param(EVALUATE, {**TINY_MODEL, "metadata": {"features": ["f0", "f0"]}},
-                     "dataset TINY: repeated columns ['f0']", id="evaluate-features-repeat"),
+                     "model file {model}: model metadata key 'features' must name 2 distinct "
+                     "columns, got ['f0', 'f0']", id="evaluate-features-repeat"),
+        pytest.param(EVALUATE, {**TINY_MODEL, "metadata": {"features": ["f0"]}},
+                     "model file {model}: model metadata key 'features' must name 2 distinct "
+                     "columns, got ['f0']", id="evaluate-features-cut"),
+        pytest.param(EVALUATE, {**TINY_MODEL, "metadata": {"train_fraction": 1}},
+                     "model file {model}: model metadata key 'train_fraction'",
+                     id="evaluate-train-fraction-names-the-model"),
         pytest.param(EVALUATE, {**TINY_MODEL, "weights": [[[float("nan"), 0.5]]]}, "'weights'",
                      id="weights-not-finite"),
         pytest.param(EVALUATE, {**TINY_MODEL, "biases": [[float("inf")]]}, "'biases'",
@@ -1662,6 +1738,39 @@ class TestCli:
             assert main(argv) == 2
             err = capfd.readouterr().err
             assert err.startswith(f"error: {panels / 'ZZZ.csv'}: cannot read (Is a directory)")
+
+    def test_fifo_in_place_of_input_file_is_a_data_error(self, fixture, tmp_path):
+        """A FIFO among the panels, the membership files or as a step's
+        dataset is refused unopened, so the command exits 2 naming it
+        instead of waiting for a writer.  Each command runs in one child
+        process under a timeout, so a hang fails the test and leaves no
+        process behind."""
+        root, _ = fixture
+        panels, membership = tmp_path / "panels", tmp_path / "membership"
+        shutil.copytree(root / "panels", panels)
+        shutil.copytree(root / "membership", membership)
+        src = str(Path(pipeline_mod.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def run(*argv):
+            proc = subprocess.run([sys.executable, "-m", "pricedir.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            return proc.returncode, proc.stderr
+
+        build = ["build", "--paths.membership_dir", str(membership),
+                 "--paths.panels_dir", str(panels), "--paths.output_dir", str(tmp_path / "out")]
+        os.mkfifo(panels / "ZZZ.csv")
+        code, err = run(*build)
+        assert code == 2
+        assert err == f"error: ZZZ: {panels / 'ZZZ.csv'}: cannot read (not a regular file)\n"
+        assert len(list((tmp_path / "out" / "datasets").iterdir())) == 2 * 4
+        code, err = run("logit", "--dataset", str(panels / "ZZZ.csv"))
+        assert (code, err) == (2, f"error: {panels / 'ZZZ.csv'}: cannot read (not a regular file)\n")
+        fifo = membership / "constituents_2099-01-01.csv"
+        os.mkfifo(fifo)
+        code, err = run(*build)
+        assert (code, err) == (2, f"error: {fifo}: cannot read (not a regular file)\n")
 
     def test_cohort_subcommand(self, fixture, capsys):
         root, _ = fixture
