@@ -8,7 +8,6 @@ error, 3 pipeline error (no company succeeded, or a worker died).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -26,7 +25,7 @@ from .errors import (
     PricedirError,
     ValidationError,
 )
-from .ingest import json_text
+from .ingest import json_text, read_input, read_json
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -82,8 +81,9 @@ def _cmd_synth(args) -> int:
             signal_scale=args.signal_scale,
             calibrate=args.calibrate,
         )
-    except OSError as exc:
-        raise ConfigError(f"--out {args.out}: cannot write ({exc.strerror or exc})") from exc
+    except OSError as exc:  # name the path when the error does: the one in the way, say
+        where = f" {exc.filename}" if exc.filename else ""
+        raise ConfigError(f"--out {args.out}: cannot write{where} ({exc.strerror or exc})") from exc
     sys.stdout.write(
         f"wrote {truth['n_weeks']} membership weeks and "
         f"{truth['n_companies']} panels under {args.out}\n"
@@ -124,17 +124,9 @@ def _cmd_build(args) -> int:
     return 2 if failed else 0
 
 
-def _read_json(path: str, what: str):
-    file = Path(path)
-    try:
-        return json.loads(pipeline.read_input(file).decode("utf-8"))
-    except ValueError as exc:
-        raise DataError(f"{what} file {file} is not valid JSON: {exc}") from exc
-
-
 def _read_dataset(path: str) -> ds_mod.LabeledDataset:
     file = Path(path)
-    return ds_mod.read_dataset_csv(pipeline.read_input(file), file.stem, source=str(file))
+    return ds_mod.read_dataset_csv(read_input(file), file.stem, source=str(file))
 
 
 def _cmd_logit(args) -> int:
@@ -159,7 +151,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = _load_pipeline_config(args)
     dataset = _read_dataset(args.dataset)
-    model_doc = _read_json(args.model, "model")
+    model_doc = read_json(Path(args.model), "model")
     try:  # a ValidationError here is the model document's: its faults and its width
         report = pipeline.evaluate_model(model_doc, dataset, cfg, Path(args.dataset))
     except ValidationError as exc:
@@ -177,7 +169,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = _read_json(args.input, "report")
+    report = read_json(Path(args.input), "report")
     try:
         text = pipeline.render_report(report, args.format)
     except DataError as exc:

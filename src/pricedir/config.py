@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .ingest import read_json
 
 ENV_CONFIG_VAR = "PRICEDIR_CONFIG"
 
@@ -164,14 +165,10 @@ def config_from_dict(data: dict) -> PipelineConfig:
 def load_config(path: str | Path) -> PipelineConfig:
     """Load and validate a JSON config file."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text("utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"config file {path}: cannot read ({exc.strerror or exc})") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        data = read_json(path, "config")
+    except DataError as exc:  # a config's faults are the caller's: exit 1, not 2
+        raise ConfigError(str(exc)) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path}: root must be a JSON object")
     try:
@@ -212,7 +209,7 @@ def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> Pipeli
         section, _, name = dotted.rpartition(".")
         try:
             value = parse_flag_value(FIELDS[dotted], name, text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # a JSON list may nest too deep to parse
             raise ConfigError(f"bad value for {dotted!r}: {text!r} ({exc})") from exc
         setattr(getattr(config, section) if section else config, name, value)
     return config

@@ -12,9 +12,11 @@ import csv
 import io
 import json
 import math
+import stat
 import sys
 from dataclasses import dataclass, field
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 
@@ -99,6 +101,30 @@ class CompanyPanel:
         if name not in self.columns:
             raise ValidationError(f"panel {self.ticker}: unknown column {name!r}")
         return self.columns[name]
+
+
+def read_input(path: Path) -> bytes:
+    """The bytes of an input file; one that cannot be read (a directory
+    in its place, say) is a DataError that names it.  So is a FIFO or a
+    device, refused before it is opened: reading a FIFO would block."""
+    try:
+        if stat.S_IFMT(path.stat().st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
+            raise DataError(f"{path}: cannot read (not a regular file)")
+        return path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+
+
+def read_json(path: Path, what: str):
+    """The JSON document in ``what``'s file at ``path``.  A file that cannot
+    be read, is not UTF-8 JSON or nests deeper than the parser recurses is
+    a DataError that names it."""
+    try:
+        return json.loads(read_input(path).decode("utf-8"))
+    except DataError as exc:
+        raise DataError(f"{what} file {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise DataError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
 def _as_text(content: bytes | str, source: str) -> str:

@@ -2,8 +2,8 @@
 
 The fit maximizes the Bernoulli log-likelihood over an intercept plus the
 given feature columns, with step-halving so the likelihood never
-decreases, a small ridge retry when the information matrix is singular,
-and coefficient-blow-up detection for separated data.
+decreases, a small ridge on an information matrix below full numerical
+rank, and coefficient-blow-up detection for separated data.
 """
 
 from __future__ import annotations
@@ -87,17 +87,15 @@ def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
 
 
 def _solve_information(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve H x = rhs, retrying once with a ridge term on the diagonal."""
+    """Solve H x = rhs once, with ``RIDGE`` on the diagonal when H is below
+    full numerical rank (the SVD's, as ``np.linalg.matrix_rank`` counts it):
+    so a collinear design takes the ridge whatever the LAPACK kernel's LU
+    would have made of it.  A solve that fails is a DataError."""
     try:
+        if np.linalg.matrix_rank(H) < len(H):
+            H = H + RIDGE * np.eye(len(H))
         x = np.linalg.solve(H, rhs)
-        if np.all(np.isfinite(x)):
-            return x
-    except np.linalg.LinAlgError:
-        pass
-    ridged = H + RIDGE * np.eye(H.shape[0])
-    try:
-        x = np.linalg.solve(ridged, rhs)
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # an all-NaN H fails in the SVD
         raise DataError("information matrix singular even with ridge term") from exc
     if not np.all(np.isfinite(x)):
         raise DataError("information matrix singular even with ridge term")

@@ -378,10 +378,16 @@ def model_to_dict(model: NetworkModel, metadata: dict | None = None) -> dict:
 
 
 def _json_numbers(value) -> bool:
-    """Whether ``value`` is a JSON number, or nested lists of them (no bools)."""
-    if isinstance(value, list):
-        return all(_json_numbers(v) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether ``value`` is a JSON number, or nested lists of them (no bools),
+    walked with a stack of its own, so that no nesting depth recurses."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(value)
+        elif not isinstance(value, (int, float)) or isinstance(value, bool):
+            return False
+    return True
 
 
 def _model_arrays(data: dict, key: str) -> list[np.ndarray]:

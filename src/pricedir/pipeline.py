@@ -28,7 +28,6 @@ import math
 import multiprocessing
 import os
 import re
-import stat
 import sys
 import traceback
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -50,22 +49,16 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from .ingest import MembershipSnapshot, json_text, parse_company_panel, parse_membership_file
+from .ingest import (
+    MembershipSnapshot,
+    json_text,
+    parse_company_panel,
+    parse_membership_file,
+    read_input,
+)
 from .synth import derive_seed
 
 MEMBERSHIP_FILE_RE = re.compile(r"^constituents_(\d{4}-\d{2}-\d{2})\.csv$")
-
-
-def read_input(path: Path) -> bytes:
-    """The bytes of an input file; one that cannot be read (a directory
-    in its place, say) is a DataError that names it.  So is a FIFO or a
-    device, refused before it is opened: reading a FIFO would block."""
-    try:
-        if stat.S_IFMT(path.stat().st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
-            raise DataError(f"{path}: cannot read (not a regular file)")
-        return path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from exc
 
 
 def load_membership_dir(path: str | Path) -> list[MembershipSnapshot]:

@@ -14,7 +14,9 @@ seed by hashing, see ``derive_seed``.
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import os
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -282,6 +284,20 @@ def default_planted() -> PlantedModel:
     )
 
 
+def _refuse_irregular_targets(targets: dict[Path, set[str]]) -> None:
+    """Refuse each of ``targets``' names (files to be written, by directory)
+    that exists but is not a regular file, before anything is written:
+    writing to a FIFO would block.  One listing per existing directory."""
+    for directory, names in targets.items():
+        try:
+            entries = list(os.scandir(directory))
+        except (FileNotFoundError, NotADirectoryError):  # nothing there yet, or mkdir's to refuse
+            continue
+        for entry in entries:
+            if entry.name in names and not entry.is_file():
+                raise FileExistsError(errno.EEXIST, "exists and is not a regular file", entry.path)
+
+
 def write_fixture(
     out_dir: str | Path,
     n_companies: int,
@@ -325,11 +341,17 @@ def write_fixture(
     membership_dir = out / "membership"
     panels_dir = out / "panels"
     truth_dir = out / "truth"
+    membership_names = [f"constituents_{d.isoformat()}.csv" for d in dates]
+    _refuse_irregular_targets({
+        out: {"truth.json"},
+        membership_dir: set(membership_names),
+        panels_dir: {f"{t}.csv" for t in tickers},
+        truth_dir: {f"{t}.csv" for t in tickers},
+    })
     for d in (membership_dir, panels_dir, truth_dir):
         d.mkdir(parents=True, exist_ok=True)
 
-    for snapshot in snapshots:
-        name = f"constituents_{snapshot.requested_date.isoformat()}.csv"
+    for name, snapshot in zip(membership_names, snapshots):
         (membership_dir / name).write_text(membership_file_text(snapshot), "utf-8")
 
     companies = []

@@ -4,13 +4,20 @@ import time
 import numpy as np
 import pytest
 
+from pricedir.config import PipelineConfig
+from pricedir.dataset import build_company_dataset
 from pricedir.errors import DataError, ValidationError
+from pricedir.ingest import CompanyPanel, parse_company_panel
 from pricedir.logit import (
+    RIDGE,
+    _solve_information,
     _two_sided_pvalues,
     fit_logit,
     select_features,
     sigmoid,
 )
+from pricedir.pipeline import load_membership_dir
+from pricedir.synth import default_planted, write_fixture
 
 
 # --- independent oracles ----------------------------------------------------
@@ -44,6 +51,22 @@ def erf_series(x, terms=80):
     for n in range(terms):
         total += (-1) ** n * x ** (2 * n + 1) / (math.factorial(n) * (2 * n + 1))
     return 2.0 / math.sqrt(math.pi) * total
+
+
+@pytest.fixture(scope="module")
+def collinear_design(tmp_path_factory):
+    """``(X, y)`` of C001 of the pipeline tests' synthetic fixture, built
+    with a copy of its ``sentiment`` column."""
+    root = tmp_path_factory.mktemp("collinear")
+    write_fixture(root, n_companies=4, n_weeks=160, switch_prob=0.05, missing_prob=0.05,
+                  seed=101, planted=default_planted(), signal_scale=2.0)
+    panel = parse_company_panel((root / "panels" / "C001.csv").read_bytes(), "C001")
+    panel = CompanyPanel("C001", panel.dates, {**panel.columns,
+                                               "sentiment_copy": panel.columns["sentiment"]})
+    dataset, _ = build_company_dataset(
+        panel, load_membership_dir(root / "membership"), PipelineConfig()
+    )
+    return dataset.X, dataset.y
 
 
 # fixed 20-row single-feature fixture; its MLE sits well inside [-5, 5]^2
@@ -123,17 +146,26 @@ class TestFitLogit:
         assert not fit.converged
         assert np.max(np.abs(fit.beta)) > 30.0
 
-    def test_duplicated_column_survives_via_ridge(self):
+    def test_duplicated_column_survives_via_ridge(self, collinear_design):
+        """Two designs with a duplicated column: a random one, and C001 of
+        the pipeline tests' fixture with a copy of its ``sentiment`` column,
+        whose first information matrix some LAPACK kernels' LU solves to a
+        finite step of order 1e15 without raising.  Each information matrix
+        is below full rank, so the solve ridges it, and the fit stays finite."""
         rng = np.random.default_rng(6)
         x = rng.random(40)
-        X = np.column_stack([x, x])
         y = (rng.random(40) < sigmoid(2.0 * x - 1.0)).astype(float)
-        fit = fit_logit(X, y)
-        assert np.all(np.isfinite(fit.beta))
+        for X, y in ((np.column_stack([x, x]), y), collinear_design):
+            fit = fit_logit(X, y)
+            assert np.all(np.isfinite(fit.beta))
+            # the first Newton step's system: beta = 0, so every weight is 1/4
+            Xd = np.hstack([np.ones((len(y), 1)), X])
+            H, rhs = Xd.T @ (0.25 * Xd), Xd.T @ (y - 0.5)
+            assert np.linalg.matrix_rank(H) < len(H)
+            ridged = np.linalg.solve(H + RIDGE * np.eye(len(H)), rhs)
+            np.testing.assert_array_equal(_solve_information(H, rhs), ridged)
 
     def test_singular_even_with_ridge(self):
-        from pricedir.logit import _solve_information
-
         H = np.full((2, 2), np.nan)
         with pytest.raises(DataError, match="information matrix singular even with ridge term"):
             _solve_information(H, np.ones(2))

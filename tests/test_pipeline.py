@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import errno
+import functools
 import hashlib
 import io
 import json
@@ -277,12 +278,24 @@ class TestConfig:
                     cfg.validate()
 
     def test_missing_file(self, tmp_path, monkeypatch, capsys):
+        missing = tmp_path / "nope.json"
         with pytest.raises(ConfigError):
-            load_config(tmp_path / "nope.json")
+            load_config(missing)
+        assert main(["build", "--config", str(missing)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {missing}: cannot read (No such file or directory)\n"
+        )
         not_utf8 = tmp_path / "latin1.json"
         not_utf8.write_bytes(b'{"mlp": {}}\xff')
         with pytest.raises(ConfigError):
             load_config(not_utf8)
+        # nested deeper than the JSON parser recurses: a fault, not a traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        assert main(["build", "--config", str(deep)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: config file {deep} is not valid JSON: maximum recursion depth exceeded"
+        )
         # JSON whose root is not an object
         not_object = tmp_path / "list.json"
         not_object.write_text("[]")
@@ -304,7 +317,7 @@ class TestConfig:
         def unreadable(self, *args, **kwargs):
             raise OSError(errno.EIO, "Input/output error")
 
-        monkeypatch.setattr(Path, "read_text", unreadable)
+        monkeypatch.setattr(Path, "read_bytes", unreadable)
         assert main(["build", "--config", str(not_utf8)]) == 1
         assert capsys.readouterr().err == (
             f"error: config file {not_utf8}: cannot read (Input/output error)\n"
@@ -607,25 +620,14 @@ class TestRunPipeline:
     def test_edge_case_companies_run_end_to_end(self, fixture, tmp_path):
         """C000 gains a column that equals each row's label, so the logit
         sees perfect separation; C001 gains a copy of its ``sentiment``
-        column, so the information matrix is singular.  Both still train
-        and score.  Whether the singular solve raises, and so whether the
-        ridge retry runs, depends on the LAPACK kernel, and with it the
-        collinear fit's ``converged`` and ``separation_detected``: those
-        two are left unpinned, and the copies are selected together or not
-        at all."""
+        column, so its information matrix is below full rank and takes the
+        ridge on every iteration: the fit converges and keeps neither copy.
+        Both still train and score."""
         root, _ = fixture
         panels = tmp_path / "panels"
         shutil.copytree(root / "panels", panels)
-
-        def add_column(ticker, name, values):
-            panel = parse_company_panel((panels / f"{ticker}.csv").read_bytes(), ticker)
-            columns = {**panel.columns, name: values(panel)}
-            (panels / f"{ticker}.csv").write_text(
-                panel_file_text(CompanyPanel(ticker, panel.dates, columns))
-            )
-
-        add_column("C000", "leak", lambda panel: direction_labels(panel, "price"))
-        add_column("C001", "sentiment_copy", lambda panel: panel.columns["sentiment"])
+        add_column(panels, "C000", "leak", lambda panel: direction_labels(panel, "price"))
+        add_column(panels, "C001", "sentiment_copy", lambda panel: panel.columns["sentiment"])
         cfg = small_config(root)
         cfg.paths.panels_dir = str(panels)
         cfg.paths.output_dir = str(tmp_path / "out")
@@ -635,10 +637,26 @@ class TestRunPipeline:
         flags = {c["ticker"]: (c["logit"]["converged"], c["logit"]["separation_detected"],
                                c["fallback_used"]) for c in report["companies"]}
         assert flags["C000"] == (False, True, True)
-        assert flags["C001"][2] is False
-        assert flags["C002"] == flags["C003"] == (True, False, False)
-        selected = report["companies"][1]["selected"]
-        assert ("sentiment" in selected) == ("sentiment_copy" in selected)
+        assert flags["C001"] == flags["C002"] == flags["C003"] == (True, False, False)
+        assert report["companies"][1]["selected"] == ["trades", "noise_c", "total_return_lag1w"]
+
+
+def add_column(panels: Path, ticker: str, name: str, values) -> None:
+    """Rewrite ``panels/<ticker>.csv`` with one more column, ``values(panel)``."""
+    panel = parse_company_panel((panels / f"{ticker}.csv").read_bytes(), ticker)
+    columns = {**panel.columns, name: values(panel)}
+    (panels / f"{ticker}.csv").write_text(panel_file_text(CompanyPanel(ticker, panel.dates, columns)))
+
+
+def cli_in_child(*argv: str) -> tuple[int, str]:
+    """``pricedir <argv>`` in a child process, killed after 60 s: its exit
+    code and stderr."""
+    src = str(Path(pipeline_mod.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pricedir.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stderr
 
 
 def output_tree(out: Path) -> dict[str, bytes]:
@@ -913,14 +931,21 @@ class TestWorkers:
 
     def test_kernel_independent_outputs_match_under_an_older_blas_kernel(self, fixture, tmp_path):
         """Output bytes hold for one OpenBLAS kernel and numpy SIMD level;
-        across them the datasets, the selections and the statuses stay the
-        same.  One run has the default environment, the other the Nehalem
-        kernel forced and this CPU's dispatched numpy SIMD levels off."""
+        across them the datasets, the selections, the logit's convergence
+        and separation flags and the statuses stay the same, C001 with a
+        copy of its ``sentiment`` column included.  One run has the default
+        environment, the other the Nehalem kernel forced and this CPU's
+        dispatched numpy SIMD levels off."""
         try:
             from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
         except ImportError:  # numpy 1
             from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
         root, _ = fixture
+        fixture_copy = tmp_path / "fixture"
+        for name in ("membership", "panels"):
+            shutil.copytree(root / name, fixture_copy / name)
+        add_column(fixture_copy / "panels", "C001", "sentiment_copy",
+                   lambda panel: panel.columns["sentiment"])
         src = str(Path(pipeline_mod.__file__).parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -929,7 +954,7 @@ class TestWorkers:
         runs = {}
         for name, extra in (("forced", forced), ("default", {})):
             proc = subprocess.run(
-                [sys.executable, "-c", KERNEL_CHILD, str(root), str(tmp_path / name)],
+                [sys.executable, "-c", KERNEL_CHILD, str(fixture_copy), str(tmp_path / name)],
                 env={**env, **extra}, capture_output=True, text=True, timeout=300,
             )
             assert proc.returncode == 0, proc.stderr
@@ -939,7 +964,9 @@ class TestWorkers:
                             "numpy's own OpenBLAS is missing or not an x86 DYNAMIC_ARCH build")
         keys = ("ticker", "status", "selected", "fallback_used", "n_rows", "n_train", "n_test")
         forced_run, default_run = (
-            [{key: company.get(key) for key in keys} for company in runs[name]["companies"]]
+            [{**{key: company.get(key) for key in keys},
+              **{flag: company["logit"][flag] for flag in ("converged", "separation_detected")}}
+             for company in runs[name]["companies"]]
             for name in ("forced", "default")
         )
         assert [company["status"] for company in default_run] == ["ok"] * 4
@@ -1163,6 +1190,16 @@ class TestCli:
         bad_report.write_text('{"companies": [')
         assert main(["report", "--input", str(bad_report)]) == 2
         assert str(bad_report) in capsys.readouterr().err
+        # a report or model document nested deeper than the JSON parser recurses
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        for what, argv in (("report", ["report", "--input", str(deep)]),
+                           ("model", ["evaluate", "--dataset", str(tiny_dataset),
+                                      "--model", str(deep)])):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: {what} file {deep} is not valid JSON: maximum recursion depth exceeded"
+            )
         # well-formed JSON that is not a report, or has a company neither ok nor failed
         unknown_status = {**REPORT, "companies": [{**REPORT["companies"][0], "status": "k"},
                                                   REPORT["companies"][1]]}
@@ -1456,6 +1493,9 @@ class TestCli:
                      id="biases-bool"),
         pytest.param(EVALUATE, {**TINY_MODEL, "weights": [[[10**400, 0.5]]]}, "'weights'",
                      id="weights-int-overflows-float"),
+        pytest.param(EVALUATE, {**TINY_MODEL, "weights": functools.reduce(
+                         lambda value, _: [value], range(600), 0.5)},
+                     "model file {model}: model document key 'weights'", id="weights-nested-600"),
         pytest.param(EVALUATE, {**TINY_MODEL, "layer_sizes": "21"}, "'layer_sizes'",
                      id="layer-sizes-string"),
         pytest.param(EVALUATE, {**TINY_MODEL, "layer_sizes": [2.7, 1]}, "'layer_sizes'",
@@ -1469,6 +1509,8 @@ class TestCli:
         pytest.param(EVALUATE, {**TINY_MODEL, "layer_sizes": [2, 3],
                                 "weights": [[[0.5, 0.5]] * 3], "biases": [[0.0] * 3]},
                      "'layer_sizes'", id="layer-sizes-3-outputs"),
+        pytest.param([*BUILD, "--mlp.hidden_sizes=" + "[" * 100000], TINY_MODEL,
+                     "bad value for 'mlp.hidden_sizes'", id="build-hidden-sizes-nested"),
         pytest.param(["logit", "--dataset", "{data}", "--logit.alpha", "7"], TINY_MODEL,
                      "logit.alpha", id="logit-alpha"),
         pytest.param(["logit", "--dataset", "{data}", "--logit.tol", "nan"], TINY_MODEL,
@@ -1730,14 +1772,15 @@ class TestCli:
         err = capfd.readouterr().err
         assert err.startswith(f"error: {membership / 'constituents_2099-01-01.csv'}: cannot read")
         assert "Traceback" not in err and not (tmp_path / "m").exists()
-        # as a step's dataset, model or report file
+        # as a step's dataset, model or report file; a JSON document is named as such
         dataset = str(tmp_path / "b" / "datasets" / "C000.csv")
-        for argv in (["logit", "--dataset", str(panels / "ZZZ.csv")],
-                     ["evaluate", "--dataset", dataset, "--model", str(panels / "ZZZ.csv")],
-                     ["report", "--input", str(panels / "ZZZ.csv")]):
+        for what, argv in (("", ["logit", "--dataset", str(panels / "ZZZ.csv")]),
+                           ("model file ", ["evaluate", "--dataset", dataset,
+                                            "--model", str(panels / "ZZZ.csv")]),
+                           ("report file ", ["report", "--input", str(panels / "ZZZ.csv")])):
             assert main(argv) == 2
             err = capfd.readouterr().err
-            assert err.startswith(f"error: {panels / 'ZZZ.csv'}: cannot read (Is a directory)")
+            assert err.startswith(f"error: {what}{panels / 'ZZZ.csv'}: cannot read (Is a directory)")
 
     def test_fifo_in_place_of_input_file_is_a_data_error(self, fixture, tmp_path):
         """A FIFO among the panels, the membership files or as a step's
@@ -1749,28 +1792,37 @@ class TestCli:
         panels, membership = tmp_path / "panels", tmp_path / "membership"
         shutil.copytree(root / "panels", panels)
         shutil.copytree(root / "membership", membership)
-        src = str(Path(pipeline_mod.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-        def run(*argv):
-            proc = subprocess.run([sys.executable, "-m", "pricedir.cli", *argv], env=env,
-                                  capture_output=True, text=True, timeout=60)
-            return proc.returncode, proc.stderr
-
         build = ["build", "--paths.membership_dir", str(membership),
                  "--paths.panels_dir", str(panels), "--paths.output_dir", str(tmp_path / "out")]
         os.mkfifo(panels / "ZZZ.csv")
-        code, err = run(*build)
+        code, err = cli_in_child(*build)
         assert code == 2
         assert err == f"error: ZZZ: {panels / 'ZZZ.csv'}: cannot read (not a regular file)\n"
         assert len(list((tmp_path / "out" / "datasets").iterdir())) == 2 * 4
-        code, err = run("logit", "--dataset", str(panels / "ZZZ.csv"))
+        code, err = cli_in_child("logit", "--dataset", str(panels / "ZZZ.csv"))
         assert (code, err) == (2, f"error: {panels / 'ZZZ.csv'}: cannot read (not a regular file)\n")
         fifo = membership / "constituents_2099-01-01.csv"
         os.mkfifo(fifo)
-        code, err = run(*build)
+        code, err = cli_in_child(*build)
         assert (code, err) == (2, f"error: {fifo}: cannot read (not a regular file)\n")
+
+    def test_fifo_as_config_or_among_synth_outputs_exits_1(self, tmp_path):
+        """A FIFO given as ``--config``, or in place of a file ``synth``
+        would write, exits 1 naming it without opening it; ``synth`` writes
+        nothing.  Each command runs in a child process under a timeout, so
+        a hang fails the test and leaves no process behind."""
+        config = tmp_path / "config.fifo"
+        os.mkfifo(config)
+        assert cli_in_child("pipeline", "--config", str(config)) == (
+            1, f"error: config file {config}: cannot read (not a regular file)\n"
+        )
+        out = tmp_path / "fx"
+        (out / "panels").mkdir(parents=True)
+        os.mkfifo(out / "panels" / "C001.csv")
+        code, err = cli_in_child("synth", "--out", str(out), "--companies", "3", "--weeks", "50")
+        assert (code, err) == (1, f"error: --out {out}: cannot write {out / 'panels' / 'C001.csv'} "
+                                  "(exists and is not a regular file)\n")
+        assert sorted(str(f.relative_to(out)) for f in out.rglob("*")) == ["panels", "panels/C001.csv"]
 
     def test_cohort_subcommand(self, fixture, capsys):
         root, _ = fixture
@@ -1808,7 +1860,9 @@ class TestCli:
         taken.write_text("in the way")
         small = ["--companies", "2", "--weeks", "30"]
         assert main(["synth", "--out", str(taken), *small]) == 1
-        assert capsys.readouterr().err == f"error: --out {taken}: cannot write (Not a directory)\n"
+        assert capsys.readouterr().err == (
+            f"error: --out {taken}: cannot write {taken / 'membership'} (Not a directory)\n"
+        )
         assert taken.read_text() == "in the way"
         for scale in ("nan", "inf", "-inf"):
             assert main(["synth", "--out", str(tmp_path / "fx"), *small,
