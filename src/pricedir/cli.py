@@ -25,7 +25,7 @@ from .errors import (
     PricedirError,
     ValidationError,
 )
-from .ingest import json_text, read_input, read_json
+from .ingest import json_text, read_json, read_text
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -126,7 +126,7 @@ def _cmd_build(args) -> int:
 
 def _read_dataset(path: str) -> ds_mod.LabeledDataset:
     file = Path(path)
-    return ds_mod.read_dataset_csv(read_input(file), file.stem, source=str(file))
+    return ds_mod.read_dataset_csv(read_text(file), file.stem, source=str(file))
 
 
 def _cmd_logit(args) -> int:

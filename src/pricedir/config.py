@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import reprlib
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +24,11 @@ ENV_CONFIG_VAR = "PRICEDIR_CONFIG"
 
 TARGET_DIRECTION = "direction"
 TARGET_MEMBERSHIP = "membership"
+
+# An error message quotes a refused value by ``_ECHO.repr``: a long string
+# or list keeps its two ends and deep nesting is cut, so the line stays short.
+_ECHO = reprlib.Repr()
+_ECHO.maxstring = _ECHO.maxother = 60
 
 
 @dataclass
@@ -96,7 +102,7 @@ class PipelineConfig:
         ):
             if "" in names or len(set(names)) != len(names):
                 raise ConfigError(
-                    f"{dotted} must hold distinct non-empty names, got {names!r}"
+                    f"{dotted} must hold distinct non-empty names, got {_ECHO.repr(names)}"
                 )
         paths = [self.paths.membership_dir, self.paths.panels_dir, self.paths.output_dir]
         if len({str(Path(p)) for p in paths}) != len(paths):
@@ -145,7 +151,7 @@ def _check_fields(cls, values: dict, prefix: str = "") -> None:
         if not _has_type(value, hints[name]):
             declared = cls.__annotations__[name]
             raise ConfigError(
-                f"config field {prefix + name!r} must be {declared}, got {value!r}"
+                f"config field {prefix + name!r} must be {declared}, got {_ECHO.repr(value)}"
             )
 
 
@@ -193,7 +199,10 @@ def parse_flag_value(cls, name: str, text: str):
             (item,) = typing.get_args(hint)
             value = [item(v.strip()) for v in text.split(",")]
     elif hint in (int, float):
-        value = hint(text)
+        try:
+            value = hint(text)
+        except ValueError:  # float's own message repeats the whole text
+            value = None
     else:
         value = text
     if not _has_type(value, hint):
@@ -210,6 +219,6 @@ def apply_overrides(config: PipelineConfig, overrides: dict[str, str]) -> Pipeli
         try:
             value = parse_flag_value(FIELDS[dotted], name, text)
         except (ValueError, RecursionError) as exc:  # a JSON list may nest too deep to parse
-            raise ConfigError(f"bad value for {dotted!r}: {text!r} ({exc})") from exc
+            raise ConfigError(f"bad value for {dotted!r}: {_ECHO.repr(text)} ({exc})") from exc
         setattr(getattr(config, section) if section else config, name, value)
     return config

@@ -26,6 +26,7 @@ from .ingest import (
     MAX_FALLBACK_DAYS,
     CompanyPanel,
     MembershipSnapshot,
+    check_increasing,
     parse_company_panel,
     table_text,
 )
@@ -57,11 +58,7 @@ class LabeledDataset:
                 f"dataset {self.ticker}: misaligned shapes "
                 f"(X {self.X.shape}, y {self.y.shape}, {n} dates)"
             )
-        for prev, nxt in zip(self.dates, self.dates[1:]):
-            if nxt <= prev:
-                raise ValidationError(
-                    f"dataset {self.ticker}: dates not strictly increasing"
-                )
+        check_increasing(self.dates, f"dataset {self.ticker}")
 
     @property
     def n_rows(self) -> int:
@@ -338,8 +335,8 @@ def dataset_csv_text(ds: LabeledDataset) -> str:
     return table_text([LABEL_COLUMN, *ds.feature_names], ds.dates, columns)
 
 
-def read_dataset_csv(content, ticker: str, source: str = "<dataset>") -> LabeledDataset:
-    """Read back a ``date,y,<feature...>`` CSV written by dataset_csv_text.
+def read_dataset_csv(content: str, ticker: str, source: str = "<dataset>") -> LabeledDataset:
+    """Read back the text of a ``date,y,<feature...>`` CSV written by dataset_csv_text.
 
     Unlike a panel file, a dataset file has no missing values: an empty
     cell is a DataError that names its line and column.
@@ -351,9 +348,8 @@ def read_dataset_csv(content, ticker: str, source: str = "<dataset>") -> Labeled
     names = [n for n in panel.feature_names if n != LABEL_COLUMN]
     X = _matrix([panel.columns[n] for n in names], panel.n_rows)
     if np.isnan(labels).any() or np.isnan(X).any():
-        # the parse sorted the rows by date: read the file again for the line
-        text = content if isinstance(content, str) else content.decode("utf-8")
-        rows = csv.reader(io.StringIO(text))
+        # the parse sorted the rows by date: read the text again for the line
+        rows = csv.reader(io.StringIO(content))
         header = next(rows)
         for lineno, row in enumerate(rows, start=2):
             for name, cell in zip(header, row):

@@ -1,9 +1,11 @@
 """Readers for the two raw inputs, and the writers of pricedir's text files.
 
-Both inputs are plain UTF-8 CSV.  A constituent file starts with a
-``# effective_date=YYYY-MM-DD`` comment line, then a ``ticker`` header,
-then one ticker per row.  A panel file has a ``date`` column plus named
-numeric columns; an empty cell is a missing value, never zero.
+Every input file, CSV or JSON, is UTF-8 text that ``read_text`` reads and
+decodes, the one place where bytes become text; the parsers take that text.
+A constituent file starts with a ``# effective_date=YYYY-MM-DD`` comment
+line, then a ``ticker`` header, then one ticker per row.  A panel file has
+a ``date`` column plus named numeric columns; an empty cell is a missing
+value, never zero.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .errors import DataError, ValidationError
 
 # A nominal week is the requested day plus the six days before it, so a
 # fallback can never reach into the previous week's snapshot.
-MAX_FALLBACK_DAYS = 6
+WEEK_DAYS = 7
+MAX_FALLBACK_DAYS = WEEK_DAYS - 1
 
 EFFECTIVE_DATE_PREFIX = "# effective_date="
 
@@ -58,6 +61,14 @@ class MembershipSnapshot:
             raise ValidationError("constituent tickers must be non-empty")
 
 
+def check_increasing(dates: list[date], owner: str) -> None:
+    """ValidationError naming ``owner`` and the first offending pair unless
+    ``dates`` strictly increase: the row order of a panel and of a dataset."""
+    for prev, nxt in zip(dates, dates[1:]):
+        if nxt <= prev:
+            raise ValidationError(f"{owner}: dates not strictly increasing ({prev} then {nxt})")
+
+
 @dataclass(eq=False)
 class CompanyPanel:
     """Per-company, date-ordered rows of named numeric features.
@@ -75,12 +86,7 @@ class CompanyPanel:
     columns: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        for prev, nxt in zip(self.dates, self.dates[1:]):
-            if nxt <= prev:
-                raise ValidationError(
-                    f"panel {self.ticker}: dates not strictly increasing "
-                    f"({prev} then {nxt})"
-                )
+        check_increasing(self.dates, f"panel {self.ticker}")
         self.columns = {n: np.asarray(v, dtype=float) for n, v in self.columns.items()}
         for name, values in self.columns.items():
             if values.shape != (len(self.dates),):
@@ -103,58 +109,53 @@ class CompanyPanel:
         return self.columns[name]
 
 
-def read_input(path: Path) -> bytes:
-    """The bytes of an input file; one that cannot be read (a directory
-    in its place, say) is a DataError that names it.  So is a FIFO or a
-    device, refused before it is opened: reading a FIFO would block."""
+def read_text(path: Path) -> str:
+    """The text of an input file, decoded from UTF-8 once, without a leading
+    byte order mark.  A file that cannot be read (a directory in its place,
+    say) is a DataError that names it.  So is a FIFO or a device, refused
+    before it is opened: reading a FIFO would block.  So is a byte that is
+    not UTF-8, named by its offset in the file."""
     try:
         if stat.S_IFMT(path.stat().st_mode) not in (stat.S_IFREG, stat.S_IFDIR):
             raise DataError(f"{path}: cannot read (not a regular file)")
-        return path.read_bytes()
+        data = path.read_bytes()
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    try:  # a mark decodes to U+FEFF, so an offset past it is still the file's
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def read_json(path: Path, what: str):
-    """The JSON document in ``what``'s file at ``path``.  A file that cannot
-    be read, is not UTF-8 JSON or nests deeper than the parser recurses is
-    a DataError that names it."""
+    """The JSON document in ``what``'s file at ``path``.  A file that
+    ``read_text`` refuses, that is not JSON or that nests deeper than the
+    parser recurses is a DataError that names it."""
     try:
-        return json.loads(read_input(path).decode("utf-8"))
+        return json.loads(read_text(path))
     except DataError as exc:
         raise DataError(f"{what} file {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
         raise DataError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
-def _as_text(content: bytes | str, source: str) -> str:
-    """Return ``content`` as text, decoding bytes as UTF-8."""
-    if isinstance(content, str):
-        return content
-    try:
-        return content.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{source}: not UTF-8 text (byte {exc.start})") from None
-
-
 def parse_membership_file(
-    content, requested_date: date, source: str = "<membership>"
+    content: str, requested_date: date, source: str = "<membership>"
 ) -> MembershipSnapshot:
     """Parse one weekly constituent file into a MembershipSnapshot.
 
     Args:
-        content: bytes or text with the file body.
+        content: the file's text, as ``read_text`` gives it.
         requested_date: the nominal day this snapshot was requested for.
         source: file name used in error messages.
 
     Raises:
-        DataError: content that is not UTF-8, an empty file, a malformed
-            header or ticker row, a duplicate ticker, or an effective
-            date outside the weekly window.
+        DataError: an empty file, a malformed header or ticker row, a
+            duplicate ticker, or an effective date outside the weekly window.
     """
     # rows end at "\n" only (str.splitlines would also break them at form
     # feeds and other separators); one "\r" before it is part of the ending
-    lines = _as_text(content, source).replace("\r\n", "\n").split("\n")
+    lines = content.replace("\r\n", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()  # the final newline ends a row, it does not start one
     if not lines:
@@ -197,15 +198,15 @@ def membership_file_text(snapshot: MembershipSnapshot) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_company_panel(content, ticker: str, source: str = "<panel>") -> CompanyPanel:
-    """Parse a company history CSV into a CompanyPanel.
+def parse_company_panel(content: str, ticker: str, source: str = "<panel>") -> CompanyPanel:
+    """Parse a company history CSV's text, as ``read_text`` gives it, into a
+    CompanyPanel.
 
     Rows are re-sorted ascending by date.  Empty cells become NaN.
-    Raises DataError on content that is not UTF-8 or not CSV, on a
-    malformed header or cell (naming its line and column) and on
-    duplicate dates.
+    Raises DataError on text that is not CSV, on a malformed header or
+    cell (naming its line and column) and on duplicate dates.
     """
-    reader = csv.reader(io.StringIO(_as_text(content, source)))
+    reader = csv.reader(io.StringIO(content))
     try:
         rows = list(reader)
     except csv.Error as exc:  # a bare "\r" inside a line, say

@@ -50,11 +50,12 @@ from .errors import (
     ValidationError,
 )
 from .ingest import (
+    WEEK_DAYS,
     MembershipSnapshot,
     json_text,
     parse_company_panel,
     parse_membership_file,
-    read_input,
+    read_text,
 )
 from .synth import derive_seed
 
@@ -62,12 +63,14 @@ MEMBERSHIP_FILE_RE = re.compile(r"^constituents_(\d{4}-\d{2}-\d{2})\.csv$")
 
 
 def load_membership_dir(path: str | Path) -> list[MembershipSnapshot]:
-    """Parse every ``constituents_<requested-date>.csv`` in a directory."""
+    """Parse every ``constituents_<requested-date>.csv`` in a directory.
+    Two requested dates fewer than ``WEEK_DAYS`` apart are a DataError that
+    names both files: a row date could fall in both their weeks."""
     path = Path(path)
     if not path.is_dir():
         raise ConfigError(f"membership directory not found: {path}")
-    snapshots = []
-    # names sorted as strings: in one directory, the order Path sorting gives
+    snapshots, previous = [], None
+    # names sorted as strings, so in date order: the order Path sorting gives
     for name in sorted(name for name in os.listdir(path) if name.endswith(".csv")):
         file = path / name
         match = MEMBERSHIP_FILE_RE.match(name)
@@ -77,9 +80,13 @@ def load_membership_dir(path: str | Path) -> list[MembershipSnapshot]:
             raise DataError(
                 f"{file}: membership files must be named constituents_YYYY-MM-DD.csv"
             ) from None
-        snapshots.append(
-            parse_membership_file(read_input(file), requested, source=str(file))
-        )
+        if snapshots and (requested - snapshots[-1].requested_date).days < WEEK_DAYS:
+            raise DataError(
+                f"{previous} and {file}: requested dates fewer than {WEEK_DAYS} days "
+                "apart, so their weeks overlap"
+            )
+        snapshots.append(parse_membership_file(read_text(file), requested, source=str(file)))
+        previous = file
     if not snapshots:
         raise DataError(f"no membership files in {path}")
     return snapshots
@@ -105,7 +112,7 @@ def build_from_file(
     ticker: str, path: Path, snapshots: list[MembershipSnapshot], cfg: PipelineConfig
 ) -> tuple[ds_mod.LabeledDataset, dict]:
     """Parse one company's panel file and build its dataset: ``(dataset, info)``."""
-    panel = parse_company_panel(read_input(path), ticker, source=str(path))
+    panel = parse_company_panel(read_text(path), ticker, source=str(path))
     return build_company_dataset(panel, snapshots, cfg)
 
 

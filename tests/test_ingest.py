@@ -3,12 +3,14 @@ import io
 import math
 import pickle
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pricedir.dataset import read_dataset_csv
+from pricedir.config import load_config
+from pricedir.dataset import LabeledDataset, read_dataset_csv
 from pricedir.errors import (
     DataError,
     PricedirError,
@@ -21,6 +23,8 @@ from pricedir.ingest import (
     panel_file_text,
     parse_company_panel,
     parse_membership_file,
+    read_json,
+    read_text,
 )
 
 from conftest import assert_panels_equal
@@ -135,11 +139,6 @@ class TestParseMembershipFile:
         text = membership_text("2002-01-04", ["AAA"])
         with pytest.raises(DataError, match=r"7 days before requested date 2002-01-11 \(max 6\)"):
             parse_membership_file(text, date(2002, 1, 11))
-
-    def test_accepts_bytes(self):
-        text = membership_text("2002-01-04", ["AAA"]).encode("utf-8")
-        snap = parse_membership_file(text, date(2002, 1, 4))
-        assert snap.constituents == frozenset({"AAA"})
 
 
 class TestMembershipSnapshot:
@@ -300,7 +299,7 @@ MEMBERSHIP_HEAD = "# effective_date=2002-01-04\nticker\n"
      "m.csv, line 2: expected 'ticker' column header"),
     ("membership", MEMBERSHIP_HEAD + "AAA\nB B\n", "m.csv, line 4: malformed ticker row 'B B'"),
     ("panel", b"date,price\n2002-01-04,1.5\xff\n", "p.csv: not UTF-8 text (byte 25)"),
-    ("panel", b"date,price\n2002-01-04,1\r5\n",
+    ("panel", "date,price\n2002-01-04,1\r5\n",
      "p.csv, line 2: " + csv_reader_error("1\r5")),
     ("panel", "price,date\n1.5,2002-01-04\n", "p.csv, line 1: first column must be 'date'"),
     ("panel", "date\n2002-01-04\n", "p.csv, line 1: panel needs at least one feature column"),
@@ -318,15 +317,65 @@ MEMBERSHIP_HEAD = "# effective_date=2002-01-04\nticker\n"
     ("dataset", "date,y,a,b\n2002-01-11,1,0.5,0.25\n2002-01-04,0,,0.5\n",
      "d.csv, line 3, column 'a': empty cell"),
 ])
-def test_file_faults_name_their_place(read, content, message):
-    """Each malformed membership, panel or dataset file gives this exact
-    text, which names the file and, where it is known, the line and column
-    (the exit code of each is pinned by the CLI tests)."""
+def test_file_faults_name_their_place(read, content, message, tmp_path, monkeypatch):
+    """Each malformed membership, panel or dataset file, read by ``read_text``
+    as the pipeline reads it, gives this exact text, which names the file
+    and, where it is known, the byte or the line and column (the exit code
+    of each is pinned by the CLI tests)."""
+    monkeypatch.chdir(tmp_path)
+    file = Path(f"{read[0]}.csv")
+    file.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     with pytest.raises(PricedirError) as info:
+        text = read_text(file)
         if read == "membership":
-            parse_membership_file(content, date(2002, 1, 4), source="m.csv")
+            parse_membership_file(text, date(2002, 1, 4), source=str(file))
         elif read == "panel":
-            parse_company_panel(content, "TST", source="p.csv")
+            parse_company_panel(text, "TST", source=str(file))
         else:
-            read_dataset_csv(content, "TST", source="d.csv")
+            read_dataset_csv(text, "TST", source=str(file))
     assert str(info.value) == message
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+class TestReadText:
+    def test_one_leading_bom_is_dropped(self, tmp_path):
+        """A spreadsheet's byte order mark does not reach the parsers (the
+        CLI tests build a marked panel); one further in is text."""
+        file = tmp_path / "marked.csv"
+        file.write_bytes(BOM + BOM + b"a" + BOM)
+        assert read_text(file) == "\ufeffa\ufeff"
+
+    def test_a_bad_byte_after_a_bom_is_named_by_its_file_offset(self, tmp_path):
+        file = tmp_path / "p.csv"
+        file.write_bytes(BOM + b"ab\xffc")
+        with pytest.raises(DataError) as info:
+            read_text(file)
+        assert str(info.value) == f"{file}: not UTF-8 text (byte 5)"
+
+    def test_a_json_file_shares_the_decoder(self, tmp_path):
+        """A config with a byte order mark loads; a JSON file with a bad
+        byte gets the CSV files' message, after its kind."""
+        config = tmp_path / "c.json"
+        config.write_bytes(BOM + b'{"mlp": {"epochs": 3}}')
+        assert load_config(config).mlp.epochs == 3
+        config.write_bytes(b'{"tickers": ["\xff"]}')
+        with pytest.raises(DataError) as info:
+            read_json(config, "model")
+        assert str(info.value) == f"model file {config}: not UTF-8 text (byte 14)"
+
+
+def test_panel_and_dataset_dates_share_one_order_rule():
+    """A panel and a dataset refuse the same out-of-order dates, naming the
+    first offending pair."""
+    days = [date(2002, 1, 4), date(2002, 1, 11), date(2002, 1, 11)]
+    with pytest.raises(ValidationError) as info:
+        CompanyPanel("TST", days, {"a": [0.5] * 3})
+    assert str(info.value) == "panel TST: dates not strictly increasing (2002-01-11 then 2002-01-11)"
+    with pytest.raises(ValidationError) as info:
+        LabeledDataset("TST", [days[1], days[0], days[1] + timedelta(7)], ["a"],
+                       np.zeros((3, 1)), np.zeros(3, dtype=int))
+    assert str(info.value) == (
+        "dataset TST: dates not strictly increasing (2002-01-11 then 2002-01-04)"
+    )

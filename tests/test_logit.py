@@ -60,7 +60,7 @@ def collinear_design(tmp_path_factory):
     root = tmp_path_factory.mktemp("collinear")
     write_fixture(root, n_companies=4, n_weeks=160, switch_prob=0.05, missing_prob=0.05,
                   seed=101, planted=default_planted(), signal_scale=2.0)
-    panel = parse_company_panel((root / "panels" / "C001.csv").read_bytes(), "C001")
+    panel = parse_company_panel((root / "panels" / "C001.csv").read_text(), "C001")
     panel = CompanyPanel("C001", panel.dates, {**panel.columns,
                                                "sentiment_copy": panel.columns["sentiment"]})
     dataset, _ = build_company_dataset(

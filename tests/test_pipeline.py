@@ -10,6 +10,7 @@ import random
 import shutil
 import subprocess
 import sys
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -612,7 +613,7 @@ class TestRunPipeline:
             assert company["selected"] == []
             # what ``pricedir train`` builds without ``--features``
             out = Path(cfg.paths.output_dir)
-            dataset = read_dataset_csv((out / "datasets" / f"{ticker}.csv").read_bytes(), ticker)
+            dataset = read_dataset_csv((out / "datasets" / f"{ticker}.csv").read_text(), ticker)
             assert company["mlp_features"] == dataset.feature_names
             model = json.loads((out / "models" / f"{ticker}.json").read_text())
             assert model["layer_sizes"][0] == len(dataset.feature_names) > 4
@@ -623,16 +624,7 @@ class TestRunPipeline:
         column, so its information matrix is below full rank and takes the
         ridge on every iteration: the fit converges and keeps neither copy.
         Both still train and score."""
-        root, _ = fixture
-        panels = tmp_path / "panels"
-        shutil.copytree(root / "panels", panels)
-        add_column(panels, "C000", "leak", lambda panel: direction_labels(panel, "price"))
-        add_column(panels, "C001", "sentiment_copy", lambda panel: panel.columns["sentiment"])
-        cfg = small_config(root)
-        cfg.paths.panels_dir = str(panels)
-        cfg.paths.output_dir = str(tmp_path / "out")
-        cfg.mlp.epochs = 2
-        report = run_pipeline(cfg)
+        report = run_pipeline(edge_case_config(fixture[0], tmp_path))
         assert [c["status"] for c in report["companies"]] == ["ok"] * 4
         flags = {c["ticker"]: (c["logit"]["converged"], c["logit"]["separation_detected"],
                                c["fallback_used"]) for c in report["companies"]}
@@ -640,10 +632,37 @@ class TestRunPipeline:
         assert flags["C001"] == flags["C002"] == flags["C003"] == (True, False, False)
         assert report["companies"][1]["selected"] == ["trades", "noise_c", "total_return_lag1w"]
 
+    def test_unconverged_fits_run_end_to_end(self, fixture, tmp_path):
+        """At ``logit.max_iter`` 1 every edge-case company's fit stops after
+        its one iteration: unconverged, the separable C000 not yet flagged
+        as separated, and every company still trains and scores."""
+        cfg = edge_case_config(fixture[0], tmp_path)
+        cfg.logit.max_iter = 1
+        report = run_pipeline(cfg)
+        outcomes = [(c["ticker"], c["status"], c["logit"]["converged"],
+                     c["logit"]["separation_detected"], c["logit"]["iterations"])
+                    for c in report["companies"]]
+        assert outcomes == [(t, "ok", False, False, 1) for t in ("C000", "C001", "C002", "C003")]
+
+
+def edge_case_config(root: Path, tmp_path: Path) -> PipelineConfig:
+    """``small_config`` at 2 epochs on the fixture's panels, with C000 given a
+    ``leak`` column equal to each row's label (perfect separation) and C001
+    a copy of its ``sentiment`` column (an information matrix below full rank)."""
+    panels = tmp_path / "panels"
+    shutil.copytree(root / "panels", panels)
+    add_column(panels, "C000", "leak", lambda panel: direction_labels(panel, "price"))
+    add_column(panels, "C001", "sentiment_copy", lambda panel: panel.columns["sentiment"])
+    cfg = small_config(root)
+    cfg.paths.panels_dir = str(panels)
+    cfg.paths.output_dir = str(tmp_path / "out")
+    cfg.mlp.epochs = 2
+    return cfg
+
 
 def add_column(panels: Path, ticker: str, name: str, values) -> None:
     """Rewrite ``panels/<ticker>.csv`` with one more column, ``values(panel)``."""
-    panel = parse_company_panel((panels / f"{ticker}.csv").read_bytes(), ticker)
+    panel = parse_company_panel((panels / f"{ticker}.csv").read_text(), ticker)
     columns = {**panel.columns, name: values(panel)}
     (panels / f"{ticker}.csv").write_text(panel_file_text(CompanyPanel(ticker, panel.dates, columns)))
 
@@ -1823,6 +1842,66 @@ class TestCli:
         assert (code, err) == (1, f"error: --out {out}: cannot write {out / 'panels' / 'C001.csv'} "
                                   "(exists and is not a regular file)\n")
         assert sorted(str(f.relative_to(out)) for f in out.rglob("*")) == ["panels", "panels/C001.csv"]
+
+    def test_overlapping_membership_weeks_exit_2(self, fixture, tmp_path, capsys):
+        """A membership file requested fewer than 7 days after another would
+        put a row date in two weeks: ``pipeline``, ``build`` and ``cohort``
+        refuse the directory, naming both files."""
+        root, _ = fixture
+        membership = tmp_path / "membership"
+        shutil.copytree(root / "membership", membership)
+        first = min(membership.glob("*.csv"))
+        requested = date.fromisoformat(first.stem.removeprefix("constituents_"))
+        close = membership / f"constituents_{requested + timedelta(days=2)}.csv"
+        close.write_text(f"# effective_date={requested + timedelta(days=2)}\nticker\nC000\n")
+        config = ["--paths.membership_dir", str(membership),
+                  "--paths.panels_dir", str(root / "panels"),
+                  "--paths.output_dir", str(tmp_path / "out")]
+        for argv in (["pipeline", *config], ["build", *config],
+                     ["cohort", "--membership-dir", str(membership), "--allow-deficient"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: {first} and {close}: requested dates fewer than 7 days apart, "
+                "so their weeks overlap\n"
+            )
+        assert not (tmp_path / "out").exists()
+
+    def test_a_long_value_is_echoed_short(self, fixture, tmp_path, capsys):
+        """A flag or config value of any length is quoted in one short line
+        that names its field, and exits 1."""
+        root, _ = fixture
+        config = tmp_path / "long.json"
+        config.write_text(json.dumps({"mlp": {"epochs": "x" * 300}}))
+        tickers = ",".join([f"T{i:04d}" for i in range(5000)] + ["T0000"])
+        for flags, named in (
+            (["--mlp.hidden_sizes=" + "[" * 100000], "bad value for 'mlp.hidden_sizes'"),
+            (["--mlp.learning_rate=" + "x" * 100000], "bad value for 'mlp.learning_rate'"),
+            (["--tickers", tickers], "tickers must hold distinct non-empty names"),
+            (["--config", str(config)], "config field 'mlp.epochs' must be int"),
+        ):
+            assert main(["build", "--paths.membership_dir", str(root / "membership"),
+                         "--paths.panels_dir", str(root / "panels"),
+                         "--paths.output_dir", str(tmp_path / "out"), *flags]) == 1
+            err = capsys.readouterr().err
+            assert named in err
+            assert err.count("\n") == 1 and len(err) < 300 + len(str(config))
+
+    def test_a_byte_order_mark_changes_no_built_byte(self, fixture, tmp_path, capsys):
+        """A panel and a membership file saved with a leading UTF-8 byte order
+        mark, as spreadsheets save them, build the bytes they build without."""
+        root, _ = fixture
+        marked = tmp_path / "marked"
+        for part in ("membership", "panels"):
+            shutil.copytree(root / part, marked / part)
+        for file in (marked / "panels" / "C000.csv", min((marked / "membership").glob("*.csv"))):
+            file.write_bytes(b"\xef\xbb\xbf" + file.read_bytes())
+        for source, out in ((root, "plain"), (marked, "marked")):
+            assert main(["build", "--paths.membership_dir", str(source / "membership"),
+                         "--paths.panels_dir", str(source / "panels"),
+                         "--paths.output_dir", str(tmp_path / "built" / out),
+                         "--tickers", "C000"]) == 0
+        built = output_tree(tmp_path / "built" / "plain")
+        assert output_tree(tmp_path / "built" / "marked") == built and len(built) == 2
 
     def test_cohort_subcommand(self, fixture, capsys):
         root, _ = fixture
