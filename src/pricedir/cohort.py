@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError
 from .ingest import MembershipSnapshot
 
 N_GROUPS = 5
@@ -23,16 +23,12 @@ GENERATOR_NAME = "numpy-pcg64"
 
 def membership_counts(snapshots: list[MembershipSnapshot]) -> dict[str, int]:
     """Ticker -> number of snapshots containing it, for every ticker observed."""
-    if not snapshots:
-        raise ValidationError("membership_counts needs at least one snapshot")
     counts = Counter(t for snapshot in snapshots for t in snapshot.constituents)
     return dict(sorted(counts.items()))
 
 
 def group_boundaries(counts: dict[str, int]) -> list[float]:
     """The six bin edges lo + k*(hi-lo)/5 for k = 0..5."""
-    if not counts:
-        raise ValidationError("group_boundaries needs at least one count")
     lo, hi = min(counts.values()), max(counts.values())
     return [lo + k * (hi - lo) / N_GROUPS for k in range(N_GROUPS + 1)]
 
@@ -45,8 +41,6 @@ def partition_into_fifths(counts: dict[str, int]) -> list[set[str]]:
     degenerate range (hi == lo) puts everything in group 0.  The group
     index is the position in the returned list.
     """
-    if not counts:
-        raise ValidationError("partition_into_fifths needs at least one count")
     lo, hi = min(counts.values()), max(counts.values())
     width = (hi - lo) / N_GROUPS or 1.0  # a degenerate range: every (c - lo) is 0
     groups: list[set[str]] = [set() for _ in range(N_GROUPS)]
@@ -67,10 +61,6 @@ def sample_cohort(
     A group smaller than ``per_group`` raises DataError unless
     ``allow_deficient`` is set, in which case all its members are taken.
     """
-    if per_group < 1:
-        raise ValidationError("per_group must be >= 1")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     sample: set[str] = set()
     for index, group in enumerate(groups):

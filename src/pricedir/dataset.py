@@ -35,14 +35,15 @@ MEMBERSHIP_COLUMN = "in_index"
 LAG_SUFFIX = "_lag1w"
 # The label's column in a dataset file, after ``date`` and before the features.
 LABEL_COLUMN = "y"
+LISTED_DATES = 10  # an uncovered-dates error lists the first ones, then how many more
 
 
 @dataclass
 class LabeledDataset:
-    """Aligned, fully numeric (X, y) for one company.
-
-    Every entry of X lies in [0, 1]; y holds only 0 and 1; dates are
-    strictly increasing and row-aligned with X and y.
+    """Aligned, fully numeric (X, y) for one company; ``__post_init__``
+    checks the shapes and that the dates strictly increase.  The build
+    puts every entry of X in [0, 1] and y in {0, 1}; ``read_dataset_csv``
+    checks y and refuses empty cells, but takes X's values as written.
     """
 
     ticker: str
@@ -125,10 +126,8 @@ def membership_indicator(
 
     Each row date must fall inside exactly one snapshot week
     [requested - 6 days, requested]; rows outside every week raise
-    DataError listing the offending dates.
+    DataError listing the first ``LISTED_DATES`` offending dates.
     """
-    if not snapshots:
-        raise ValidationError("membership_indicator needs snapshots")
     ordered = sorted(snapshots, key=lambda s: s.requested_date)
     requested = _ordinals([s.requested_date for s in ordered])
     member = np.fromiter(
@@ -139,8 +138,10 @@ def membership_indicator(
     week = np.minimum(np.searchsorted(requested, days), len(ordered) - 1)
     covered = (days <= requested[week]) & (days >= requested[week] - MAX_FALLBACK_DAYS)
     if not covered.all():
-        uncovered = [panel.dates[t].isoformat() for t in np.flatnonzero(~covered)]
-        raise DataError(f"panel {panel.ticker}: no snapshot week covers {uncovered}")
+        rows = np.flatnonzero(~covered)
+        listed = [panel.dates[t].isoformat() for t in rows[:LISTED_DATES]]
+        more = f" and {len(rows) - LISTED_DATES} more" if len(rows) > LISTED_DATES else ""
+        raise DataError(f"panel {panel.ticker}: no snapshot week covers {listed}{more}")
     return member[week].astype(float)
 
 
@@ -174,8 +175,6 @@ def lagged_features(panel: CompanyPanel, features: Sequence[str]) -> dict[str, n
 
 def sparse_columns(columns: dict[str, np.ndarray], max_missing_fraction: float) -> list[str]:
     """The names of the columns whose missing fraction strictly exceeds the threshold."""
-    if not 0.0 <= max_missing_fraction <= 1.0:
-        raise ValidationError("max_missing_fraction must be in [0, 1]")
     # a column without rows misses nothing (and the mean of no cells warns)
     return [
         name for name, values in columns.items()
@@ -192,8 +191,6 @@ def trim_timespan(panel: CompanyPanel, required: Sequence[str]) -> tuple[int, in
     imputation).  The longest trimmed run wins, ties going to the more
     recent one.  No fully-present row anywhere raises DataError.
     """
-    if not required:
-        raise ValidationError("trim_timespan needs at least one required column")
     missing = np.isnan(np.column_stack([panel.column(name) for name in required]))
     anchors = np.flatnonzero(~missing.any(axis=1))
     if not anchors.size:
@@ -219,8 +216,6 @@ def normalize_column(values: Sequence[float]) -> tuple[np.ndarray, float, float]
     observed = values[~np.isnan(values)]
     if not observed.size:
         raise DataError("cannot normalize a column with no observed values")
-    if not np.isfinite(observed).all():
-        raise ValidationError("cannot normalize non-finite values")
     raw_min = float(observed.min())
     raw_max = float(observed.max())
     span = raw_max - raw_min
@@ -310,8 +305,6 @@ def split_features(
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise ValidationError(f"dataset {ds.ticker}: repeated columns {repeated}")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValidationError("train_fraction must be in (0, 1)")
     n = ds.n_rows
     if n < 5:
         raise DataError(f"dataset {ds.ticker}: need at least 5 rows, have {n}")

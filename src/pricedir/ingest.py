@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 import stat
 import sys
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ WEEK_DAYS = 7
 MAX_FALLBACK_DAYS = WEEK_DAYS - 1
 
 EFFECTIVE_DATE_PREFIX = "# effective_date="
+MEMBERSHIP_FILE_RE = re.compile(r"^constituents_(\d{4}-\d{2}-\d{2})\.csv$")
 
 
 @dataclass(frozen=True)
@@ -196,6 +198,11 @@ def membership_file_text(snapshot: MembershipSnapshot) -> str:
     lines = [f"{EFFECTIVE_DATE_PREFIX}{snapshot.effective_date.isoformat()}", "ticker"]
     lines.extend(sorted(snapshot.constituents))
     return "\n".join(lines) + "\n"
+
+
+def membership_file_name(requested: date) -> str:
+    """The constituent file name of week ``requested``: ``MEMBERSHIP_FILE_RE`` parses it."""
+    return f"constituents_{requested.isoformat()}.csv"
 
 
 def parse_company_panel(content: str, ticker: str, source: str = "<panel>") -> CompanyPanel:

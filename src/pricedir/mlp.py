@@ -130,7 +130,8 @@ def _forward(model: NetworkModel, X: np.ndarray) -> list[np.ndarray]:
     """The (n, size) activations of every layer for the rows of ``X``."""
     _, _, net, grad_net = _pack([model])
     forward, _, A = _step_plan(net, grad_net, 1, len(X))
-    forward([X])
+    with np.errstate(over="ignore", invalid="ignore"):  # see ``train_stack``
+        forward([X])
     return [a[0] for a in A]
 
 
@@ -267,12 +268,6 @@ def train_stack(
         raise ValidationError(
             f"a stack needs equal training-row counts, got {[len(ds.y) for ds in datasets]}"
         )
-    if n == 0:
-        raise ValidationError("training set is empty")
-    if epochs < 1 or batch_size < 1:
-        raise ValidationError("epochs and batch_size must be positive")
-    if not 0.0 <= learning_rate < math.inf:
-        raise ValidationError("learning_rate must be finite and non-negative")
     for model, ds in zip(models, datasets):
         _check_width(model, ds.X.shape[1], "the dataset")
         if model.layer_sizes[1:] != models[0].layer_sizes[1:]:
@@ -306,29 +301,31 @@ def train_stack(
     yhat, yes = A[-1][..., 0], np.array(ys) == 1
     log_likelihoods = np.empty(yes.shape)
     results: list = [[] for _ in models]
-    for epoch in range(1, epochs + 1):
-        for X, Y, rng, X_c, y_c in zip(X_epoch, Y_epoch, rngs, Xs, ys):
-            order = rng.permutation(n)
-            np.take(X_c, order, axis=0, out=X)
-            np.take(y_c, order, out=Y[:, 0])
-        for Xb, Yb, gradients, m in steps:
-            gradients(Xb, Yb)
-            np.divide(grads, m, out=grads)
-            np.multiply(grads, lr, out=grads)
-            np.subtract(params, grads, out=params)
-        forward(Xs)
-        np.subtract(_ONE, yhat, out=log_likelihoods)
-        np.copyto(log_likelihoods, yhat, where=yes)
-        np.log(log_likelihoods, out=log_likelihoods)
-        for c, row in enumerate(log_likelihoods):
-            if isinstance(results[c], list):  # a diverged company's losses are not read
-                loss = -(float(np.add.reduce(row)) / n)
-                if math.isfinite(loss):
-                    results[c].append(loss)
-                else:
-                    results[c] = TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-        if not any(isinstance(r, list) for r in results):
-            break
+    # a non-finite loss is a company's outcome: numpy's overflow warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            for X, Y, rng, X_c, y_c in zip(X_epoch, Y_epoch, rngs, Xs, ys):
+                order = rng.permutation(n)
+                np.take(X_c, order, axis=0, out=X)
+                np.take(y_c, order, out=Y[:, 0])
+            for Xb, Yb, gradients, m in steps:
+                gradients(Xb, Yb)
+                np.divide(grads, m, out=grads)
+                np.multiply(grads, lr, out=grads)
+                np.subtract(params, grads, out=params)
+            forward(Xs)
+            np.subtract(_ONE, yhat, out=log_likelihoods)
+            np.copyto(log_likelihoods, yhat, where=yes)
+            np.log(log_likelihoods, out=log_likelihoods)
+            for c, row in enumerate(log_likelihoods):
+                if isinstance(results[c], list):  # a diverged company's losses are not read
+                    loss = -(float(np.add.reduce(row)) / n)
+                    if math.isfinite(loss):
+                        results[c].append(loss)
+                    else:
+                        results[c] = TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            if not any(isinstance(r, list) for r in results):
+                break
     for mine, stacked in _stack_pairs(models, net):
         mine[...] = stacked
     return results
@@ -343,10 +340,6 @@ def evaluate(
     ``test_ds`` is anything with ``X`` and ``y`` arrays, such as a LabeledDataset.
     """
     n = len(test_ds.y)
-    if n == 0:
-        raise ValidationError("test set is empty")
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError("threshold must be in (0, 1)")
     X = np.asarray(test_ds.X, dtype=float)
     _check_width(model, X.shape[-1], "the test set")
     outputs = _forward(model, X)[-1][:, 0]

@@ -27,7 +27,6 @@ import errno
 import math
 import multiprocessing
 import os
-import re
 import sys
 import traceback
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -50,6 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import (
+    MEMBERSHIP_FILE_RE,
     WEEK_DAYS,
     MembershipSnapshot,
     json_text,
@@ -58,8 +58,6 @@ from .ingest import (
     read_text,
 )
 from .synth import derive_seed
-
-MEMBERSHIP_FILE_RE = re.compile(r"^constituents_(\d{4}-\d{2}-\d{2})\.csv$")
 
 
 def load_membership_dir(path: str | Path) -> list[MembershipSnapshot]:
@@ -460,8 +458,6 @@ def render_report(report: dict, fmt: str) -> str:
     Both formats first build the table, so a document that lacks a field
     the table reads raises DataError whichever format is asked for.
     """
-    if fmt not in ("json", "text"):
-        raise ValidationError(f"unknown report format {fmt!r}")
     try:
         if not report.get("companies"):
             raise ValidationError("report has no companies")

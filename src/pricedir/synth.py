@@ -31,6 +31,7 @@ from .ingest import (
     CompanyPanel,
     MembershipSnapshot,
     json_text,
+    membership_file_name,
     membership_file_text,
     panel_file_text,
     table_text,
@@ -341,7 +342,7 @@ def write_fixture(
     membership_dir = out / "membership"
     panels_dir = out / "panels"
     truth_dir = out / "truth"
-    membership_names = [f"constituents_{d.isoformat()}.csv" for d in dates]
+    membership_names = [membership_file_name(d) for d in dates]
     _refuse_irregular_targets({
         out: {"truth.json"},
         membership_dir: set(membership_names),

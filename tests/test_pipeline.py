@@ -10,6 +10,7 @@ import random
 import shutil
 import subprocess
 import sys
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -271,11 +272,26 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError, match=field):
                 config_from_dict(doc).validate()
-        # NaN compares false with everything, so a plain range check lets it pass
-        for dotted in ("mlp.learning_rate", "logit.tol"):
-            for text in ("nan", "inf"):
+        # each range rule of ``validate``, at a value just outside it; NaN
+        # compares false with everything, so a plain range check lets it pass
+        float_rules = {
+            "dataset.train_fraction": ["0", "1", "1.5"],
+            "dataset.max_missing_fraction": ["-0.1", "1.1"],
+            "logit.alpha": ["0", "1.01"],
+            "logit.tol": ["0", "-1e-8", "inf"],
+            "mlp.threshold": ["0", "1"],
+            "mlp.learning_rate": ["-0.1", "inf", "-inf"],
+        }
+        int_rules = {
+            "logit.max_iter": ["0"],
+            "mlp.epochs": ["0", "-1"],
+            "mlp.batch_size": ["0"],
+            "mlp.hidden_sizes": ["[4, 0]", "[-1]"],
+        }
+        for dotted, texts in {**float_rules, **int_rules}.items():
+            for text in texts + ["nan"] * (dotted in float_rules):
                 cfg = apply_overrides(PipelineConfig(), {dotted: text})
-                with pytest.raises(ConfigError):
+                with pytest.raises(ConfigError, match=rf"^{dotted} must "):
                     cfg.validate()
 
     def test_missing_file(self, tmp_path, monkeypatch, capsys):
@@ -948,6 +964,23 @@ class TestWorkers:
             f"C002{ext}" for ext in (".csv", ".meta.json", ".json", ".json")
         )
 
+    def test_outcome_does_not_depend_on_the_warnings_filter(self, fixture, tmp_path, capfd):
+        """A learning rate that overflows numpy on the way gives the same
+        report entries with RuntimeWarnings as errors as with every warning
+        ignored, and no company fails as an unexpected error."""
+        root, _ = fixture
+        cfg = small_config(root)
+        cfg.mlp.epochs = 3
+        cfg.mlp.learning_rate = 1.7e308
+        entries = []
+        for action in ("error", "ignore"):
+            cfg.paths.output_dir = str(tmp_path / action)
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                entries.append(run_pipeline(cfg)["companies"])
+        assert entries[0] == entries[1]
+        assert "unexpected error" not in capfd.readouterr().err
+
     def test_kernel_independent_outputs_match_under_an_older_blas_kernel(self, fixture, tmp_path):
         """Output bytes hold for one OpenBLAS kernel and numpy SIMD level;
         across them the datasets, the selections, the logit's convergence
@@ -1119,10 +1152,6 @@ class TestRenderReport:
         with pytest.raises(ValidationError):
             render_report({"companies": []}, "text")
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValidationError):
-            render_report(self.one_company_report(0.5), "xml")
-
     def test_failures_listed(self):
         report = self.one_company_report(0.7)
         report["companies"].append(
@@ -1227,6 +1256,11 @@ class TestCli:
             for fmt in ("text", "json"):
                 assert main(["report", "--format", fmt, "--input", str(bad_report)]) == 2
                 assert str(bad_report) in capsys.readouterr().err
+        # a format argparse does not offer is a usage error, before the file is read
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--format", "xml", "--input", str(bad_report)])
+        assert info.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
         not_utf8 = tmp_path / "latin1.csv"
         not_utf8.write_bytes(b"date,y,a\n2002-01-04,1,0.5\xff\n")
         assert main(["logit", "--dataset", str(not_utf8)]) == 2
@@ -1325,10 +1359,9 @@ class TestCli:
             for day, label, row in zip(weekly_dates(60), y, X.tolist())
         ))
         model = tmp_path / "model.json"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["train", "--dataset", str(dataset), "--out", str(model),
-                         "--mlp.hidden_sizes", "[]", "--mlp.batch_size", "16",
-                         "--mlp.learning_rate", "0.5", "--mlp.epochs", "4"])
+        code = main(["train", "--dataset", str(dataset), "--out", str(model),
+                     "--mlp.hidden_sizes", "[]", "--mlp.batch_size", "16",
+                     "--mlp.learning_rate", "0.5", "--mlp.epochs", "4"])
         assert code == 2
         assert capsys.readouterr().err == "error: non-finite loss at epoch 1\n"
         assert not model.exists()
