@@ -25,7 +25,7 @@ from .errors import (
     PricedirError,
     ValidationError,
 )
-from .ingest import json_text, read_json, read_text
+from .ingest import json_text, read_json, read_text, write_files
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -51,7 +51,7 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(json_text(doc))
         return
     try:
-        pipeline.write_atomic(Path(out), json_text(doc))
+        write_files(Path(out).parent, {Path(out).name: json_text(doc)})
     except OSError as exc:
         raise ConfigError(f"--out {out}: cannot write ({exc.strerror or exc})") from exc
 

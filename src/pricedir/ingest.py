@@ -2,6 +2,8 @@
 
 Every input file, CSV or JSON, is UTF-8 text that ``read_text`` reads and
 decodes, the one place where bytes become text; the parsers take that text.
+Every output file is written by ``write_files``, the one place where text
+becomes a file.
 A constituent file starts with a ``# effective_date=YYYY-MM-DD`` comment
 line, then a ``ticker`` header, then one ticker per row.  A panel file has
 a ``date`` column plus named numeric columns; an empty cell is a missing
@@ -10,11 +12,13 @@ value, never zero.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import errno
 import io
 import json
 import math
-import re
+import os
 import stat
 import sys
 from dataclasses import dataclass, field
@@ -31,7 +35,6 @@ WEEK_DAYS = 7
 MAX_FALLBACK_DAYS = WEEK_DAYS - 1
 
 EFFECTIVE_DATE_PREFIX = "# effective_date="
-MEMBERSHIP_FILE_RE = re.compile(r"^constituents_(\d{4}-\d{2}-\d{2})\.csv$")
 
 
 @dataclass(frozen=True)
@@ -201,8 +204,19 @@ def membership_file_text(snapshot: MembershipSnapshot) -> str:
 
 
 def membership_file_name(requested: date) -> str:
-    """The constituent file name of week ``requested``: ``MEMBERSHIP_FILE_RE`` parses it."""
+    """The constituent file name of week ``requested``; ``membership_file_date`` reads it back."""
     return f"constituents_{requested.isoformat()}.csv"
+
+
+def membership_file_date(file: Path) -> date:
+    """The requested date that ``file``'s name holds, the inverse of
+    ``membership_file_name``.  Any other name, a date that is not a day
+    (2002-02-30) included, is a DataError that names the file."""
+    with contextlib.suppress(ValueError):  # the round trip refuses every other form of a date
+        requested = date.fromisoformat(file.name[len("constituents_"):-len(".csv")])
+        if membership_file_name(requested) == file.name:
+            return requested
+    raise DataError(f"{file}: membership files must be named constituents_YYYY-MM-DD.csv")
 
 
 def parse_company_panel(content: str, ticker: str, source: str = "<panel>") -> CompanyPanel:
@@ -288,3 +302,37 @@ def panel_file_text(panel: CompanyPanel) -> str:
 def json_text(doc) -> str:
     """``doc`` as indented JSON with a final newline, as pricedir writes every document."""
     return json.dumps(doc, indent=2) + "\n"
+
+
+def write_files(out_dir: Path, files: dict[str, str]) -> None:
+    """Write each ``name: text`` of ``files`` under ``out_dir`` as UTF-8.
+
+    First a name whose place holds something other than a regular file (a
+    directory, a FIFO) is refused with FileExistsError, before anything is
+    written or made: the rename below would replace it.  Then the
+    directories the names contain are made, ``out_dir`` only through them.
+    Then each file is written to a temp file beside it and renamed into
+    place, so no reader, nor a worker writing the same directory, sees half
+    a file.  A failed write leaves no temp file and raises an OSError
+    naming the target; the files written before it stay.
+    """
+    targets = {out_dir / name: text for name, text in files.items()}
+    for path in targets:
+        try:
+            mode = path.stat().st_mode
+        except (FileNotFoundError, NotADirectoryError):  # nothing there yet, or mkdir's to refuse
+            continue
+        if not stat.S_ISREG(mode):
+            raise FileExistsError(errno.EEXIST, "exists and is not a regular file", str(path))
+    for directory in dict.fromkeys(path.parent for path in targets):
+        if directory != out_dir:
+            directory.mkdir(parents=True, exist_ok=True)
+    for path, text in targets.items():
+        data = text.encode("utf-8")
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            temp.write_bytes(data)
+            os.replace(temp, path)
+        except OSError as exc:
+            temp.unlink(missing_ok=True)
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc

@@ -23,14 +23,12 @@ do not depend on which companies share its stack, no timestamps).
 from __future__ import annotations
 
 import contextlib
-import errno
 import math
 import multiprocessing
 import os
 import sys
 import traceback
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-from datetime import date
 from pathlib import Path
 
 from . import cohort as cohort_mod
@@ -49,13 +47,14 @@ from .errors import (
     ValidationError,
 )
 from .ingest import (
-    MEMBERSHIP_FILE_RE,
     WEEK_DAYS,
     MembershipSnapshot,
     json_text,
+    membership_file_date,
     parse_company_panel,
     parse_membership_file,
     read_text,
+    write_files,
 )
 from .synth import derive_seed
 
@@ -71,13 +70,7 @@ def load_membership_dir(path: str | Path) -> list[MembershipSnapshot]:
     # names sorted as strings, so in date order: the order Path sorting gives
     for name in sorted(name for name in os.listdir(path) if name.endswith(".csv")):
         file = path / name
-        match = MEMBERSHIP_FILE_RE.match(name)
-        try:  # no match, or a date that is not a day (2002-02-30)
-            requested = date.fromisoformat(match.group(1) if match else "")
-        except ValueError:
-            raise DataError(
-                f"{file}: membership files must be named constituents_YYYY-MM-DD.csv"
-            ) from None
+        requested = membership_file_date(file)
         if snapshots and (requested - snapshots[-1].requested_date).days < WEEK_DAYS:
             raise DataError(
                 f"{previous} and {file}: requested dates fewer than {WEEK_DAYS} days "
@@ -239,31 +232,16 @@ def dataset_files(dataset: ds_mod.LabeledDataset, info: dict) -> dict[str, str]:
 
 
 def write_outputs(out_dir: Path, files: dict[str, str]) -> None:
-    """Write each ``name: text`` of ``files`` under ``out_dir`` (``write_atomic``).
-    A file that cannot be written is a ConfigError naming ``paths.output_dir``
-    and ``name``; the files written before it stay for the caller's clean-up."""
-    for name, text in files.items():
-        try:
-            write_atomic(out_dir / name, text)
-        except OSError as exc:
-            raise ConfigError(
-                f"paths.output_dir {out_dir}: cannot write {name} ({exc.strerror})"
-            ) from exc
-
-
-def write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` as UTF-8 through a temp file in the same directory,
-    then rename it over ``path``: a reader, or a worker writing the same
-    directory, never sees a half-written file.  The rename would replace
-    a directory, FIFO or device at ``path``, so that is refused."""
-    if path.exists() and not path.is_file():
-        raise FileExistsError(errno.EEXIST, "exists and is not a regular file", str(path))
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    """Write ``files`` under ``out_dir`` (``write_files``).  A file that
+    cannot be written is a ConfigError naming ``paths.output_dir`` and the
+    file; the files written before it stay for the caller's clean-up."""
     try:
-        temp.write_text(text, "utf-8")
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
+        write_files(out_dir, files)
+    except OSError as exc:
+        name = os.path.relpath(exc.filename, out_dir)
+        raise ConfigError(
+            f"paths.output_dir {out_dir}: cannot write {name} ({exc.strerror})"
+        ) from exc
 
 
 def remove_outputs(out_dir: Path, names: list[str]) -> None:
@@ -447,8 +425,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "generator": cohort_mod.GENERATOR_NAME,
         "config": cfg.to_dict(),
     }
-    for name, fmt in (("report.json", "json"), ("report.txt", "text")):
-        write_outputs(out_dir, {name: render_report(report, fmt)})
+    write_outputs(out_dir, {"report.json": render_report(report, "json"),
+                            "report.txt": render_report(report, "text")})
     return report
 
 

@@ -14,9 +14,7 @@ seed by hashing, see ``derive_seed``.
 
 from __future__ import annotations
 
-import errno
 import hashlib
-import os
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -35,6 +33,7 @@ from .ingest import (
     membership_file_text,
     panel_file_text,
     table_text,
+    write_files,
 )
 from .logit import sigmoid
 
@@ -104,10 +103,6 @@ def generate_membership_series(
     Week 1 includes each company independently with probability 0.5;
     every later week each company flips membership with ``switch_prob``.
     """
-    if n_weeks < 1 or n_companies < 1:
-        raise ValidationError("n_weeks and n_companies must be >= 1")
-    if not 0.0 <= switch_prob <= 1.0:
-        raise ValidationError("switch_prob must be in [0, 1]")
     tickers = [ticker_name(i) for i in range(n_companies)]
     rng = np.random.default_rng(seed)
     state = rng.random(n_companies) < 0.5
@@ -185,12 +180,8 @@ def generate_company_panel(
     then deleted independently with ``missing_prob``.
     """
     n = len(dates)
-    if n < 3:
-        raise ValidationError("need at least 3 weeks")
     if len(in_index) != n:
         raise ValidationError("in_index must align with dates")
-    if not 0.0 <= missing_prob <= 1.0:
-        raise ValidationError("missing_prob must be in [0, 1]")
 
     rng = np.random.default_rng(seed)
     bases = _base_columns(planted)
@@ -240,8 +231,6 @@ def calibrate_signal_scale(
 
     Returns (scale, pooled_accuracy).
     """
-    if not companies:
-        raise ValidationError("need at least one company to calibrate against")
     target_lo, target_hi = BAYES_WINDOW
 
     def pooled(scale: float) -> float:
@@ -285,20 +274,6 @@ def default_planted() -> PlantedModel:
     )
 
 
-def _refuse_irregular_targets(targets: dict[Path, set[str]]) -> None:
-    """Refuse each of ``targets``' names (files to be written, by directory)
-    that exists but is not a regular file, before anything is written:
-    writing to a FIFO would block.  One listing per existing directory."""
-    for directory, names in targets.items():
-        try:
-            entries = list(os.scandir(directory))
-        except (FileNotFoundError, NotADirectoryError):  # nothing there yet, or mkdir's to refuse
-            continue
-        for entry in entries:
-            if entry.name in names and not entry.is_file():
-                raise FileExistsError(errno.EEXIST, "exists and is not a regular file", entry.path)
-
-
 def write_fixture(
     out_dir: str | Path,
     n_companies: int,
@@ -315,9 +290,9 @@ def write_fixture(
     Layout: ``membership/constituents_<date>.csv`` per week,
     ``panels/<ticker>.csv`` per company, per-row ground truth under
     ``truth/``, and ``truth.json`` with the planted parameters and Bayes
-    accuracies.  Returns the truth document.
+    accuracies, all in one ``write_files`` call: a failed calibration or a
+    refused target leaves no file.  Returns the truth document.
     """
-    out = Path(out_dir)
     snapshots = generate_membership_series(
         n_weeks, n_companies, switch_prob, derive_seed(seed, "membership")
     )
@@ -333,35 +308,16 @@ def write_fixture(
     else:
         scale = 1.0 if signal_scale is None else signal_scale
     model = planted.scaled(scale)
-    # every company before the first write, so a refused argument leaves no file
-    generated = [
-        generate_company_panel(model, ticker, dts, vector, missing_prob, company_seed)
-        for ticker, dts, vector, company_seed in company_inputs
-    ]
-
-    membership_dir = out / "membership"
-    panels_dir = out / "panels"
-    truth_dir = out / "truth"
-    membership_names = [membership_file_name(d) for d in dates]
-    _refuse_irregular_targets({
-        out: {"truth.json"},
-        membership_dir: set(membership_names),
-        panels_dir: {f"{t}.csv" for t in tickers},
-        truth_dir: {f"{t}.csv" for t in tickers},
-    })
-    for d in (membership_dir, panels_dir, truth_dir):
-        d.mkdir(parents=True, exist_ok=True)
-
-    for name, snapshot in zip(membership_names, snapshots):
-        (membership_dir / name).write_text(membership_file_text(snapshot), "utf-8")
-
+    files = {f"membership/{membership_file_name(s.requested_date)}": membership_file_text(s)
+             for s in snapshots}
     companies = []
     hits = total = 0
-    for (ticker, *_, company_seed), company in zip(company_inputs, generated):
-        (panels_dir / f"{ticker}.csv").write_text(panel_file_text(company.panel), "utf-8")
-        truth_table = table_text(["true_label", "bayes_pred"], company.label_dates,
-                                [company.true_labels, company.bayes_pred])
-        (truth_dir / f"{ticker}.csv").write_text(truth_table, "utf-8")
+    for ticker, dts, vector, company_seed in company_inputs:
+        company = generate_company_panel(model, ticker, dts, vector, missing_prob, company_seed)
+        files[f"panels/{ticker}.csv"] = panel_file_text(company.panel)
+        files[f"truth/{ticker}.csv"] = table_text(
+            ["true_label", "bayes_pred"], company.label_dates,
+            [company.true_labels, company.bayes_pred])
         hits += company.bayes_hits
         total += len(company.true_labels)
         companies.append(
@@ -390,5 +346,6 @@ def write_fixture(
         "companies": companies,
         "generator": GENERATOR_NAME,
     }
-    (out / "truth.json").write_text(json_text(truth), "utf-8")
+    files["truth.json"] = json_text(truth)
+    write_files(Path(out_dir), files)
     return truth

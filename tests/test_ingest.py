@@ -19,6 +19,8 @@ from pricedir.errors import (
 from pricedir.ingest import (
     CompanyPanel,
     MembershipSnapshot,
+    membership_file_date,
+    membership_file_name,
     membership_file_text,
     panel_file_text,
     parse_company_panel,
@@ -164,6 +166,25 @@ class TestMembershipSnapshot:
         )
         again = parse_membership_file(membership_file_text(snap), snap.requested_date)
         assert again == snap
+
+
+class TestMembershipFileDate:
+    @given(st.dates(min_value=date(1, 1, 1)))
+    def test_inverts_the_file_name(self, requested):
+        assert membership_file_date(Path(membership_file_name(requested))) == requested
+
+    @pytest.mark.parametrize("name", [
+        "constituents_20020104.csv",  # forms that date.fromisoformat accepts
+        "constituents_2002-W01-5.csv",
+        "constituents_2002-01-04.CSV",
+        "xconstituents_2002-01-04.csv",
+    ])
+    def test_near_misses_are_refused(self, tmp_path, name):
+        with pytest.raises(DataError) as info:
+            membership_file_date(tmp_path / name)
+        assert str(info.value) == (
+            f"{tmp_path / name}: membership files must be named constituents_YYYY-MM-DD.csv"
+        )
 
 
 PANEL_TEXT = """date,price,trades

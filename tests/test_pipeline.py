@@ -39,13 +39,12 @@ from pricedir.errors import (
 from pricedir import mlp as mlp_mod
 from pricedir import pipeline as pipeline_mod
 from pricedir.dataset import direction_labels, read_dataset_csv
-from pricedir.ingest import CompanyPanel, panel_file_text, parse_company_panel
+from pricedir.ingest import CompanyPanel, panel_file_text, parse_company_panel, write_files
 from pricedir.pipeline import (
     build_company_dataset,
     load_membership_dir,
     render_report,
     run_pipeline,
-    write_atomic,
 )
 from pricedir.synth import (
     PlantedModel,
@@ -1103,13 +1102,13 @@ class TestWorkers:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace)
-        write_atomic(target, "new \u00e9\n")
+        write_files(tmp_path, {"report.txt": "new \u00e9\n"})
         assert target.read_bytes() == "new \u00e9\n".encode("utf-8")
         ((temp, dst),) = renames
         assert dst == target and temp.parent == tmp_path and str(os.getpid()) in temp.name
         # a write that fails keeps the old file and leaves no temp file
         with pytest.raises(UnicodeEncodeError):
-            write_atomic(target, "\ud800")
+            write_files(tmp_path, {"report.txt": "\ud800"})
         assert target.read_bytes() == "new \u00e9\n".encode("utf-8")
         assert [f.name for f in tmp_path.iterdir()] == ["report.txt"]
 

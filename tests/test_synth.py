@@ -83,12 +83,6 @@ class TestMembershipSeries:
         b = generate_membership_series(30, 5, 0.2, seed=9)
         assert [s.constituents for s in a] == [s.constituents for s in b]
 
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            generate_membership_series(0, 5, 0.2, seed=1)
-        with pytest.raises(ValidationError):
-            generate_membership_series(5, 5, 1.5, seed=1)
-
 
 class TestGenerateCompanyPanel:
     def test_fair_coin_when_no_signal(self):
@@ -159,13 +153,6 @@ class TestGenerateCompanyPanel:
         fit = fit_logit(X, company.true_labels, feature_names=names)
         assert abs(fit.beta[names.index("in_index") + 1] - 2.0) < 0.15
         assert abs(fit.beta[names.index("trades") + 1] + 1.5) < 0.15
-
-    def test_too_short_series_rejected(self):
-        with pytest.raises(ValidationError):
-            generate_company_panel(
-                default_planted(), "C000",
-                [date(2002, 1, 4), date(2002, 1, 11)], [1, 0], 0.0, seed=1,
-            )
 
 
 class TestPlantedModel:
@@ -245,18 +232,25 @@ class TestWriteFixture:
             )
             assert_panels_equal(panel, company.panel)
 
-    @pytest.mark.parametrize("weeks, missing_prob, message", [
-        (10, float("nan"), "missing_prob must be in"),
-        (2, 0.0, "need at least 3 weeks"),
-    ])
-    def test_refused_arguments_write_nothing(self, tmp_path, weeks, missing_prob, message):
-        """Every company is generated, and so every argument checked, before
-        the first directory or file is made."""
+    def test_failed_calibration_writes_nothing(self, tmp_path):
+        """The calibration runs before any directory or file is made: with
+        two labelled weeks the pooled accuracy is 0, 0.5 or 1, never in the
+        window."""
         out = tmp_path / "fixture"
-        with pytest.raises(ValidationError, match=message):
-            write_fixture(out, n_companies=2, n_weeks=weeks, switch_prob=0.05,
-                          missing_prob=missing_prob, seed=7, planted=default_planted())
+        with pytest.raises(ValidationError, match="calibration failed"):
+            write_fixture(out, n_companies=1, n_weeks=3, switch_prob=0.05,
+                          missing_prob=0.0, seed=7, planted=default_planted(), calibrate=True)
         assert not out.exists()
+
+    def test_refused_last_file_writes_nothing(self, tmp_path):
+        """Every file is made before the first is written: a directory where
+        ``truth.json``, the last file, goes leaves no other file."""
+        (tmp_path / "truth.json").mkdir()
+        with pytest.raises(FileExistsError) as caught:
+            write_fixture(tmp_path, n_companies=2, n_weeks=10, switch_prob=0.05,
+                          missing_prob=0.0, seed=7, planted=default_planted())
+        assert caught.value.filename == str(tmp_path / "truth.json")
+        assert [f.name for f in tmp_path.iterdir()] == ["truth.json"]
 
     def test_truth_document_contents(self, tmp_path):
         truth = write_fixture(
